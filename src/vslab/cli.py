@@ -571,9 +571,10 @@ def cmd_report_merge(args):
 
 
 def _config_echo(args):
-    # output paths are not semantic config: identical runs aimed at
-    # different files must still produce byte-identical payloads
-    skip = {"func", "config", "out", "csv"}
+    # output paths and the worker count are not semantic config: identical
+    # runs aimed at different files or run on more workers must still
+    # produce byte-identical payloads
+    skip = {"func", "config", "out", "csv", "workers"}
     return {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
@@ -699,21 +700,29 @@ def build_parser():
 
 
 def _apply_config_file(parser, argv):
-    """--config JSON supplies defaults; explicit flags still win."""
-    if "--config" not in argv:
+    """--config JSON (or --config=JSON) supplies defaults; explicit flags,
+    as --flag value or --flag=value, still win."""
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            path = argv[idx + 1]
+            rest = argv[:idx] + argv[idx + 2 :]
+            break
+        if arg.startswith("--config="):
+            path = arg[len("--config=") :]
+            rest = argv[:idx] + argv[idx + 1 :]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
     with open(path) as fh:
         conf = json.load(fh)
     command = conf.pop("command", None)
-    rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
     if command and (not rest or rest[0].startswith("-")):
         rest.insert(0, command)
+    given = {a.split("=", 1)[0] for a in rest if a.startswith("--")}
     extra = []
     for key, value in sorted(conf.items()):
         flag = "--" + key.replace("_", "-")
-        if flag not in rest:
+        if flag not in given:
             extra.extend([flag, str(value)])
     return rest + extra
 

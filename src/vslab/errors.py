@@ -79,3 +79,11 @@ class MissingParameter(VslabError):
 
 class SchemaMismatch(VslabError):
     """CSV files with different column sets cannot be merged."""
+
+
+class BrokenInvariant(VslabError):
+    """An internal invariant of the enumeration engine failed."""
+
+
+class Int64Overflow(VslabError):
+    """No chunk size keeps the sweep's int64 intermediates below 2^63."""

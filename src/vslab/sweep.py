@@ -11,12 +11,25 @@ modules need, as exact integers:
 
 The per-chunk kernel is vectorized with numpy over the field tables;
 chunks reduce by integer addition, so results are independent of the
-chunk partition and of the worker count.  Chunk length is capped so
-every int64 intermediate stays far from overflow.
+chunk partition and of the worker count.  Chunk length is capped by
+int64_chunk_limit, which bounds every int64 intermediate below 2^63
+from (q, d, chunk); a family no chunk can keep below it is refused.
 
-Root multiplicities enter only through critical points (f_b'(t) = 0),
-which are located in bulk; their exact multiplicities come from a
-cascade of Hasse derivative evaluations (characteristic-safe).
+b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
+g depends only on the outer prefix idx // q.  So Horner runs once per
+prefix, and the value table of a chunk is one gather of g's values
+against the table b_1 * t.  A chunk may cut a prefix block; both chunks
+then evaluate g for it.  The d = 1 family has no free b_1 and runs the
+same route with a zero b_1 column.
+
+Root multiplicities enter only through critical points, where
+f_b'(t) = g'(t) + b_1 = 0: every (prefix, t) is critical for exactly
+one b_1, so they are read off g' without a scan.  Their exact
+multiplicities come from a cascade of Hasse derivative evaluations
+(characteristic-safe), which for j >= 2 depend on the prefix only.  A
+(b, c) class with one critical point of multiplicity m takes its gamma
+correction from the (m, n) table single_root_table; a class with
+several goes through the memo multi_root_correction.
 """
 
 from __future__ import annotations
@@ -24,16 +37,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BrokenInvariant, BudgetExceeded, Int64Overflow
 from .family import FamilySpec
 from .gf import TABLE_LIMIT, parse_descriptor
 
 MAX_CHUNK = 65536
 DEFAULT_BUDGET = 10**6
+INT64_MAX = 2**63 - 1
 
 
 def falling(n: int, r: int) -> int:
@@ -98,14 +113,55 @@ def exact_tuple_counts(caps, n_simple: int, d: int):
     return out[1:]
 
 
-def _delta2_table(d: int):
-    """Correction per class with one double root among N distinct roots."""
-    table = np.zeros((d + 1, d), dtype=np.int64)
-    for n in range(1, d + 1):
-        exact = exact_tuple_counts([2], n - 1, d)
-        for r in range(1, d + 1):
-            table[n][r - 1] = exact[r - 1] - falling(n, r)
+@lru_cache(maxsize=None)
+def single_root_table(d: int):
+    """Gamma correction per class with one critical point, keyed by (m, n).
+
+    Row m*(d+1) + n holds, for r = 1..d, the correction of a value class
+    with n distinct roots of which exactly one is multiple, with
+    multiplicity m: its ordered-tuple count less the all-simple
+    falling(n, r).  Impossible pairs (m < 2, n < 1, m + n - 1 > d) stay
+    zero.  Entries are Python ints, so accumulating them cannot overflow.
+    """
+    table = np.zeros(((d + 1) * (d + 1), d), dtype=object)
+    for m in range(2, d + 1):
+        for n in range(1, d - m + 2):
+            exact = exact_tuple_counts([m], n - 1, d)
+            table[m * (d + 1) + n] = [
+                exact[r - 1] - falling(n, r) for r in range(1, d + 1)
+            ]
+    table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def multi_root_correction(caps: tuple, n_distinct: int, d: int) -> tuple:
+    """Gamma correction of a class with several critical points.
+
+    caps holds their multiplicities, sorted: the count is symmetric in
+    their order.  n_distinct counts all roots of the class.
+    """
+    exact = exact_tuple_counts(list(caps), n_distinct - len(caps), d)
+    return tuple(exact[r - 1] - falling(n_distinct, r) for r in range(1, d + 1))
+
+
+def int64_chunk_limit(q: int, d: int) -> int:
+    """Largest chunk whose int64 intermediates provably cannot overflow.
+
+    Every fiber has N_b(c) <= d roots and sum_c N_b(c) = q.  Since
+    C(N, k)/N grows with N, A_k(b) = sum_c C(N_b(c), k) <= (q/d) C(d, k),
+    so a chunk adds at most chunk * max_k A_k^2 to any prod_a entry.
+    That also bounds A_k itself, sum_v2 (A_1 = q) and the flat bincount
+    indices (below chunk * q).
+    """
+    a_max = max(q * comb(d, k) // d for k in range(1, d + 1))
+    limit = INT64_MAX // (a_max * a_max)
+    if limit < 1:
+        raise Int64Overflow(
+            f"q={q}, d={d}: one b-vector can reach A_k = {a_max}, "
+            "whose square exceeds int64"
+        )
+    return limit
 
 
 _WORKER_CACHE: dict = {}
@@ -120,6 +176,7 @@ def _chunk_kernel(task):
         spec = FamilySpec(gf, d, s, a)
         add_t = gf.add_table()
         mul_t = gf.mul_table()
+        neg_t = np.argmin(add_t, axis=1).astype(np.int32)  # x + neg_t[x] = 0
         # coefficient of T^i in f_b for non-free positions; None marks a
         # free b column
         coef = [None] * (d + 1)
@@ -127,58 +184,68 @@ def _chunk_kernel(task):
         coef[d] = 1
         for i, c in enumerate(a):
             coef[d - 1 - i] = c
-        delta2 = _delta2_table(d)
-        ctx = (gf, spec, add_t, mul_t, coef, delta2)
+        ctx = (gf, spec.free_len, add_t, mul_t, neg_t, coef)
         _WORKER_CACHE[cache_key] = ctx
-    gf, spec, add_t, mul_t, coef, delta2 = ctx
+    gf, L, add_t, mul_t, neg_t, coef = ctx
     q, p = gf.q, gf.p
-    L = spec.free_len
     n_chunk = hi - lo
 
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.zeros((n_chunk, L), dtype=np.int32)
-    for j in range(L - 1, -1, -1):  # column j holds b_{d-s-1-j}
-        idx, rem = np.divmod(idx, q)
-        digits[:, j] = rem
+    # idx = prefix * qb + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
+    # where g drops the b_1 term.  With no free b_1 (d = 1) qb = 1 makes
+    # b_1 a zero column and g = f_b.
+    qb = q if L else 1
+    pre_lo = lo // qb
+    n_pre = (hi - 1) // qb + 1 - pre_lo
+    pidx = np.arange(pre_lo, pre_lo + n_pre, dtype=np.int64)
+    pre_digits = np.zeros((n_pre, max(L - 1, 0)), dtype=np.int32)
+    for j in range(L - 2, -1, -1):  # column j holds b_{d-s-1-j}
+        pidx, rem = np.divmod(pidx, q)
+        pre_digits[:, j] = rem
+    pre_row, b1 = np.divmod(np.arange(lo, hi, dtype=np.int64), qb)
+    pre_row -= pre_lo
 
-    def col_for(i):
+    def g_coef(i, scale=1):
+        """scale * (coefficient of T^i in g): a scalar, or a prefix column."""
+        if coef[i] is not None:
+            return gf.mul(scale, coef[i])
+        if i == 1:
+            return 0
         # free coefficient b_i sits at digit column d-s-1-i
-        return digits[:, d - s - 1 - i][:, None]
+        return mul_t[scale, pre_digits[:, d - s - 1 - i]][:, None]
 
     t_row = np.arange(q, dtype=np.int32)[None, :]
+    add_f, mul_f = add_t.ravel(), mul_t.ravel()
 
     def horner(coef_seq):
-        """coef_seq: scalars or (n_chunk, 1) columns, highest degree first."""
-        first = coef_seq[0]
-        if isinstance(first, np.ndarray):
-            acc = np.broadcast_to(first, (n_chunk, q)).copy()
-        else:
-            acc = np.full((n_chunk, q), first, dtype=np.int32)
+        """Values on (prefix, t); coef_seq highest degree first."""
+        acc = np.full((n_pre, q), coef_seq[0], dtype=np.int32)
         for c in coef_seq[1:]:
-            acc = add_t[mul_t[acc, t_row], c]
+            acc = np.take(add_f, np.take(mul_f, acc * q + t_row) * q + c)
         return acc
 
-    # values of f_b on all of F_q
-    f_seq = []
-    for i in range(d, -1, -1):
-        f_seq.append(coef[i] if coef[i] is not None else col_for(i))
-    val = horner(f_seq)
+    # values of f_b on all of F_q: g per prefix, then f_b = g + b_1 t
+    g_val = horner([g_coef(i) for i in range(d, -1, -1)])
+    val = np.take(
+        add_f, np.take(g_val * q, pre_row, axis=0) + np.take(mul_t, b1, axis=0)
+    )
 
-    # per-b histogram of values, then histogram of root counts N
+    # per-b histogram of values, then per-b histogram of root counts N
     flat = (np.arange(n_chunk, dtype=np.int64)[:, None] * q + val).ravel()
     nmat = np.bincount(flat, minlength=n_chunk * q).reshape(n_chunk, q)
-    v_per_b = (nmat > 0).sum(axis=1, dtype=np.int64)
+    flat_h = (np.arange(n_chunk, dtype=np.int64)[:, None] * (d + 1) + nmat).ravel()
+    h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1))
+    # a count N > d would land in a later b's row; the first b holding
+    # one then counts fewer than q values
+    if h_per_b.size != n_chunk * (d + 1) or not (
+        h_per_b.reshape(n_chunk, d + 1).sum(axis=1) == q
+    ).all():
+        raise BrokenInvariant("a fiber exceeded d roots")
+    h_per_b = h_per_b.reshape(n_chunk, d + 1)
+    hist_n = h_per_b.sum(axis=0)
+    v_per_b = q - h_per_b[:, 0]
     sum_v = int(v_per_b.sum())
     sum_v2 = int((v_per_b * v_per_b).sum())
 
-    hist_n = np.bincount(nmat.ravel(), minlength=d + 1)
-    assert len(hist_n) <= d + 1, "a fiber exceeded d roots"
-    hist_n = hist_n.astype(object)
-
-    flat_h = (np.arange(n_chunk, dtype=np.int64)[:, None] * (d + 1) + nmat).ravel()
-    h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1)).reshape(
-        n_chunk, d + 1
-    )
     binom = np.array(
         [[comb(n, k) for k in range(1, d + 1)] for n in range(d + 1)],
         dtype=np.int64,
@@ -189,28 +256,27 @@ def _chunk_kernel(task):
     gamma_corr = [0] * d
     n_crit = 0
     if with_gamma and d >= 2:
-        # critical points: f_b'(t) = 0; these are the only places where
-        # f_b - f_b(t) has a multiple root
-        dseq = []
-        for i in range(d, 0, -1):
-            emb = (i % p) if p else 0
-            if coef[i] is not None:
-                dseq.append(gf.mul(emb, coef[i]))
-            else:
-                dseq.append(mul_t[emb, digits[:, d - s - 1 - i]][:, None])
-        der = horner(dseq)
-        rows, ts = np.nonzero(der == 0)
-        n_crit = len(rows)
+        # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
+        # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical
+        # for exactly one b_1 = -g'(t); keep the b inside this chunk.
+        g_der = horner([g_coef(i, i % p) for i in range(d, 0, -1)])
+        b1_crit = neg_t[g_der].astype(np.int64)
+        gidx = np.arange(pre_lo, pre_lo + n_pre)[:, None] * qb + b1_crit
+        crit = (b1_crit < qb) & (gidx >= lo) & (gidx < hi)
+        pre_c, ts = np.nonzero(crit)
+        n_crit = len(pre_c)
         if n_crit:
-            ts = ts.astype(np.int32)
+            rows = gidx[pre_c, ts] - lo
             cvals = val[rows, ts]
             nvals = nmat[rows, cvals]
+            # the second Hasse derivative separates multiplicity 2 from
+            # higher; evaluate it on the prefix grid like g
+            hasse2 = horner([g_coef(i, comb(i, 2) % p) for i in range(d, 1, -1)])
             mults = _multiplicity_cascade(
-                gf, coef, digits, rows, ts, d, s, add_t, mul_t
+                gf, coef, pre_digits, pre_c, ts, hasse2[pre_c, ts] == 0, d, s,
+                add_f, mul_f,
             )
-            gamma_corr = _gamma_corrections(
-                rows, cvals, nvals, mults, delta2, d
-            )
+            gamma_corr = _gamma_corrections(rows, cvals, nvals, mults, q, d)
 
     return (
         sum_v,
@@ -222,74 +288,81 @@ def _chunk_kernel(task):
     )
 
 
-def _multiplicity_cascade(gf, coef, digits, rows, ts, d, s, add_t, mul_t):
+def _multiplicity_cascade(
+    gf, coef, pre_digits, pre_rows, ts, hasse2_zero, d, s, add_f, mul_f
+):
     """Exact multiplicity of t in f_b - f_b(t) for critical pairs.
 
     The multiplicity is the smallest j >= 1 with nonvanishing j-th Hasse
-    derivative at t; j = 1 vanished by construction, so start at 2 and
-    refine the still-tied pairs level by level.
+    derivative at t; j = 1 vanished by construction and hasse2_zero marks
+    where j = 2 vanished too, so refine those pairs from j = 3 level by
+    level.  For j >= 2 neither b_0 nor b_1 enters, so the prefix digits
+    suffice.
     """
-    p = gf.p
-    n_pairs = len(rows)
-    mult = np.full(n_pairs, 2, dtype=np.int64)
-    pending = np.arange(n_pairs)
-    for j in range(2, d + 1):
+    p, q = gf.p, gf.q
+    mult = np.where(hasse2_zero, 3, 2)
+    pending = np.flatnonzero(hasse2_zero)
+    for j in range(3, d + 1):
         if not len(pending):
             break
-        sub_rows = rows[pending]
+        sub_rows = pre_rows[pending]
         sub_ts = ts[pending]
         acc = None
         for i in range(d, j - 1, -1):
             emb = comb(i, j) % p
             if coef[i] is not None:
                 c = gf.mul(emb, coef[i])
-                c_vec = None
             else:
-                c_vec = mul_t[emb, digits[sub_rows, d - s - 1 - i]]
-                c = None
+                c = mul_f[emb * q + pre_digits[sub_rows, d - s - 1 - i]]
             if acc is None:
-                acc = (
-                    np.full(len(pending), c, dtype=np.int32)
-                    if c_vec is None
-                    else c_vec.astype(np.int32)
-                )
+                acc = np.broadcast_to(c, (len(pending),)).astype(np.int32)
             else:
-                acc = mul_t[acc, sub_ts]
-                acc = add_t[acc, c if c_vec is None else c_vec]
+                acc = np.take(add_f, np.take(mul_f, acc * q + sub_ts) * q + c)
         still = acc == 0
         mult[pending[still]] = j + 1
         pending = pending[still]
     return mult
 
 
-def _gamma_corrections(rows, cvals, nvals, mults, delta2, d):
-    """Replace the all-simple tuple counts on classes with multiple roots."""
-    order = np.lexsort((cvals, rows))
-    rows_s, cvals_s, nvals_s, mults_s = (
-        rows[order],
-        cvals[order],
-        nvals[order],
-        mults[order],
-    )
-    keys = rows_s.astype(np.int64) * (int(cvals_s.max()) + 1) + cvals_s
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(keys)]))
-    single = (ends - starts) == 1
-    simple_double = single & (mults_s[starts] == 2)
+def _gamma_corrections(rows, cvals, nvals, mults, q, d):
+    """Replace the all-simple tuple counts on classes with multiple roots.
 
-    gamma_corr = np.zeros(d, dtype=np.int64)
-    counts = np.bincount(nvals_s[starts[simple_double]], minlength=d + 1)
-    gamma_corr += counts @ delta2
+    A class is one (b, c) holding critical points.  Classes with one
+    critical point take their correction from single_root_table, counted
+    by one bincount; the rest go through multi_root_correction.
+    """
+    keys = rows * q + cvals
+    order = np.argsort(keys, kind="stable")
+    keys, nvals, mults = keys[order], nvals[order], mults[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    ends = np.append(starts[1:], len(keys))
+    single = starts[ends - starts == 1]
+    counts = np.bincount(
+        mults[single] * (d + 1) + nvals[single], minlength=(d + 1) * (d + 1)
+    )
+    gamma_corr = counts.astype(object) @ single_root_table(d)
     gamma_corr = [int(x) for x in gamma_corr]
 
-    hard = np.flatnonzero(~simple_double)
-    for ci in hard:
-        caps = mults_s[starts[ci] : ends[ci]].tolist()
-        n_distinct = int(nvals_s[starts[ci]])
-        exact = exact_tuple_counts(caps, n_distinct - len(caps), d)
-        for r in range(1, d + 1):
-            gamma_corr[r - 1] += exact[r - 1] - falling(n_distinct, r)
+    # classes with k critical points: sort each class's caps, code
+    # (n, caps) in base d+1, then call the memo once per distinct code
+    sizes = ends - starts
+    for k in np.unique(sizes[sizes > 1]).tolist():
+        first = starts[sizes == k]
+        caps = np.sort(mults[first[:, None] + np.arange(k)], axis=1)
+        code = nvals[first]
+        if (d + 1) ** (k + 1) > INT64_MAX:  # codes past int64: Python ints
+            caps, code = caps.astype(object), code.astype(object)
+        for col in caps.T:
+            code = code * (d + 1) + col
+        codes, n_classes = np.unique(code, return_counts=True)
+        for key, n_cls in zip(codes.tolist(), n_classes.tolist()):
+            caps = []
+            for _ in range(k):
+                key, cap = divmod(key, d + 1)
+                caps.append(cap)
+            corr = multi_root_correction(tuple(reversed(caps)), key, d)
+            for r in range(d):
+                gamma_corr[r] += n_cls * corr[r]
     return gamma_corr
 
 
@@ -340,6 +413,7 @@ def collect_stats(
     if chunk_size is None:
         chunk_size = min(MAX_CHUNK, max(1024, 4_000_000 // spec.q))
     d = spec.d
+    chunk_size = min(chunk_size, int64_chunk_limit(spec.q, d))
 
     tasks = [
         (spec.field.descriptor, d, spec.s, spec.a, lo, min(lo + chunk_size, n_b),

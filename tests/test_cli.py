@@ -90,6 +90,15 @@ def test_worker_count_invariance(tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_worker_count_invariance_json(tmp_path):
+    one, two = tmp_path / "w1.json", tmp_path / "w2.json"
+    base = ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1"]
+    assert run(base + ["--workers", "1", "--out", str(one)]) == 0
+    assert run(base + ["--workers", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    assert "workers" not in json.loads(one.read_text())["config"]
+
+
 def test_chi_both_methods(tmp_path):
     out = tmp_path / "chi.csv"
     code = run(
@@ -190,6 +199,15 @@ def test_config_file(tmp_path):
     out2 = tmp_path / "m2.json"
     assert run(["--config", str(conf), "--a", "3", "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["results"][0]["spec"].endswith("a=3")
+    # the --config=path spelling reads the same file
+    out3 = tmp_path / "m3.json"
+    assert run([f"--config={conf}", "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out.read_bytes()
+    # --flag=value overrides the config file too, in either config spelling
+    for config in (["--config", str(conf)], [f"--config={conf}"]):
+        out4 = tmp_path / "m4.json"
+        assert run(config + ["--a=3", "--out", str(out4)]) == 0
+        assert out4.read_bytes() == out2.read_bytes()
 
 
 def test_usage_errors():

@@ -5,12 +5,26 @@ and per-(b,c) root multiplicities using only upoly primitives, so any
 vectorization bug in the engine shows up as a mismatch.
 """
 
-import pytest
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import comb
 
-from vslab.errors import BudgetExceeded
-from vslab.family import FamilySpec, enumerate_b, family_poly
-from vslab.gf import make_field
-from vslab.sweep import collect_stats, exact_tuple_counts, falling
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st_
+
+from vslab import sweep
+from vslab.errors import BrokenInvariant, BudgetExceeded, Int64Overflow
+from vslab.family import FamilySpec, enumerate_b, family_poly, value_profile
+from vslab.gf import GF, make_field
+from vslab.sweep import (
+    collect_stats,
+    exact_tuple_counts,
+    falling,
+    int64_chunk_limit,
+    multi_root_correction,
+    single_root_table,
+)
 from vslab import upoly as up
 
 F5 = make_field(5)
@@ -107,3 +121,206 @@ def test_gamma_one_closed_is_q_power():
     for spec in (FamilySpec(F5, 4, 1, (1,)), FamilySpec(F7, 4, 2, (1, 2))):
         st = collect_stats(spec)
         assert st.gamma_closed[0] == spec.q ** (spec.d - spec.s)
+
+
+# -- the prefix/b_1 route: chunks that cut a prefix block of q b-vectors ----
+
+STRADDLE_SPECS = [
+    FamilySpec(F7, 4, 1, (3,)),
+    FamilySpec(F7, 5, 2, (1, 2)),
+    FamilySpec(F7, 1, 0),
+]
+
+
+@pytest.mark.parametrize("spec", STRADDLE_SPECS, ids=lambda s: s.key)
+def test_engine_matches_oracle_on_straddling_chunks(spec):
+    ov, ov2, oh, op, og = oracle_stats(spec)
+    for chunk_size in (1, spec.q - 1, spec.q + 1, 7):
+        st = collect_stats(spec, chunk_size=chunk_size)
+        assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a, st.gamma_closed) == (
+            ov, ov2, oh, op, og
+        ), chunk_size
+
+
+def class_kinds(spec):
+    """Counter of (b, c) classes by the shape of their multiple roots."""
+    gf = spec.field
+    kinds = Counter()
+    for b in enumerate_b(spec):
+        f = family_poly(spec, b, 0)
+        for c in gf.elements():
+            g = list(f) + [0] * (spec.d + 1 - len(f))
+            g[0] = gf.sub(g[0], c)
+            mults = [m for m in up.root_profile(gf, up.trim(g)).multiplicities.values()
+                     if m >= 2]
+            if len(mults) == 1 and mults[0] >= 3:
+                kinds["single_higher"] += 1
+            elif len(mults) >= 2:
+                kinds["multi"] += 1
+    return kinds
+
+
+def test_engine_matches_oracle_p_divides_d(monkeypatch):
+    spec = FamilySpec(F9, 6, 2, (1, 4))
+    kinds = class_kinds(spec)
+    assert kinds["single_higher"] > 0 and kinds["multi"] > 0
+    memo_keys = []
+    memo = sweep.multi_root_correction
+
+    def spy(caps, n_distinct, d):
+        memo_keys.append(caps)
+        return memo(caps, n_distinct, d)
+
+    monkeypatch.setattr(sweep, "multi_root_correction", spy)
+    st = collect_stats(spec, chunk_size=100)
+    assert memo_keys
+    ov, ov2, oh, op, og = oracle_stats(spec)
+    assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a, st.gamma_closed) == (
+        ov, ov2, oh, op, og
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_correction_table_and_memo_match_tuple_counts(d):
+    table = single_root_table(d)
+    for m in range(d + 1):
+        for n in range(d + 1):
+            row = list(table[m * (d + 1) + n])
+            if m >= 2 and 1 <= n and m + n - 1 <= d:
+                exact = exact_tuple_counts([m], n - 1, d)
+                assert row == [exact[r] - falling(n, r + 1) for r in range(d)]
+            else:
+                assert row == [0] * d
+    for k in range(2, d // 2 + 1):
+        for caps in combinations_with_replacement(range(2, d + 1), k):
+            for n in range(k, d - sum(caps) + k + 1):
+                exact = exact_tuple_counts(list(caps), n - k, d)
+                want = tuple(exact[r] - falling(n, r + 1) for r in range(d))
+                assert multi_root_correction(caps, n, d) == want
+                assert exact_tuple_counts(list(reversed(caps)), n - k, d) == exact
+
+
+def test_multi_root_codes_past_int64():
+    # one class with 14 double roots at d = 30: its code (n, caps) in
+    # base 31 needs more than 63 bits
+    k, d = 14, 30
+    zeros = np.zeros(k, dtype=np.int64)
+    got = sweep._gamma_corrections(
+        zeros, zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), 31, d
+    )
+    assert got == list(multi_root_correction((2,) * k, k, d))
+
+
+def profile_stats(spec):
+    """sum_v, sum_v2, hist_n, prod_a from per-b value profiles."""
+    d = spec.d
+    sum_v = sum_v2 = 0
+    hist = [0] * (d + 1)
+    prod = [[0] * d for _ in range(d)]
+    for b in enumerate_b(spec):
+        counts = value_profile(spec, b)
+        v = sum(1 for n in counts if n)
+        sum_v += v
+        sum_v2 += v * v
+        for n in counts:
+            hist[n] += 1
+        a_vec = [sum(comb(n, k) for n in counts) for k in range(1, d + 1)]
+        for m in range(d):
+            for n in range(d):
+                prod[m][n] += a_vec[m] * a_vec[n]
+    return sum_v, sum_v2, tuple(hist), tuple(tuple(r) for r in prod)
+
+
+@st_.composite
+def small_specs(draw):
+    gf = draw(st_.sampled_from([make_field(3), F5, F7, F9]))
+    d = draw(st_.integers(1, min(5, gf.q - 1)))
+    s = 0 if d == 1 else draw(st_.integers(0, d - 2))
+    if gf.q ** max(d - s - 1, 0) > 400:
+        s = d - 2
+    a = tuple(draw(st_.integers(0, gf.q - 1)) for _ in range(s))
+    return FamilySpec(gf, d, s, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=small_specs(), chunk_size=st_.integers(1, 60))
+def test_engine_matches_value_profile(spec, chunk_size):
+    st = collect_stats(spec, chunk_size=chunk_size)
+    assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a) == profile_stats(spec)
+    assert st.gamma_closed[0] == spec.q ** (spec.d - spec.s)
+
+
+# -- explicit invariants --------------------------------------------------
+
+
+def test_fiber_invariant_raises(monkeypatch):
+    # a corrupt addition table makes f_b constant: one fiber of size q > d
+    monkeypatch.setattr(sweep, "_WORKER_CACHE", {})
+    monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
+    with pytest.raises(BrokenInvariant):
+        collect_stats(FamilySpec(F7, 4, 1, (1,)))
+
+
+def test_a_k_bound_holds_on_every_member():
+    # the headroom bound rests on A_k(b) <= (q/d) C(d, k)
+    for spec in (FamilySpec(F7, 4, 1, (2,)), FamilySpec(F5, 3, 0), FamilySpec(F9, 4, 2, (0, 3))):
+        q, d = spec.q, spec.d
+        for b in enumerate_b(spec):
+            counts = value_profile(spec, b)
+            for k in range(1, d + 1):
+                assert sum(comb(n, k) for n in counts) * d <= q * comb(d, k)
+
+
+def test_int64_headroom_extreme_table_field(monkeypatch):
+    gf = make_field(4093)
+    # d = 4: the default chunk is within the bound; check the sums
+    # against plain modular arithmetic
+    spec = FamilySpec(gf, 4, 2, (5, 11))
+    assert int64_chunk_limit(4093, 4) > 1024
+    st = collect_stats(spec)
+    q, d = spec.q, spec.d
+    t = np.arange(q, dtype=np.int64)
+    g = (t**4 + 5 * t**3 + 11 * t**2) % q
+    sum_v = sum_v2 = 0
+    hist = np.zeros(d + 1, dtype=np.int64)
+    prod = np.zeros((d, d), dtype=object)
+    binom = np.array([[comb(n, k) for k in range(1, d + 1)] for n in range(d + 1)])
+    for lo in range(0, q, 512):
+        b1 = np.arange(lo, min(lo + 512, q), dtype=np.int64)[:, None]
+        vals = (g[None, :] + b1 * t[None, :]) % q
+        nmat = np.stack([np.bincount(row, minlength=q) for row in vals])
+        v = (nmat > 0).sum(axis=1)
+        sum_v += int(v.sum())
+        sum_v2 += int((v * v).sum())
+        hist += np.bincount(nmat.ravel(), minlength=d + 1)
+        a_cols = np.stack([np.bincount(row, minlength=d + 1) for row in nmat]) @ binom
+        prod += a_cols.T.astype(object) @ a_cols.astype(object)
+    assert (st.sum_v, st.sum_v2) == (sum_v, sum_v2)
+    assert st.hist_n == tuple(int(x) for x in hist)
+    assert st.prod_a == tuple(tuple(int(x) for x in row) for row in prod)
+    assert st.gamma_closed[0] == q ** (d - spec.s)
+
+    # d = 22: the bound is below the default chunk of 1024, so the chunk
+    # shrinks, and partition invariance keeps the result
+    limit = int64_chunk_limit(4093, 22)
+    assert limit < 1024
+    assert limit * (4093 * comb(22, 11) // 22) ** 2 < 2**63
+    spans = []
+    kernel = sweep._chunk_kernel
+
+    def spy(task):
+        spans.append(task[5] - task[4])
+        return kernel(task)
+
+    monkeypatch.setattr(sweep, "_chunk_kernel", spy)
+    spec = FamilySpec(gf, 22, 20, tuple(range(1, 21)))
+    st = collect_stats(spec, chunk_size=4093)
+    assert max(spans) == limit
+    assert sum(st.hist_n) == q * q
+    assert st.gamma_closed[0] == q**2
+
+    # d = 40: a single b-vector can exceed int64, so the sweep refuses
+    with pytest.raises(Int64Overflow):
+        int64_chunk_limit(4093, 40)
+    with pytest.raises(Int64Overflow):
+        collect_stats(FamilySpec(gf, 40, 38, (0,) * 38))
