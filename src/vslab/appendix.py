@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CaseMismatch, DegenerateCase
+from .errors import CaseMismatch, DegenerateCase, InvalidParameter
 from .gf import make_field
 from . import mpoly as mp
 
@@ -32,9 +32,9 @@ def build_generic_member(p: int, d: int, free):
     """(names, F) with F a T-polynomial over MultiPoly coefficients."""
     free = set(free)
     if 0 not in free:
-        raise ValueError("the constant coefficient B0 must be free")
+        raise InvalidParameter("the constant coefficient B0 must be free")
     if not all(0 <= j <= d - 1 for j in free):
-        raise ValueError("free indices must lie in [0, d-1]")
+        raise InvalidParameter("free indices must lie in [0, d-1]")
     names = _family_names(free)
     zero = mp.MultiPoly(p, names)
     coeffs = [zero] * (d + 1)
@@ -48,11 +48,11 @@ def build_generic_member(p: int, d: int, free):
 def generic_disc(p: int, d: int, free) -> mp.MultiPoly:
     """Symbolic Res_T(F, dF/dT) for the chosen free coefficient set."""
     if p % 2 == 0:
-        raise ValueError("odd characteristic only")
+        raise InvalidParameter("odd characteristic only")
     if d < 2:
-        raise ValueError("need d >= 2")
+        raise InvalidParameter("need d >= 2")
     if d > MAX_SYMBOLIC_DEGREE:
-        raise ValueError(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
+        raise InvalidParameter(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
     _, f = build_generic_member(p, d, free)
     fp = mp.tpoly_derivative(f)
     if not fp:
@@ -240,9 +240,9 @@ def subres1_terms_check(p: int, d: int):
     asserted up to a global sign.
     """
     if d < 3:
-        raise ValueError("need d >= 3")
+        raise InvalidParameter("need d >= 3")
     if d > MAX_SYMBOLIC_DEGREE:
-        raise ValueError(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
+        raise InvalidParameter(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
     names, f = build_generic_member(p, d, {0, 1, 2})
     fp = mp.tpoly_derivative(f)
     if not fp:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .errors import MissingParameter
+from .errors import MissingParameter, RegimeViolation
+from .moments import mu
 
 RELATIVE_SLACK = Fraction(1, 10**9)
 LOG_SPACE_THRESHOLD = 20
@@ -104,10 +105,6 @@ def applicability(q: int, d: int, s: int, p: int) -> set:
 
 
 # -- right-hand sides ---------------------------------------------------------
-
-
-def _exp_term(log_value: float) -> float:
-    return math.exp(log_value)
 
 
 def _pow_term(base: float, expo: float, extra_log: float = 0.0) -> float:
@@ -197,7 +194,7 @@ def bound_value(
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One |exact deviation| <= rhs comparison, or a recorded skip."""
+    """One |exact value - main term| <= rhs comparison, or a recorded skip."""
 
     kind: str
     q: int
@@ -211,6 +208,7 @@ class BoundCheck:
     applicable: bool
     feasible: bool
     passed: bool | None
+    main: Fraction | None = None
 
     @staticmethod
     def verdict(lhs: Fraction, rhs: float) -> bool:
@@ -218,121 +216,90 @@ class BoundCheck:
         return lhs <= Fraction(rhs) * (1 + RELATIVE_SLACK)
 
 
-def _check(kind, q, d, s, lhs, applicable, r=None, m=None, n=None):
+def _check(kind, spec, value, main, r=None, m=None, n=None):
+    """|value - main| against the kind's rhs, with a verdict only where the
+    kind's hypotheses hold at this instance."""
+    q, d, s = spec.q, spec.d, spec.s
+    lhs = abs(Fraction(value) - main)
     rhs = bound_value(kind, q, d, s=s, r=r, m=m, n=n)
-    passed = BoundCheck.verdict(lhs, rhs) if applicable else None
-    return BoundCheck(
-        kind=kind,
-        q=q,
-        d=d,
-        s=s,
-        r=r,
-        m=m,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        applicable=applicable,
-        feasible=True,
-        passed=passed,
-    )
+    ok = kind in applicability(q, d, s, spec.field.p)
+    passed = BoundCheck.verdict(lhs, rhs) if ok else None
+    return BoundCheck(kind, q, d, s, r, m, n, lhs, rhs, ok, True, passed, main)
+
+
+def chi_checks(spec, stats, r_values=None) -> list:
+    """The chi_r estimates |chi_r - q^(d-s)/r!| <= rhs, for r in r_values
+    (default: all of d-s+1..d, the range in which they are stated)."""
+    q, d, s = spec.q, spec.d, spec.s
+    if r_values is None:
+        r_values = range(d - s + 1, d + 1)
+    outside = [r for r in r_values if not d - s + 1 <= r <= d]
+    if outside:
+        raise RegimeViolation(
+            f"the chi_r bounds hold for {d - s + 1} <= r <= {d}, not r = {outside}"
+        )
+    main = Fraction(q ** (d - s))
+    return [
+        _check("chi", spec, stats.chi(r), main / factorial(r), r=r) for r in r_values
+    ]
+
+
+def smn_checks(spec, stats) -> list:
+    """The S_mn estimates |S_mn - q^(d-s+1)/(m! n!)| <= rhs for every cell
+    with d-s+1 <= m+n <= 2d; the kind is smn_s0 when s = 0."""
+    q, d, s = spec.q, spec.d, spec.s
+    kind = "smn" if s >= 1 else "smn_s0"
+    main = Fraction(q ** (d - s + 1))
+    return [
+        _check(
+            kind, spec, stats.s_mn(m, n), main / (factorial(m) * factorial(n)), m=m, n=n
+        )
+        for m in range(1, d + 1)
+        for n in range(1, d + 1)
+        if d - s + 1 <= m + n <= 2 * d
+    ]
 
 
 def bound_suite(spec, stats) -> list:
-    """Every bound check at one family instance, from one sweep's stats."""
-    from .moments import mu, value_set_mean, value_set_second_moment
-
-    q, d, s, p = spec.q, spec.d, spec.s, spec.field.p
-    applicable = applicability(q, d, s, p)
-    mean = value_set_mean(spec, stats=stats)
-    second = value_set_second_moment(spec, stats=stats)
+    """Every bound check at one family instance, from one sweep's stats:
+    the mean and second-moment checks, then chi_r and gamma_star for each
+    r in turn, then the S_mn cells."""
+    q, d = spec.q, spec.d
     mu_d = mu(d)
-    checks = []
-    if s >= 1:
-        lhs_mean = abs(mean - mu_d * q)
-        checks.append(
-            _check("mean_main", q, d, s, lhs_mean, "mean_main" in applicable)
-        )
-        checks.append(
-            _check("mean_refined", q, d, s, lhs_mean, "mean_refined" in applicable)
-        )
-        lhs_v2 = abs(second - mu_d**2 * q**2)
-        checks.append(_check("v2", q, d, s, lhs_v2, "v2" in applicable))
-        for r in range(d - s + 1, d + 1):
-            lhs_chi = abs(
-                Fraction(stats.chi(r)) - Fraction(q ** (d - s), factorial(r))
-            )
-            checks.append(
-                _check("chi", q, d, s, lhs_chi, "chi" in applicable, r=r)
-            )
-            lhs_g = abs(Fraction(stats.gamma_closed[r - 1] - q ** (d - s)))
-            checks.append(
-                _check(
-                    "gamma_star", q, d, s, lhs_g, "gamma_star" in applicable, r=r
-                )
-            )
-        for m in range(1, d + 1):
-            for n in range(1, d + 1):
-                if not d - s + 1 <= m + n <= 2 * d:
-                    continue
-                lhs_s = abs(
-                    Fraction(stats.s_mn(m, n))
-                    - Fraction(q ** (d - s + 1), factorial(m) * factorial(n))
-                )
-                checks.append(
-                    _check("smn", q, d, s, lhs_s, "smn" in applicable, m=m, n=n)
-                )
+    second = Fraction(stats.sum_v2, stats.n_b)
+    if spec.s == 0:
+        checks = [_check("v2_s0", spec, second, mu_d**2 * q**2)]
     else:
-        lhs_v2 = abs(second - mu_d**2 * q**2)
-        checks.append(_check("v2_s0", q, d, s, lhs_v2, "v2_s0" in applicable))
-        for m in range(1, d + 1):
-            for n in range(1, d + 1):
-                if not d + 1 <= m + n <= 2 * d:
-                    continue
-                lhs_s = abs(
-                    Fraction(stats.s_mn(m, n))
-                    - Fraction(q ** (d + 1), factorial(m) * factorial(n))
-                )
-                checks.append(
-                    _check(
-                        "smn_s0", q, d, s, lhs_s, "smn_s0" in applicable, m=m, n=n
-                    )
-                )
-    return checks
+        mean = Fraction(stats.sum_v, stats.n_b)
+        checks = [
+            _check("mean_main", spec, mean, mu_d * q),
+            _check("mean_refined", spec, mean, mu_d * q),
+            _check("v2", spec, second, mu_d**2 * q**2),
+        ]
+    gamma_main = Fraction(q ** (d - spec.s))
+    for chi in chi_checks(spec, stats):
+        gamma = stats.gamma_closed[chi.r - 1]
+        checks += [chi, _check("gamma_star", spec, gamma, gamma_main, r=chi.r)]
+    return checks + smn_checks(spec, stats)
 
 
-def infeasible_marker(q, d, s) -> BoundCheck:
-    """Row recording an instance skipped for budget, never silently."""
+def suite_summary(checks) -> str:
+    """One word for a suite: "n/a" when no check applies, "pass", or
+    "fail:" and the failing kinds."""
+    applicable = [c for c in checks if c.applicable]
+    if not applicable:
+        return "n/a"
+    failed = sorted({c.kind for c in applicable if not c.passed})
+    return "fail:" + ",".join(failed) if failed else "pass"
+
+
+def marker(kind, q, d, s) -> BoundCheck:
+    """Row for a grid point with no checks, recorded, never silently skipped:
+    kind "sweep" is an instance over the budget, kind "instance" an
+    explicitly requested one that no estimate covers."""
+    over_budget = kind == "sweep"
     return BoundCheck(
-        kind="sweep",
-        q=q,
-        d=d,
-        s=s,
-        r=None,
-        m=None,
-        n=None,
-        lhs=None,
-        rhs=None,
-        applicable=True,
-        feasible=False,
-        passed=None,
-    )
-
-
-def inapplicable_marker(q, d, s) -> BoundCheck:
-    """Row for an explicitly requested instance no estimate covers."""
-    return BoundCheck(
-        kind="instance",
-        q=q,
-        d=d,
-        s=s,
-        r=None,
-        m=None,
-        n=None,
-        lhs=None,
-        rhs=None,
-        applicable=False,
-        feasible=True,
-        passed=None,
+        kind, q, d, s, None, None, None, None, None, over_budget, not over_budget, None
     )
 
 

@@ -13,9 +13,9 @@ VSLAB_WORKERS sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -43,13 +43,16 @@ def _philox(seed: int, *counters: int):
 def parse_int_list(text: str):
     """"5", "5,7", and "5-9" all become sorted integer lists."""
     out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in str(text).split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise VslabError(f"malformed integer list {text!r}") from None
     return sorted(set(out))
 
 
@@ -65,83 +68,92 @@ def select_a_vectors(field, d, s, policy, seed):
         return [()]
     policy = (policy or "").strip()
     if policy == "all":
-        out = []
-        for idx in range(q**s):
-            vec = []
-            for _ in range(s):
-                idx, c = divmod(idx, q)
-                vec.append(c)
-            out.append(tuple(reversed(vec)))
-        return out
-    if policy.startswith("random:"):
-        count = int(policy.split(":", 1)[1])
-        rng = _philox(seed, q, d, s)
-        draws = rng.integers(0, q, size=(count, s))
-        return [tuple(int(x) for x in row) for row in draws]
-    if not policy:
-        raise VslabError(f"--a is required when s = {s} > 0")
-    vec = tuple(int(c) for c in policy.split(","))
+        return list(itertools.product(range(q), repeat=s))
+    try:
+        if policy.startswith("random:"):
+            count = int(policy.split(":", 1)[1])
+            rng = _philox(seed, q, d, s)
+            draws = rng.integers(0, q, size=(count, s))
+            return [tuple(int(x) for x in row) for row in draws]
+        if not policy:
+            raise VslabError(f"--a is required when s = {s} > 0")
+        vec = tuple(int(c) for c in policy.split(","))
+    except ValueError:
+        raise VslabError(f"malformed --a {policy!r}") from None
     if len(vec) != s:
         raise VslabError(f"--a needs {s} entries, got {len(vec)}")
     return [vec]
 
 
-def _spec(field, d, s, a):
-    return FamilySpec(field, d, s, tuple(a))
+def _instances(args, field=None, d=None, s=None):
+    """(spec, stats) for each --a vector at one (field, d, s); the
+    single-field commands take all three from --field, --d and --s."""
+    field = parse_descriptor(args.field) if field is None else field
+    d = args.d if d is None else d
+    s = args.s if s is None else s
+    for a in select_a_vectors(field, d, s, args.a, args.seed):
+        spec = FamilySpec(field, d, s, a)
+        yield spec, collect_stats(spec, workers=args.workers, budget=args.budget)
 
 
-def _collect(spec, args):
-    return collect_stats(spec, workers=args.workers, budget=args.budget)
+def _grid(args, checked):
+    """(field, d, s, marker) over --fields x --d x --s (default s: 0..d-2),
+    skipping q <= d; marker is None at a point to sweep.
+
+    In a `checked` grid a point that no estimate covers (every s > d-2
+    is one) gets an "instance" marker when --s named it and is skipped
+    otherwise.  Other grids skip only s > d-2, which names no family.
+    """
+    fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
+    d_list = parse_int_list(args.d)
+    s_list = None if args.s is None else parse_int_list(args.s)
+    for field in fields:
+        for d in d_list:
+            if field.q <= d:
+                continue
+            top = max(d - 2, 0)
+            for s in range(top + 1) if s_list is None else s_list:
+                if checked and not bd.applicability(field.q, d, s, field.p):
+                    if s_list is not None:
+                        yield field, d, s, bd.marker("instance", field.q, d, s)
+                elif s <= top:
+                    yield field, d, s, None
 
 
 # -- command handlers ---------------------------------------------------------
 
 
 def cmd_mean(args):
-    field = parse_descriptor(args.field)
     results = []
-    for a in select_a_vectors(field, args.d, args.s, args.a, args.seed):
-        spec = _spec(field, args.d, args.s, a)
-        stats = _collect(spec, args)
+    for spec, stats in _instances(args):
         mean = mo.value_set_mean(spec, stats=stats)
-        mu_q = mo.mu(args.d) * field.q
+        mu_q = mo.mu(spec.d) * spec.q
         results.append(
             {
                 "spec": spec.key,
-                "a": list(a),
+                "a": list(spec.a),
                 "n_b": stats.n_b,
                 "mean": mean,
                 "mu_d_q": mu_q,
                 "residual": mean - mu_q,
             }
         )
-    payload = {"command": "mean", "config": _config_echo(args), "results": results}
-    _emit_json(args.out, payload)
+    _emit_json(args, results)
     return 0
 
 
 def cmd_second_moment(args):
-    field = parse_descriptor(args.field)
     reports = []
     rows = []
     failures = []
-    for a in select_a_vectors(field, args.d, args.s, args.a, args.seed):
-        spec = _spec(field, args.d, args.s, a)
-        stats = _collect(spec, args)
+    for spec, stats in _instances(args):
         rep = mo.build_moment_report(spec, stats)
         reports.append(rp.moment_report_dict(rep))
         rows.append(rp.moment_report_row(rep))
-        if rep.v2_exact_mode != rep.second_moment:
-            failures.append(spec.key)
-        if rep.mean_reconstructed is not None and rep.mean_reconstructed != rep.mean:
-            failures.append(spec.key)
-    payload = {
-        "command": "second-moment",
-        "config": _config_echo(args),
-        "results": reports,
-        "failures": failures,
-    }
-    _emit_json(args.out, payload)
+        for exact in (rep.v2_exact_mode_matches, rep.mean_reconstruction_exact):
+            if exact is False:
+                failures.append(spec.key)
+    _emit_json(args, reports, failures=failures)
     if args.csv:
         rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
     if failures:
@@ -150,96 +162,52 @@ def cmd_second_moment(args):
     return 0
 
 
-CHI_CSV_HEADER = ["spec", "r", "chi_r", "main_term", "bound_rhs", "pass"]
+def _count_table(args, header, count, oracle_method, checks_of):
+    """One CSV row per bound check: cell, swept count, main term, rhs and
+    verdict.  Unless --method is "profile", the oracle must agree exactly."""
+    rows = []
+    mismatches = []
+    for spec, stats in _instances(args):
+        for check in checks_of(spec, stats):
+            cell = (check.r,) if check.m is None else (check.m, check.n)
+            value = count(spec, *cell, stats=stats)
+            if args.method != "profile":
+                oracle = count(
+                    spec, *cell, method=oracle_method, budget=args.subset_budget
+                )
+                if oracle != value:
+                    mismatches.append((spec.key, *cell, value, oracle))
+            rows.append([spec.key, *cell, value, check.main, check.rhs, check.passed])
+    rp.write_csv(args.out, header, rows)
+    if mismatches:
+        print(f"FAIL dual-method {args.command}:", mismatches, file=sys.stderr)
+        return CHECK_FAILED
+    return 0
 
 
 def cmd_chi(args):
-    field = parse_descriptor(args.field)
-    d, s = args.d, args.s
-    rows = []
-    mismatches = []
-    for a in select_a_vectors(field, d, s, args.a, args.seed):
-        spec = _spec(field, d, s, a)
-        stats = _collect(spec, args)
-        r_values = (
-            parse_int_list(args.r) if args.r else range(d - s + 1, d + 1)
-        )
-        applicable = bd.applicability(field.q, d, s, field.p)
-        for r in r_values:
-            value = stats.chi(r)
-            if args.method in ("subsets", "both"):
-                oracle = ct.chi_r(
-                    spec, r, method="subsets", budget=args.subset_budget
-                )
-                if oracle != value:
-                    mismatches.append((spec.key, r, value, oracle))
-            main = Fraction(field.q ** (d - s), factorial(r))
-            rhs = bd.bound_value("chi", field.q, d, s=s, r=r)
-            ok = (
-                bd.BoundCheck.verdict(abs(Fraction(value) - main), rhs)
-                if "chi" in applicable
-                else None
-            )
-            rows.append([spec.key, r, value, main, rhs, ok])
-    rp.write_csv(args.out, CHI_CSV_HEADER, rows)
-    if mismatches:
-        print("FAIL dual-method chi:", mismatches, file=sys.stderr)
-        return CHECK_FAILED
-    return 0
-
-
-SMN_CSV_HEADER = ["spec", "m", "n", "s_mn", "main_term", "bound_rhs", "pass"]
+    r_values = parse_int_list(args.r) if args.r else None
+    return _count_table(
+        args, rp.CHI_CSV_HEADER, ct.chi_r, "subsets",
+        lambda spec, stats: bd.chi_checks(spec, stats, r_values),
+    )
 
 
 def cmd_smn(args):
-    field = parse_descriptor(args.field)
-    d, s = args.d, args.s
-    rows = []
-    mismatches = []
-    for a in select_a_vectors(field, d, s, args.a, args.seed):
-        spec = _spec(field, d, s, a)
-        stats = _collect(spec, args)
-        applicable = bd.applicability(field.q, d, s, field.p)
-        kind = "smn" if s >= 1 else "smn_s0"
-        lo = d - s + 1
-        for m in range(1, d + 1):
-            for n in range(1, d + 1):
-                if not lo <= m + n <= 2 * d:
-                    continue
-                value = stats.s_mn(m, n)
-                if args.method in ("brute", "both"):
-                    oracle = ct.s_mn(
-                        spec, m, n, method="brute", budget=args.subset_budget
-                    )
-                    if oracle != value:
-                        mismatches.append((spec.key, m, n, value, oracle))
-                main = Fraction(
-                    field.q ** (d - s + 1), factorial(m) * factorial(n)
-                )
-                rhs = bd.bound_value(kind, field.q, d, s=s, m=m, n=n)
-                ok = (
-                    bd.BoundCheck.verdict(abs(Fraction(value) - main), rhs)
-                    if kind in applicable
-                    else None
-                )
-                rows.append([spec.key, m, n, value, main, rhs, ok])
-    rp.write_csv(args.out, SMN_CSV_HEADER, rows)
-    if mismatches:
-        print("FAIL dual-method smn:", mismatches, file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+    return _count_table(args, rp.SMN_CSV_HEADER, ct.s_mn, "brute", bd.smn_checks)
 
 
 def cmd_gamma(args):
-    field = parse_descriptor(args.field)
     d, s = args.d, args.s
+    r_list = parse_int_list(args.r) if args.r else range(1, d + 1)
+    mn_pairs = []
+    if args.m and args.n:
+        m_list, n_list = parse_int_list(args.m), parse_int_list(args.n)
+        mn_pairs = list(itertools.product(m_list, n_list))
     results = []
     failures = []
-    for a in select_a_vectors(field, d, s, args.a, args.seed):
-        spec = _spec(field, d, s, a)
-        stats = _collect(spec, args)
+    for spec, stats in _instances(args):
         entry = {"spec": spec.key, "r": {}, "mn": {}}
-        r_list = parse_int_list(args.r) if args.r else range(1, d + 1)
         for r in r_list:
             g = ct.gamma_counts_r(spec, r, stats=stats)
             item = {"affine_open": g.affine_open, "closed": g.closed}
@@ -249,78 +217,61 @@ def cmd_gamma(args):
                 if not ok:
                     failures.append((spec.key, "gamma_r", r))
             if r == 1:
-                ok = g.closed == field.q ** (d - s)
+                ok = g.closed == spec.q ** (d - s)
                 item["closed_equals_q_power"] = ok
                 if not ok:
                     failures.append((spec.key, "gamma_1_closed", 1))
             entry["r"][str(r)] = item
-        if args.m and args.n:
-            for m in parse_int_list(args.m):
-                for n in parse_int_list(args.n):
-                    g = ct.gamma_counts_mn(spec, m, n, stats=stats)
-                    ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(
-                        m, n
-                    )
-                    entry["mn"][f"{m},{n}"] = {
-                        "affine_open": g.affine_open,
-                        "closed": g.closed,
-                        "open_equals_mn_factorial_smn": ok,
-                    }
-                    if not ok:
-                        failures.append((spec.key, "gamma_mn", (m, n)))
+        for m, n in mn_pairs:
+            g = ct.gamma_counts_mn(spec, m, n, stats=stats)
+            ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(m, n)
+            entry["mn"][f"{m},{n}"] = {
+                "affine_open": g.affine_open,
+                "closed": g.closed,
+                "open_equals_mn_factorial_smn": ok,
+            }
+            if not ok:
+                failures.append((spec.key, "gamma_mn", (m, n)))
         results.append(entry)
-    payload = {
-        "command": "gamma",
-        "config": _config_echo(args),
-        "results": results,
-        "failures": [list(f) for f in failures],
-    }
-    _emit_json(args.out, payload)
+    _emit_json(args, results, failures=[list(f) for f in failures])
     return CHECK_FAILED if failures else 0
 
 
 def cmd_verify_identities(args):
-    field = parse_descriptor(args.field)
     d, s = args.d, args.s
     checks = []
-    for a in select_a_vectors(field, d, s, args.a, args.seed):
-        spec = _spec(field, d, s, a)
-        stats = _collect(spec, args)
+    for spec, stats in _instances(args):
         rep = mo.build_moment_report(spec, stats)
         entry = {
             "spec": spec.key,
             "mean": rep.mean,
             "second_moment": rep.second_moment,
             "paper_mode_residual": rep.paper_mode_residual(),
+            "v2_exact_mode_matches": rep.v2_exact_mode_matches,
         }
-        ok = True
-        if rep.mean_reconstructed is not None:
-            entry["mean_reconstruction_exact"] = rep.mean_reconstructed == rep.mean
-            ok &= entry["mean_reconstruction_exact"]
-        entry["v2_exact_mode_matches"] = rep.v2_exact_mode == rep.second_moment
-        ok &= entry["v2_exact_mode_matches"]
+        if rep.mean_reconstruction_exact is not None:
+            entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
         if s >= 1:
-            dual = []
-            for r in range(d - s + 1, d + 1):
-                if comb(field.q, r) <= args.subset_budget:
-                    dual.append(
-                        stats.chi(r)
-                        == ct.chi_r(spec, r, "subsets", budget=args.subset_budget)
-                    )
+            dual = [
+                stats.chi(r) == ct.chi_r(spec, r, "subsets", budget=args.subset_budget)
+                for r in range(d - s + 1, d + 1)
+                if comb(spec.q, r) <= args.subset_budget
+            ]
             entry["chi_dual_method"] = all(dual) if dual else None
-            if dual:
-                ok &= all(dual)
         g1 = ct.gamma_counts_r(spec, 1, stats=stats)
-        entry["gamma_1_closed_exact"] = g1.closed == field.q ** (d - s)
-        ok &= entry["gamma_1_closed_exact"]
-        entry["ok"] = ok
+        entry["gamma_1_closed_exact"] = g1.closed == spec.q ** (d - s)
+        # a check that could not run (None, or absent) does not fail the instance
+        entry["ok"] = all(
+            entry.get(key) is not False
+            for key in (
+                "mean_reconstruction_exact",
+                "v2_exact_mode_matches",
+                "chi_dual_method",
+                "gamma_1_closed_exact",
+            )
+        )
         checks.append(entry)
-    payload = {
-        "command": "verify-identities",
-        "config": _config_echo(args),
-        "results": checks,
-    }
-    _emit_json(args.out, payload)
+    _emit_json(args, checks)
     bad = [c["spec"] for c in checks if not c["ok"]]
     if bad:
         print("FAIL:", *bad, file=sys.stderr)
@@ -329,150 +280,59 @@ def cmd_verify_identities(args):
 
 
 def cmd_verify_bounds(args):
-    fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
-    d_list = parse_int_list(args.d)
-    s_list = parse_int_list(args.s) if args.s is not None else None
     rows = []
     any_fail = False
-    for field in fields:
-        for d in d_list:
-            if field.q <= d:
-                continue
-            s_candidates = (
-                s_list if s_list is not None else list(range(0, max(d - 2, 0) + 1))
-            )
-            for s in s_candidates:
-                if s > max(d - 2, 0):
-                    continue
-                if not bd.applicability(field.q, d, s, field.p):
-                    if s_list is not None:
-                        # explicitly requested: record, never silently skip
-                        rows.append(
-                            rp.bound_check_row(
-                                bd.inapplicable_marker(field.q, d, s)
-                            )
-                            + [args.seed]
-                        )
-                    continue
-                for a in select_a_vectors(field, d, s, args.a, args.seed):
-                    spec = _spec(field, d, s, a)
-                    if spec.n_b > args.budget:
-                        rows.append(
-                            rp.bound_check_row(bd.infeasible_marker(field.q, d, s))
-                            + [args.seed]
-                        )
-                        continue
-                    stats = collect_stats(
-                        spec, workers=args.workers, budget=args.budget
-                    )
-                    for check in bd.bound_suite(spec, stats):
-                        rows.append(rp.bound_check_row(check) + [args.seed])
-                        if check.applicable and check.feasible:
-                            any_fail |= check.passed is False
+    for field, d, s, marker in _grid(args, checked=True):
+        if marker is not None:
+            checks = [marker]
+        else:
+            try:
+                checks = [
+                    check
+                    for spec, stats in _instances(args, field, d, s)
+                    for check in bd.bound_suite(spec, stats)
+                ]
+            except BudgetExceeded:
+                # n_b does not depend on a, so every a-vector is over budget
+                a_count = len(select_a_vectors(field, d, s, args.a, args.seed))
+                checks = [bd.marker("sweep", field.q, d, s)] * a_count
+        any_fail |= any(check.passed is False for check in checks)
+        rows.extend(rp.bound_check_row(check) + [args.seed] for check in checks)
     rp.write_csv(args.out, rp.BOUND_CSV_HEADER + ["seed"], rows)
     return CHECK_FAILED if any_fail else 0
 
 
-SWEEP_CSV_HEADER = [
-    "spec",
-    "q",
-    "d",
-    "s",
-    "a",
-    "seed",
-    "n_b",
-    "mean",
-    "mu_d_q",
-    "residual_mean",
-    "second_moment",
-    "mu_d2_q2",
-    "residual_second",
-    "chi",
-    "mean_reconstruction_exact",
-    "v2_exact_mode_matches",
-    "bounds",
-]
-
-
 def cmd_sweep(args):
-    fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
     rows = []
-    for field in fields:
-        for d in parse_int_list(args.d):
-            if field.q <= d:
-                continue
-            for s in parse_int_list(args.s):
-                if s > max(d - 2, 0):
-                    continue
-                for a in select_a_vectors(field, d, s, args.a, args.seed):
-                    spec = _spec(field, d, s, a)
-                    if spec.n_b > args.budget:
-                        raise BudgetExceeded(
-                            f"{spec.key}: n_b={spec.n_b} > budget {args.budget}"
-                        )
-                    stats = _collect(spec, args)
-                    rep = mo.build_moment_report(spec, stats)
-                    checks = bd.bound_suite(spec, stats)
-                    applicable = [c for c in checks if c.applicable]
-                    if not applicable:
-                        verdict = "n/a"
-                    elif all(c.passed for c in applicable):
-                        verdict = "pass"
-                    else:
-                        verdict = "fail:" + ",".join(
-                            sorted({c.kind for c in applicable if not c.passed})
-                        )
-                    chi_txt = ";".join(
-                        f"{r}:{v}" for r, v in sorted(rep.chi.items())
-                    )
-                    mean_ok = (
-                        ""
-                        if rep.mean_reconstructed is None
-                        else rep.mean_reconstructed == rep.mean
-                    )
-                    rows.append(
-                        [
-                            spec.key,
-                            field.q,
-                            d,
-                            s,
-                            ",".join(str(c) for c in a),
-                            args.seed,
-                            stats.n_b,
-                            rep.mean,
-                            rep.mean - rep.residual_mean(),
-                            rep.residual_mean(),
-                            rep.second_moment,
-                            rep.second_moment - rep.residual_second(),
-                            rep.residual_second(),
-                            chi_txt,
-                            mean_ok,
-                            rep.v2_exact_mode == rep.second_moment,
-                            verdict,
-                        ]
-                    )
-    rp.write_csv(args.out, SWEEP_CSV_HEADER, rows)
-    bad = [r for r in rows if str(r[-1]).startswith("fail")]
-    return CHECK_FAILED if bad else 0
+    for field, d, s, _ in _grid(args, checked=False):
+        for spec, stats in _instances(args, field, d, s):
+            rep = mo.build_moment_report(spec, stats)
+            summary = bd.suite_summary(bd.bound_suite(spec, stats))
+            rows.append(rp.sweep_row(rep, args.seed, stats.n_b, summary))
+    rp.write_csv(args.out, rp.SWEEP_CSV_HEADER, rows)
+    failed = any(row[-1].startswith("fail") for row in rows)
+    return CHECK_FAILED if failed else 0
 
 
 APPENDIX_CASES = [(7, 4), (5, 5), (3, 6), (3, 4), (5, 6), (3, 7)]
 SUBRES_CASES = [(5, 3), (7, 4), (3, 3), (5, 5)]
 
 
+def _pairs(text, default):
+    """"7,4;5,5" becomes [(7, 4), (5, 5)]; no text gives the default."""
+    if not text:
+        return default
+    try:
+        return [(int(p), int(d)) for p, d in (c.split(",") for c in text.split(";"))]
+    except ValueError:
+        raise VslabError(f"malformed p,d pair list {text!r}") from None
+
+
 def cmd_appendix(args):
     from . import appendix as ap
 
-    case_list = (
-        [tuple(map(int, c.split(","))) for c in args.cases.split(";")]
-        if args.cases
-        else APPENDIX_CASES
-    )
-    subres_list = (
-        [tuple(map(int, c.split(","))) for c in args.subres.split(";")]
-        if args.subres
-        else SUBRES_CASES
-    )
+    case_list = _pairs(args.cases, APPENDIX_CASES)
+    subres_list = _pairs(args.subres, SUBRES_CASES)
     results = {"cases": [], "subres1_terms": []}
     any_fail = False
     for p, d in case_list:
@@ -487,12 +347,7 @@ def cmd_appendix(args):
         rep = ap.subres1_terms_check(p, d)
         results["subres1_terms"].append(rep.to_dict())
         any_fail |= rep.matched == "failed"
-    payload = {
-        "command": "appendix",
-        "config": _config_echo(args),
-        "results": results,
-    }
-    _emit_json(args.out, payload)
+    _emit_json(args, results)
     return CHECK_FAILED if any_fail else 0
 
 
@@ -505,7 +360,7 @@ def cmd_audit_linear(args):
     checks = []
     failures = 0
     for a in a_vectors:
-        spec = _spec(field, d, s, a)
+        spec = FamilySpec(field, d, s, a)
         for _ in range(args.count):
             total = d - s
             m = int(rng.integers(1, total))
@@ -535,13 +390,7 @@ def cmd_audit_linear(args):
                     "ok": ok,
                 }
             )
-    payload = {
-        "command": "audit-linear",
-        "config": _config_echo(args),
-        "results": checks,
-        "failures": failures,
-    }
-    _emit_json(args.out, payload)
+    _emit_json(args, checks, failures=failures)
     return CHECK_FAILED if failures else 0
 
 
@@ -570,36 +419,46 @@ def cmd_report_merge(args):
 # -- wiring --------------------------------------------------------------------
 
 
-def _config_echo(args):
+def _emit_json(args, results, **extra):
+    """Write {command, config, results, **extra} to --out, else stdout."""
     # output paths and the worker count are not semantic config: identical
     # runs aimed at different files or run on more workers must still
     # produce byte-identical payloads
     skip = {"func", "config", "out", "csv", "workers"}
-    return {
+    config = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
-
-
-def _emit_json(path, payload):
-    text = rp.dump_json(payload)
-    if path:
-        with open(path, "w") as fh:
+    text = rp.dump_json(
+        {"command": args.command, "config": config, "results": results, **extra}
+    )
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _add_common(sub, field_mode="single"):
+def _add_command(subs, name, func, help_text, field_mode="single", a_default=""):
+    """A subcommand with the shared flags, --d and --a; single-field
+    commands also get --s."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(func=func)
     if field_mode == "single":
         sub.add_argument("--field", required=True, help="p^k or p^k/c0,c1,...")
+        sub.add_argument("--d", type=int, required=True)
+        sub.add_argument("--s", type=int, required=True)
+        sub.add_argument("--a", default=a_default)
     else:
         sub.add_argument("--fields", required=True, help="comma list of descriptors")
+        sub.add_argument("--d", required=True, help="list or range, e.g. 5-9")
+        sub.add_argument("--a", default="random:1")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=10**6,
                      help="max enumerated b-vectors per instance")
     sub.add_argument("--subset-budget", type=int, default=10**6, dest="subset_budget")
     sub.add_argument("--workers", type=int, default=default_workers())
     sub.add_argument("--out", default=None)
+    return sub
 
 
 def build_parser():
@@ -611,70 +470,36 @@ def build_parser():
     parser.add_argument("--config", default=None, help="JSON file of defaults")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("mean", help="exact average value set")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
-    p.set_defaults(func=cmd_mean)
+    _add_command(subs, "mean", cmd_mean, "exact average value set")
 
-    p = subs.add_parser("second-moment", help="exact second moment + report")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
+    p = _add_command(subs, "second-moment", cmd_second_moment,
+                     "exact second moment + report")
     p.add_argument("--csv", default=None, help="also write flat CSV rows")
-    p.set_defaults(func=cmd_second_moment)
 
-    p = subs.add_parser("chi", help="interpolating-subset counts")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
+    p = _add_command(subs, "chi", cmd_chi, "interpolating-subset counts")
     p.add_argument("--r", default=None, help="r values; default full high range")
     p.add_argument("--method", choices=["profile", "subsets", "both"],
                    default="profile")
-    p.set_defaults(func=cmd_chi)
 
-    p = subs.add_parser("smn", help="two-subset interpolation counts")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
+    p = _add_command(subs, "smn", cmd_smn, "two-subset interpolation counts")
     p.add_argument("--method", choices=["profile", "brute", "both"],
                    default="profile")
-    p.set_defaults(func=cmd_smn)
 
-    p = subs.add_parser("gamma", help="incidence-variety point counts")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
+    p = _add_command(subs, "gamma", cmd_gamma, "incidence-variety point counts")
     p.add_argument("--r", default=None)
     p.add_argument("--m", default=None)
     p.add_argument("--n", default=None)
-    p.set_defaults(func=cmd_gamma)
 
-    p = subs.add_parser("verify-identities", help="exact identity checks")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="all")
-    p.set_defaults(func=cmd_verify_identities)
+    _add_command(subs, "verify-identities", cmd_verify_identities,
+                 "exact identity checks", a_default="all")
 
-    p = subs.add_parser("verify-bounds", help="one-sided bound suite")
-    _add_common(p, field_mode="multi")
-    p.add_argument("--d", required=True, help="list or range, e.g. 5-9")
+    p = _add_command(subs, "verify-bounds", cmd_verify_bounds,
+                     "one-sided bound suite", field_mode="multi")
     p.add_argument("--s", default=None, help="list/range; default: all applicable")
-    p.add_argument("--a", default="random:1")
-    p.set_defaults(func=cmd_verify_bounds)
 
-    p = subs.add_parser("sweep", help="moment + bound rows over a grid")
-    _add_common(p, field_mode="multi")
-    p.add_argument("--d", required=True)
+    p = _add_command(subs, "sweep", cmd_sweep, "moment + bound rows over a grid",
+                     field_mode="multi")
     p.add_argument("--s", required=True)
-    p.add_argument("--a", default="random:1")
-    p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("appendix", help="discriminant formula checks")
     p.add_argument("--cases", default=None, help='e.g. "7,4;5,5"')
@@ -683,13 +508,9 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_appendix)
 
-    p = subs.add_parser("audit-linear", help="Vandermonde rank/count audit")
-    _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", default="")
+    p = _add_command(subs, "audit-linear", cmd_audit_linear,
+                     "Vandermonde rank/count audit")
     p.add_argument("--count", type=int, default=50)
-    p.set_defaults(func=cmd_audit_linear)
 
     p = subs.add_parser("report-merge", help="merge schema-compatible CSVs")
     p.add_argument("paths", nargs="+")
@@ -699,7 +520,7 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     """--config JSON (or --config=JSON) supplies defaults; explicit flags,
     as --flag value or --flag=value, still win."""
     for idx, arg in enumerate(argv):
@@ -731,7 +552,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

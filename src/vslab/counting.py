@@ -14,6 +14,7 @@ from math import comb, factorial
 
 from .errors import (
     BudgetExceeded,
+    InvalidParameter,
     NotOnVariety,
     NotUniqueRegime,
     OverlappingSubsets,
@@ -107,20 +108,6 @@ def chi_r(
     raise ValueError(f"unknown method {method!r}")
 
 
-def compute_chi_vector(spec: FamilySpec, stats: FamilyStats) -> dict:
-    return {r: stats.chi(r) for r in range(spec.d - spec.s + 1, spec.d + 1)}
-
-
-def compute_s_matrix(spec: FamilySpec, stats: FamilyStats) -> dict:
-    d = spec.d
-    return {
-        (m, n): stats.s_mn(m, n)
-        for m in range(1, d + 1)
-        for n in range(1, d + 1)
-        if 2 <= m + n <= 2 * d
-    }
-
-
 def s_mn(
     spec: FamilySpec,
     m: int,
@@ -171,7 +158,7 @@ def gamma_counts_r(
 ) -> GammaCounts:
     """|Gamma_r(F_q)| (distinct coordinates) and |Gamma_r^*(F_q)|."""
     if not 1 <= r <= spec.d:
-        raise ValueError(f"need 1 <= r <= d, got r={r}")
+        raise InvalidParameter(f"need 1 <= r <= d, got r={r}")
     st = _stats_for(spec, stats, workers, None)
     return GammaCounts(affine_open=st.gamma_open(r), closed=st.gamma_closed[r - 1])
 
@@ -186,7 +173,7 @@ def gamma_counts_mn(
     """Point counts of Gamma_mn and Gamma_mn^* (diagonal included)."""
     d, q, gf = spec.d, spec.q, spec.field
     if not (1 <= m <= d and 1 <= n <= d):
-        raise ValueError("need 1 <= m, n <= d")
+        raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
     st = _stats_for(spec, stats, None, budget)
     affine = factorial(m) * factorial(n) * st.s_mn(m, n)
     if spec.n_b * q > budget:

@@ -41,6 +41,10 @@ class DegenerateCase(VslabError):
     """The symbolic derivative vanishes identically; no discriminant exists."""
 
 
+class InvalidParameter(VslabError, ValueError):
+    """An argument lies outside the range the operation is defined on."""
+
+
 class LengthMismatch(VslabError):
     """A free-coefficient vector has the wrong length for the family."""
 

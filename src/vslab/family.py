@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dc_field
 
-from .errors import LengthMismatch
+from .errors import InvalidParameter, LengthMismatch
 from .gf import GF
 from .upoly import eval_at, trim
 
@@ -32,20 +32,22 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
         if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got {self.d}")
+            raise InvalidParameter(f"degree must be >= 1, got {self.d}")
         # d = 1 is the degenerate linear family used only in sanity tests
         if self.d >= 2 and not 0 <= self.s <= self.d - 2:
-            raise ValueError(f"need 0 <= s <= d-2, got s={self.s}, d={self.d}")
+            raise InvalidParameter(f"need 0 <= s <= d-2, got s={self.s}, d={self.d}")
         if self.d == 1 and self.s != 0:
-            raise ValueError("the d=1 family has no fixable coefficients")
+            raise InvalidParameter("the d=1 family has no fixable coefficients")
         if len(self.a) != self.s:
             raise LengthMismatch(f"expected {self.s} fixed coefficients, got {self.a}")
         if not all(0 <= c < self.field.q for c in self.a):
-            raise ValueError("fixed coefficients must be field element indices")
+            raise InvalidParameter(
+                f"fixed coefficients must lie in [0, {self.field.q}), got {self.a}"
+            )
         if self.field.q <= self.d:
             msg = f"q = {self.field.q} <= d = {self.d}: outside the q > d regime the estimates assume"
             if self.strict:
-                raise ValueError(msg)
+                raise InvalidParameter(msg)
             warnings.warn(msg, stacklevel=2)
 
     @property

@@ -18,7 +18,13 @@ import functools
 
 import numpy as np
 
-from .errors import DivisionByZero, EvenCharacteristic, ReducibleModulus
+from .errors import (
+    BrokenInvariant,
+    DivisionByZero,
+    EvenCharacteristic,
+    InvalidParameter,
+    ReducibleModulus,
+)
 
 TABLE_LIMIT = 4096
 
@@ -91,7 +97,7 @@ class GF:
         if p == 2 or not is_prime(p):
             raise EvenCharacteristic(f"p must be an odd prime, got {p}")
         if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
+            raise InvalidParameter(f"extension degree must be >= 1, got {k}")
         self.p = p
         self.k = k
         self.q = p**k
@@ -164,7 +170,8 @@ class GF:
             ):
                 gen = vec
                 break
-        assert gen is not None, "F_q* is cyclic; a generator always exists"
+        if gen is None:
+            raise BrokenInvariant("F_q* is cyclic, yet no generator was found")
         exp = [0] * (q - 1)
         log = [0] * q
         acc = [1] + [0] * (k - 1)
@@ -348,10 +355,13 @@ def make_field(p: int, k: int = 1, modulus=None) -> GF:
 def parse_descriptor(text: str) -> GF:
     """Parse "p^k" or "p^k/c0,c1,...,ck" into a field."""
     head, _, tail = text.partition("/")
-    if "^" in head:
-        p_str, _, k_str = head.partition("^")
-        p, k = int(p_str), int(k_str)
-    else:
-        p, k = int(head), 1
-    modulus = [int(c) for c in tail.split(",")] if tail else None
+    try:
+        if "^" in head:
+            p_str, _, k_str = head.partition("^")
+            p, k = int(p_str), int(k_str)
+        else:
+            p, k = int(head), 1
+        modulus = [int(c) for c in tail.split(",")] if tail else None
+    except ValueError:
+        raise InvalidParameter(f"malformed field descriptor {text!r}") from None
     return make_field(p, k, modulus)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .counting import _stats_for
 from .errors import RangeMismatch, RegimeViolation
 from .family import FamilySpec
-from .sweep import DEFAULT_BUDGET, FamilyStats, collect_stats
+from .sweep import DEFAULT_BUDGET, FamilyStats
 
 
 def mu(d: int) -> Fraction:
@@ -68,12 +69,6 @@ def cohen_exact_mean(q: int, d: int) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def _stats_for(spec, stats, workers, budget):
-    if stats is not None:
-        return stats
-    return collect_stats(spec, workers=workers, budget=budget)
 
 
 def value_set_mean(
@@ -122,42 +117,27 @@ def reconstruct_second_moment(
     d, s, q = spec.d, spec.s, spec.q
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    lo_needed = 2 if mode == "exact" else d - s + 1
-    missing = [
+    lo = 2 if mode == "exact" else d - s + 1
+    cells = [
         (m, n)
         for m in range(1, d + 1)
         for n in range(1, d + 1)
-        if lo_needed <= m + n <= 2 * d and (m, n) not in smatrix
+        if lo <= m + n <= 2 * d
     ]
+    missing = [cell for cell in cells if cell not in smatrix]
     if missing:
         raise RangeMismatch(f"S matrix is missing cells {missing[:6]}...")
 
     total = Fraction(mean)
     if mode == "paper":
-        middle = Fraction(0)
         for m in range(1, d + 1):
             for n in range(1, d + 1):
                 if 2 <= m + n <= d - s:
-                    middle += Fraction(
+                    total += Fraction(
                         (-1) ** (m + n) * comb(q, m) * comb(q, n), q ** (m + n - 2)
                     )
-        total += middle
-        high = sum(
-            (-1) ** (m + n) * smatrix[(m, n)]
-            for m in range(1, d + 1)
-            for n in range(1, d + 1)
-            if d - s + 1 <= m + n <= 2 * d
-        )
-        total += Fraction(high, q ** (d - s - 1))
-    else:
-        signed = sum(
-            (-1) ** (m + n) * smatrix[(m, n)]
-            for m in range(1, d + 1)
-            for n in range(1, d + 1)
-            if 2 <= m + n <= 2 * d
-        )
-        total += Fraction(signed, q ** (d - s - 1))
-    return total
+    signed = sum((-1) ** (m + n) * smatrix[(m, n)] for m, n in cells)
+    return total + Fraction(signed, q ** (d - s - 1))
 
 
 @dataclass
@@ -182,6 +162,18 @@ class MomentReport:
 
     def residual_second(self) -> Fraction:
         return self.second_moment - mu(self.d) ** 2 * self.q**2
+
+    @property
+    def mean_reconstruction_exact(self) -> bool | None:
+        """Whether the chi_r reconstruction gives the mean exactly; None
+        outside 1 <= s <= d-2, where it is not defined."""
+        if self.mean_reconstructed is None:
+            return None
+        return self.mean_reconstructed == self.mean
+
+    @property
+    def v2_exact_mode_matches(self) -> bool:
+        return self.v2_exact_mode == self.second_moment
 
     def paper_mode_residual(self) -> Fraction | None:
         if self.v2_paper_mode is None:

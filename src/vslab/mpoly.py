@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateLeadingCoefficient, InexactDivision
+from .errors import DegenerateLeadingCoefficient, InexactDivision, InvalidParameter
 
 
 class MultiPoly:
@@ -152,7 +152,10 @@ class MultiPoly:
 
     def evaluate(self, gf, point):
         """Value at a point of gf^nvars; gf must have characteristic p."""
-        assert gf.p == self.p
+        if gf.p != self.p:
+            raise InvalidParameter(
+                f"a polynomial over F_{self.p} evaluated in F_{gf.q}"
+            )
         total = 0
         for expo, c in self.terms.items():
             term = gf.embed_int(c)

@@ -70,11 +70,6 @@ def dump_json(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(dump_json(obj))
-
-
 def csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -146,11 +141,6 @@ MOMENT_CSV_HEADER = [
 
 
 def moment_report_row(report) -> list:
-    mean_ok = (
-        ""
-        if report.mean_reconstructed is None
-        else report.mean_reconstructed == report.mean
-    )
     return [
         report.spec_key,
         report.q,
@@ -162,10 +152,37 @@ def moment_report_row(report) -> list:
         report.second_moment,
         report.second_moment - report.residual_second(),
         report.residual_second(),
-        mean_ok,
-        report.v2_exact_mode == report.second_moment,
+        report.mean_reconstruction_exact,
+        report.v2_exact_mode_matches,
         report.paper_mode_residual(),
     ]
+
+
+def _sweep_columns(moment_columns, a, seed, n_b, chi, bounds):
+    m = list(moment_columns)
+    return m[:4] + [a, seed, n_b] + m[4:10] + [chi] + m[10:12] + [bounds]
+
+
+# a sweep row is a moment row without paper_mode_residual, plus the
+# a-vector, seed, n_b, chi vector (r:value pairs) and bound-suite summary
+SWEEP_CSV_HEADER = _sweep_columns(
+    MOMENT_CSV_HEADER, "a", "seed", "n_b", "chi", "bounds"
+)
+
+
+def sweep_row(report, seed, n_b, bounds) -> list:
+    return _sweep_columns(
+        moment_report_row(report),
+        ",".join(str(c) for c in report.a),
+        seed,
+        n_b,
+        ";".join(f"{r}:{v}" for r, v in sorted(report.chi.items())),
+        bounds,
+    )
+
+
+CHI_CSV_HEADER = ["spec", "r", "chi_r", "main_term", "bound_rhs", "pass"]
+SMN_CSV_HEADER = ["spec", "m", "n", "s_mn", "main_term", "bound_rhs", "pass"]
 
 
 def merge_csv_files(paths):

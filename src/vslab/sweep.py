@@ -42,7 +42,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BrokenInvariant, BudgetExceeded, Int64Overflow
+from .errors import BrokenInvariant, BudgetExceeded, Int64Overflow, InvalidParameter
 from .family import FamilySpec
 from .gf import TABLE_LIMIT, parse_descriptor
 
@@ -402,7 +402,7 @@ def collect_stats(
 ) -> FamilyStats:
     """Run the family sweep and assemble exact aggregate statistics."""
     if spec.q > TABLE_LIMIT:
-        raise ValueError("the enumeration engine needs table-backed fields")
+        raise InvalidParameter("the enumeration engine needs table-backed fields")
     n_b = spec.n_b
     if budget is not None and n_b > budget:
         raise BudgetExceeded(

@@ -15,7 +15,6 @@ and the discriminant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import DegreeTooSmall, NonMonic, ZeroPolynomial
 from .gf import GF
@@ -110,13 +109,6 @@ def poly_gcd(gf: GF, f, g):
 
 def derivative(gf: GF, f):
     return trim(gf.mul(gf.embed_int(i), c) for i, c in enumerate(f) if i)
-
-
-def hasse_derivative(gf: GF, f, j: int):
-    """j-th Hasse derivative: coefficients C(i, j) * f_i for i >= j."""
-    return trim(
-        gf.mul(gf.embed_int(comb(i, j)), f[i]) for i in range(j, len(f))
-    )
 
 
 def eval_at(gf: GF, f, t: int) -> int:

@@ -219,3 +219,35 @@ def test_usage_errors():
     # infeasible budget for a directly requested sweep
     assert run(["mean", "--field", "13^1", "--d", "9", "--s", "1",
                 "--a", "1", "--budget", "1000"]) == 2
+    # bad input exits 2 with a message, never a traceback (exit 1 means a
+    # check failed)
+    family = ["--field", "7^1", "--d", "4", "--s", "1", "--a", "1"]
+    for argv in (
+        ["chi", *family, "--r", "3-"],  # malformed list
+        ["chi", *family, "--r", "5"],  # r > d
+        ["chi", *family, "--r", "1"],  # below d-s+1, where no bound is stated
+        ["verify-bounds", "--fields", "7^1", "--d", "5-x"],
+        ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "random:x"],
+        ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "random:-1"],
+        ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "9"],
+        ["mean", "--field", "7^1", "--d", "4", "--s", "3", "--a", "1,2,3"],
+        ["gamma", *family, "--r", "9"],
+        ["gamma", *family, "--m", "7", "--n", "1"],
+        ["appendix", "--cases", "3,4,5"],
+        ["mean", "--field", "7^x", "--d", "4", "--s", "0"],
+        ["mean", "--field", "7^0", "--d", "4", "--s", "0"],
+        ["mean", "--field", "5003^1", "--d", "3", "--s", "0"],  # no tables
+    ):
+        assert run(argv) == 2, argv
+
+
+def test_verify_bounds_records_every_explicit_s(tmp_path):
+    out = tmp_path / "bounds.csv"
+    code = run(["verify-bounds", "--fields", "7^1", "--d", "5", "--s", "3,4",
+                "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    # s = 3 is covered by no estimate, s = 4 > d-2 names no family: both
+    # were asked for, so both are recorded
+    assert rows == ["instance,7,5,3,,,,,,false,true,,0",
+                    "instance,7,5,4,,,,,,false,true,,0"]

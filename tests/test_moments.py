@@ -16,7 +16,6 @@ from vslab.moments import (
     value_set_mean,
     value_set_second_moment,
 )
-from vslab.counting import compute_chi_vector, compute_s_matrix
 from vslab.sweep import collect_stats
 from vslab import upoly as up
 
@@ -95,7 +94,7 @@ def test_reconstruct_mean_exact():
         FamilySpec(F5, 4, 1, (3,)),
     ):
         st = collect_stats(spec)
-        chi = compute_chi_vector(spec, st)
+        chi = build_moment_report(spec, st).chi
         assert reconstruct_mean(spec, chi) == value_set_mean(spec, stats=st)
 
 
@@ -114,7 +113,7 @@ def test_reconstruct_second_moment_exact_mode():
         FamilySpec(F7, 4, 1, (5,)),
     ):
         st = collect_stats(spec)
-        smn = compute_s_matrix(spec, st)
+        smn = build_moment_report(spec, st).smn
         mean = value_set_mean(spec, stats=st)
         v2 = reconstruct_second_moment(spec, mean, smn, mode="exact")
         assert v2 == value_set_second_moment(spec, stats=st)

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from vslab.errors import DegenerateLeadingCoefficient, InexactDivision
+from vslab.errors import (
+    DegenerateLeadingCoefficient,
+    InexactDivision,
+    InvalidParameter,
+)
 from vslab.gf import make_field
 from vslab import mpoly as mp
 from vslab import upoly as up
@@ -153,6 +157,13 @@ def test_degenerate_leading_coefficient():
     zero = mp.MultiPoly(p, NAMES2)
     with pytest.raises(DegenerateLeadingCoefficient):
         mp.symbolic_resultant([b0, zero], [b0, one])
+
+
+def test_evaluate_needs_matching_characteristic():
+    f = P(5, NAMES2, {(1, 0): 1, (0, 1): 2, (0, 0): 3})  # B0 + 2 B1 + 3
+    assert f.evaluate(make_field(5, 2), (1, 1)) == 1
+    with pytest.raises(InvalidParameter):
+        f.evaluate(make_field(7), (1, 1))
 
 
 def test_canonical_text():
