@@ -24,7 +24,7 @@ from . import bounds as bd
 from . import counting as ct
 from . import moments as mo
 from . import reports as rp
-from .errors import BudgetExceeded, VslabError
+from .errors import BudgetExceeded, InvalidParameter, VslabError
 from .family import FamilySpec
 from .gf import parse_descriptor
 from .sweep import collect_stats, default_workers
@@ -54,6 +54,14 @@ def parse_int_list(text: str):
     except ValueError:
         raise VslabError(f"malformed integer list {text!r}") from None
     return sorted(set(out))
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def select_a_vectors(field, d, s, policy, seed):
@@ -102,7 +110,7 @@ def _grid(args, checked):
 
     In a `checked` grid a point that no estimate covers (every s > d-2
     is one) gets an "instance" marker when --s named it and is skipped
-    otherwise.  Other grids skip only s > d-2, which names no family.
+    otherwise.  Other grids refuse an s > d-2, which names no family.
     """
     fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
     d_list = parse_int_list(args.d)
@@ -118,6 +126,10 @@ def _grid(args, checked):
                         yield field, d, s, bd.marker("instance", field.q, d, s)
                 elif s <= top:
                     yield field, d, s, None
+                else:
+                    raise InvalidParameter(
+                        f"s = {s} > d-2 = {d - 2} names no family at d = {d}"
+                    )
 
 
 # -- command handlers ---------------------------------------------------------
@@ -178,7 +190,7 @@ def _count_table(args, header, count, oracle_method, checks_of):
                 if oracle != value:
                     mismatches.append((spec.key, *cell, value, oracle))
             rows.append([spec.key, *cell, value, check.main, check.rhs, check.passed])
-    rp.write_csv(args.out, header, rows)
+    _emit_csv(args, header, rows)
     if mismatches:
         print(f"FAIL dual-method {args.command}:", mismatches, file=sys.stderr)
         return CHECK_FAILED
@@ -222,8 +234,7 @@ def cmd_gamma(args):
                 if not ok:
                     failures.append((spec.key, "gamma_1_closed", 1))
             entry["r"][str(r)] = item
-        for m, n in mn_pairs:
-            g = ct.gamma_counts_mn(spec, m, n, stats=stats)
+        for (m, n), g in ct.gamma_counts_mn(spec, mn_pairs, stats=stats).items():
             ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(m, n)
             entry["mn"][f"{m},{n}"] = {
                 "affine_open": g.affine_open,
@@ -298,18 +309,19 @@ def cmd_verify_bounds(args):
                 checks = [bd.marker("sweep", field.q, d, s)] * a_count
         any_fail |= any(check.passed is False for check in checks)
         rows.extend(rp.bound_check_row(check) + [args.seed] for check in checks)
-    rp.write_csv(args.out, rp.BOUND_CSV_HEADER + ["seed"], rows)
+    _emit_csv(args, rp.BOUND_CSV_HEADER + ["seed"], rows)
     return CHECK_FAILED if any_fail else 0
 
 
 def cmd_sweep(args):
     rows = []
-    for field, d, s, _ in _grid(args, checked=False):
+    # the whole grid is checked before the first sweep
+    for field, d, s, _ in list(_grid(args, checked=False)):
         for spec, stats in _instances(args, field, d, s):
             rep = mo.build_moment_report(spec, stats)
             summary = bd.suite_summary(bd.bound_suite(spec, stats))
             rows.append(rp.sweep_row(rep, args.seed, stats.n_b, summary))
-    rp.write_csv(args.out, rp.SWEEP_CSV_HEADER, rows)
+    _emit_csv(args, rp.SWEEP_CSV_HEADER, rows)
     failed = any(row[-1].startswith("fail") for row in rows)
     return CHECK_FAILED if failed else 0
 
@@ -438,6 +450,14 @@ def _emit_json(args, results, **extra):
         sys.stdout.write(text)
 
 
+def _emit_csv(args, header, rows):
+    """Write the CSV to --out, else stdout."""
+    if args.out:
+        rp.write_csv(args.out, header, rows)
+    else:
+        sys.stdout.write(rp.csv_text(header, rows))
+
+
 def _add_command(subs, name, func, help_text, field_mode="single", a_default=""):
     """A subcommand with the shared flags, --d and --a; single-field
     commands also get --s."""
@@ -456,7 +476,7 @@ def _add_command(subs, name, func, help_text, field_mode="single", a_default="")
     sub.add_argument("--budget", type=int, default=10**6,
                      help="max enumerated b-vectors per instance")
     sub.add_argument("--subset-budget", type=int, default=10**6, dest="subset_budget")
-    sub.add_argument("--workers", type=int, default=default_workers())
+    sub.add_argument("--workers", type=positive_int, default=default_workers())
     sub.add_argument("--out", default=None)
     return sub
 
@@ -510,7 +530,7 @@ def build_parser():
 
     p = _add_command(subs, "audit-linear", cmd_audit_linear,
                      "Vandermonde rank/count audit")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=positive_int, default=50)
 
     p = subs.add_parser("report-merge", help="merge schema-compatible CSVs")
     p.add_argument("paths", nargs="+")

@@ -100,12 +100,51 @@ def chi_r(
     if method == "subsets":
         if comb(q, r) > budget:
             raise BudgetExceeded(f"C({q},{r}) exceeds the subset budget {budget}")
-        count = 0
-        for subset in itertools.combinations(range(q), r):
-            if interpolating_b0(spec, subset) is not None:
-                count += 1
-        return count
+        return _subset_walk(spec, r)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _horner_steps(gf, g, t):
+    """Horner's partial sums of g (high-to-low) at t.  The last is g(t);
+    the others are the quotient of g - g(t) by T - t, high-to-low."""
+    add, mul = gf.add, gf.mul
+    out = []
+    acc = 0
+    for c in g:
+        acc = add(mul(acc, t), c)
+        out.append(acc)
+    return out
+
+
+def _subset_walk(spec: FamilySpec, r: int) -> int:
+    """The r-subsets on which f_a agrees with a polynomial of degree < d-s.
+
+    Those are the subsets some member f_b + b0 vanishes on.  The sorted
+    subsets are visited depth-first.  A node at depth j carries the
+    Newton quotient g_j of f_a at its nodes (alpha_0, ..., alpha_{j-1}),
+    so appending alpha costs one synthetic division: g_j(alpha) is the
+    divided difference c_j and the quotient is g_{j+1}.  The remainder
+    of f_a modulo prod(T - alpha_i) is sum_j c_j prod_{i<j}(T - alpha_i),
+    so a member exists iff c_j = 0 for every j >= d-s; a nonzero c_j at
+    such a depth prunes every subset below the node.
+    """
+    q, gf = spec.q, spec.field
+    free = spec.d - spec.s
+    f_a = (1, *spec.a) + (0,) * free  # high-to-low coefficients
+
+    def walk(g, start, depth):
+        count = 0
+        for alpha in range(start, q - r + depth + 1):
+            steps = _horner_steps(gf, g, alpha)
+            if steps[-1] and depth >= free:
+                continue
+            if depth + 1 == r:
+                count += 1
+            else:
+                count += walk(steps[:-1], alpha + 1, depth + 1)
+        return count
+
+    return walk(f_a, 0, 0)
 
 
 def s_mn(
@@ -132,22 +171,31 @@ def s_mn(
                 f"brute S_mn enumeration over {pairs} subset pairs x "
                 f"{spec.n_b} members exceeds the budget {budget}"
             )
+        m_sets = list(itertools.combinations(range(q), m))
+        n_sets = m_sets if n == m else list(itertools.combinations(range(q), n))
         total = 0
-        members = []
         for b in enumerate_b(spec):
             f = trim(spec.coeff_vector(b, 0))
-            members.append([eval_at(gf, f, t) for t in gf.elements()])
-        for g1 in itertools.combinations(range(q), m):
-            for g2 in itertools.combinations(range(q), n):
-                if set(g1) & set(g2):
-                    continue
-                for vals in members:
-                    c1s = {vals[t] for t in g1}
-                    c2s = {vals[t] for t in g2}
-                    if len(c1s) == 1 and len(c2s) == 1 and c1s != c2s:
+            vals = [eval_at(gf, f, t) for t in gf.elements()]
+            consts_m = _constant_values(vals, m_sets)
+            consts_n = consts_m if n == m else _constant_values(vals, n_sets)
+            # subsets with different constant values are disjoint
+            for c1 in consts_m:
+                for c2 in consts_n:
+                    if c1 != c2:
                         total += 1
         return total
     raise ValueError(f"unknown method {method!r}")
+
+
+def _constant_values(vals, subsets):
+    """The value vals takes on each subset where it is constant."""
+    out = []
+    for g in subsets:
+        c = vals[g[0]]
+        if all(vals[t] == c for t in g):
+            out.append(c)
+    return out
 
 
 def gamma_counts_r(
@@ -165,39 +213,75 @@ def gamma_counts_r(
 
 def gamma_counts_mn(
     spec: FamilySpec,
-    m: int,
-    n: int,
+    pairs,
     stats: FamilyStats | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> GammaCounts:
-    """Point counts of Gamma_mn and Gamma_mn^* (diagonal included)."""
-    d, q, gf = spec.d, spec.q, spec.field
-    if not (1 <= m <= d and 1 <= n <= d):
-        raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
+) -> dict:
+    """Point counts of Gamma_mn and Gamma_mn^* (diagonal included), keyed
+    by (m, n) for each requested pair.
+
+    The open counts come from the sweep; the closed counts from one
+    independent scan over b shared by all pairs (`_closed_tuple_counts`).
+    """
+    d, q = spec.d, spec.q
+    pairs = list(pairs)
+    if not pairs:
+        return {}
+    for m, n in pairs:
+        if not (1 <= m <= d and 1 <= n <= d):
+            raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
     st = _stats_for(spec, stats, None, budget)
-    affine = factorial(m) * factorial(n) * st.s_mn(m, n)
     if spec.n_b * q > budget:
         raise BudgetExceeded(
             f"closed Gamma_mn scan needs {spec.n_b * q} root profiles"
         )
-    closed = 0
+    closed = dict.fromkeys(pairs, 0)
+    for w in _closed_tuple_counts(spec):
+        for m, n in closed:
+            closed[m, n] += w[m - 1] * w[n - 1]
+    return {
+        (m, n): GammaCounts(
+            affine_open=factorial(m) * factorial(n) * st.s_mn(m, n),
+            closed=closed[m, n],
+        )
+        for m, n in pairs
+    }
+
+
+def _closed_tuple_counts(spec: FamilySpec):
+    """Per member f_b, the vector (W_1, ..., W_d): W_r is the number of
+    (b0, ordered r-tuple) with the tuple a root multiset of f_b + b0.
+
+    Roots of f_b - c are the t in the fibre of c; a root's exact
+    multiplicity comes from repeated synthetic division at t.  The
+    ordered-tuple counts depend only on the sorted multiplicities, so
+    they are memoized per sorted tuple for the whole scan.
+    """
+    d, gf = spec.d, spec.field
+    memo = {}
     for b in enumerate_b(spec):
-        f = trim(spec.coeff_vector(b, 0))
-        by_value = {}
+        f = spec.coeff_vector(b, 0)[::-1]  # high-to-low
+        fibres = {}
         for t in gf.elements():
-            by_value.setdefault(eval_at(gf, f, t), []).append(t)
-        w_m = 0
-        w_n = 0
-        for c, roots in by_value.items():
-            shifted = list(f)
-            shifted[0] = gf.sub(shifted[0], c)
-            prof = root_profile(gf, trim(shifted))
-            caps = [prof.multiplicities[t] for t in roots]
-            w = exact_tuple_counts(caps, 0, d)
-            w_m += w[m - 1]
-            w_n += w[n - 1]
-        closed += w_m * w_n
-    return GammaCounts(affine_open=affine, closed=closed)
+            steps = _horner_steps(gf, f, t)
+            value = steps.pop()
+            # t is a root of f - value; it stays one of each quotient
+            # while the quotient vanishes there (the last quotient is 1)
+            e = 1
+            while True:
+                steps = _horner_steps(gf, steps, t)
+                if steps.pop():
+                    break
+                e += 1
+            fibres.setdefault(value, []).append(e)
+        w = [0] * d
+        for caps in fibres.values():
+            key = tuple(sorted(caps))
+            if key not in memo:
+                memo[key] = exact_tuple_counts(key, 0, d)
+            for r, x in enumerate(memo[key]):
+                w[r] += x
+        yield w
 
 
 # -- linear-system audit ------------------------------------------------------

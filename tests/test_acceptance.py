@@ -225,7 +225,7 @@ def test_criterion_07_gamma_count_identities():
         stats = stats_for(spec)
         for m in range(1, d + 1):
             for n in range(1, d + 1):
-                g = gamma_counts_mn(spec, m, n, stats=stats)
+                g = gamma_counts_mn(spec, [(m, n)], stats=stats)[m, n]
                 brute = s_mn(spec, m, n, method="brute")
                 assert g.affine_open == factorial(m) * factorial(n) * brute
                 checked += 1

@@ -237,8 +237,19 @@ def test_usage_errors():
         ["mean", "--field", "7^x", "--d", "4", "--s", "0"],
         ["mean", "--field", "7^0", "--d", "4", "--s", "0"],
         ["mean", "--field", "5003^1", "--d", "3", "--s", "0"],  # no tables
+        ["sweep", "--fields", "7^1", "--d", "4", "--s", "1,3"],  # s > d-2
     ):
         assert run(argv) == 2, argv
+    # counts below 1 are refused by the parser
+    for argv in (
+        ["audit-linear", *family, "--count", "-2"],
+        ["audit-linear", *family, "--count", "0"],
+        ["mean", *family, "--workers", "-3"],
+        ["mean", *family, "--workers", "0"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
 
 
 def test_verify_bounds_records_every_explicit_s(tmp_path):

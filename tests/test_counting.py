@@ -3,7 +3,9 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st_
 
+from vslab import cli
 from vslab.errors import (
     BudgetExceeded,
     NotOnVariety,
@@ -24,11 +26,13 @@ from vslab.counting import (
 )
 from vslab.family import FamilySpec, enumerate_b, family_poly
 from vslab.gf import make_field
-from vslab.sweep import collect_stats
+from vslab.sweep import collect_stats, exact_tuple_counts
 from vslab import upoly as up
 
 F5 = make_field(5)
 F7 = make_field(7)
+F9 = make_field(3, 2)
+F25 = make_field(5, 2)
 
 
 def test_interpolating_b0_examples():
@@ -133,14 +137,15 @@ def test_gamma_counts_r_identities():
 def test_gamma_counts_mn_identities():
     spec = FamilySpec(F5, 3, 1, (1,))
     st = collect_stats(spec)
-    for m in range(1, 4):
-        for n in range(1, 4):
-            g = gamma_counts_mn(spec, m, n, stats=st)
-            expected = factorial(m) * factorial(n) * s_mn(spec, m, n, stats=st)
-            assert g.affine_open == expected
-            assert g.closed >= g.affine_open
+    pairs = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+    counts = gamma_counts_mn(spec, pairs, stats=st)
+    for m, n in pairs:
+        g = counts[m, n]
+        expected = factorial(m) * factorial(n) * s_mn(spec, m, n, stats=st)
+        assert g.affine_open == expected
+        assert g.closed >= g.affine_open
     # (1,1) closed includes the diagonal c1 = c2
-    g11 = gamma_counts_mn(spec, 1, 1, stats=st)
+    g11 = gamma_counts_mn(spec, [(1, 1)], stats=st)[1, 1]
     assert g11.closed > g11.affine_open
 
 
@@ -166,7 +171,7 @@ def test_gamma_mn_closed_against_direct_count():
                         if up.divides_at_nodes(F5, f2, tup)
                     )
                     direct += w_m * w_n
-        assert gamma_counts_mn(spec, m, n, stats=st).closed == direct
+        assert gamma_counts_mn(spec, [(m, n)], stats=st)[m, n].closed == direct
 
 
 def test_linear_system_audit_exhaustive():
@@ -257,3 +262,134 @@ def test_divides_oracles_agree_three_ways():
         mult = divides_check_multiplicity(spec, b + (b0,), alpha)
         division = divides_check_division(spec, b + (b0,), alpha)
         assert newton == mult == division
+
+
+# -- the fast oracle routes against their plain definitions --------------------
+#
+# Desk instances over 7^1, 3^2 and 5^2; p | d occurs at 3^2 with d = 3, 6
+# and at 5^2 with d = 5, and every d reaches the largest s = d-2.  The
+# size caps keep each plain count below a few thousand steps.
+
+
+def _desk_points(cells, cost, limit):
+    """(gf, d, s, *cell) for each cell of cells(d, s) within the cost limit."""
+    return [
+        (gf, d, s, *cell)
+        for gf in (F7, F9, F25)
+        for d in range(2, min(gf.q - 1, 7) + 1)
+        for s in range(d - 1)
+        for cell in cells(d, s)
+        if cost(gf.q, d, s, *cell) <= limit
+    ]
+
+
+def _pairs(d, s):
+    return itertools.product(range(1, d + 1), repeat=2)
+
+
+@st_.composite
+def desk_spec(draw, points):
+    gf, d, s, *cell = draw(st_.sampled_from(points))
+    a = tuple(draw(st_.integers(0, gf.q - 1)) for _ in range(s))
+    return (FamilySpec(gf, d, s, a), *cell)
+
+
+# (gf, d, s, r): r in the uniqueness range, C(q, r) subsets
+CHI_POINTS = _desk_points(
+    lambda d, s: [(r,) for r in range(d - s + 1, d + 1)],
+    lambda q, d, s, r: comb(q, r), 2500,
+)
+# (gf, d, s, m, n): n_b members, each against q values and q roots
+GAMMA_POINTS = _desk_points(_pairs, lambda q, d, s, m, n: q ** (d - s + 1), 20000)
+# (gf, d, s, m, n): n_b members against C(q, m) C(q, n) subset pairs
+SMN_POINTS = _desk_points(
+    _pairs, lambda q, d, s, m, n: q ** (d - s - 1) * comb(q, m) * comb(q, n), 20000
+)
+
+
+def test_desk_points_cover_the_edge_cases():
+    for points in (CHI_POINTS, GAMMA_POINTS, SMN_POINTS):
+        fields = {gf for gf, *_ in points}
+        assert fields == {F7, F9, F25}
+        assert any(d % gf.p == 0 for gf, d, *_ in points)  # p | d
+        assert any(s == d - 2 for gf, d, s, *_ in points)  # the largest s
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=desk_spec(CHI_POINTS))
+@example(case=(FamilySpec(F9, 6, 3, (1, 0, 2)), 4))  # p | d
+@example(case=(FamilySpec(F25, 5, 3, (7, 0, 24)), 3))  # p | d, s = d-2
+def test_subset_walk_equals_per_subset_witness(case):
+    spec, r = case
+    plain = sum(
+        interpolating_b0(spec, subset) is not None
+        for subset in itertools.combinations(range(spec.q), r)
+    )
+    assert chi_r(spec, r, "subsets") == plain
+
+
+def _closed_mn_per_pair(spec, m, n):
+    """The closed Gamma_mn count pair by pair: every value c, its root
+    profile, and the ordered-tuple counts of the multiplicities."""
+    gf = spec.field
+    closed = 0
+    for b in enumerate_b(spec):
+        w_m = w_n = 0
+        for c in gf.elements():
+            f = family_poly(spec, b, gf.neg(c))
+            caps = list(up.root_profile(gf, f).multiplicities.values())
+            w = exact_tuple_counts(caps, 0, spec.d)
+            w_m += w[m - 1]
+            w_n += w[n - 1]
+        closed += w_m * w_n
+    return closed
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=desk_spec(GAMMA_POINTS), more=st_.lists(
+    st_.tuples(st_.integers(1, 7), st_.integers(1, 7)), max_size=2))
+@example(case=(FamilySpec(F9, 3, 1, (2,)), 3, 1), more=[(2, 2)])  # p | d
+def test_one_scan_gamma_equals_per_pair_count(case, more):
+    spec, m, n = case
+    pairs = list(dict.fromkeys([(m, n)] + [
+        (x, y) for x, y in more if x <= spec.d and y <= spec.d
+    ]))
+    got = gamma_counts_mn(spec, pairs, stats=collect_stats(spec))
+    assert list(got) == pairs
+    for x, y in pairs:
+        assert got[x, y].closed == _closed_mn_per_pair(spec, x, y), (x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=desk_spec(SMN_POINTS))
+@example(case=(FamilySpec(F9, 3, 1, (0,)), 2, 1))  # p | d
+def test_hoisted_brute_equals_per_pair_set_check(case):
+    spec, m, n = case
+    gf = spec.field
+    members = [up.batch_eval(gf, family_poly(spec, b, 0)) for b in enumerate_b(spec)]
+    plain = 0
+    for g1 in itertools.combinations(range(spec.q), m):
+        for g2 in itertools.combinations(range(spec.q), n):
+            if set(g1) & set(g2):
+                continue
+            for vals in members:
+                c1 = {vals[t] for t in g1}
+                c2 = {vals[t] for t in g2}
+                plain += len(c1) == 1 and len(c2) == 1 and c1 != c2
+    assert s_mn(spec, m, n, "brute") == plain
+
+
+def test_cmd_gamma_scans_once_per_a_vector(tmp_path, monkeypatch):
+    calls = []
+    real = cli.ct.gamma_counts_mn
+
+    def counted(spec, pairs, **kw):
+        calls.append((spec.a, list(pairs)))
+        return real(spec, pairs, **kw)
+
+    monkeypatch.setattr(cli.ct, "gamma_counts_mn", counted)
+    code = cli.main(["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "all",
+                     "--m", "1,2", "--n", "1,2", "--out", str(tmp_path / "g.json")])
+    assert code == 0
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert calls == [((a,), pairs) for a in range(5)]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vslab.errors import DivisionByZero, EvenCharacteristic, ReducibleModulus
 from vslab.gf import GF, is_prime, make_field, parse_descriptor
@@ -78,6 +79,38 @@ def test_field_axioms_random(p, k, mod):
         assert gf.add(x, gf.neg(x)) == 0
         if x:
             assert gf.mul(x, gf.inv(x)) == 1
+
+
+@st.composite
+def extension_elements(draw):
+    """An extension field (3^2, 5^2 or 3^3), three elements and an exponent."""
+    gf = draw(st.sampled_from([make_field(3, 2), make_field(5, 2), make_field(3, 3)]))
+    x, y, z = (draw(st.integers(0, gf.q - 1)) for _ in range(3))
+    return gf, x, y, z, draw(st.integers(-2 * gf.q, 2 * gf.q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=extension_elements())
+def test_extension_field_axioms(case):
+    gf, x, y, z, n = case
+    add, mul = gf.add, gf.mul
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, gf.neg(x)) == 0
+    assert gf.sub(add(x, y), y) == x
+    if x:
+        assert mul(x, gf.inv(x)) == 1
+        assert gf.div(mul(x, y), x) == y
+    # pow against repeated multiplication, negative exponents via inv
+    if x or n >= 0:
+        base = x if n >= 0 else gf.inv(x)
+        acc = 1
+        for _ in range(abs(n)):
+            acc = mul(acc, base)
+        assert gf.pow(x, n) == acc
+    if x:
+        assert gf.pow(x, n + gf.q - 1) == gf.pow(x, n)
 
 
 @pytest.mark.parametrize("p,k,mod", FIELDS)

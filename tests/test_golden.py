@@ -71,6 +71,8 @@ EXTRA_CASES = [
     ("sweep-s012",
      "sweep --fields 5^1,7^1 --d 4,5 --s 0,1,2 --a random:2 --seed 5 "
      "--out sweep.csv", 0, {}),
+    # a CSV command without --out writes its CSV to stdout
+    ("chi-stdout", "chi --field 7^1 --d 4 --s 2 --a 1,2", 0, {}),
 ]
 
 CASES = README_CASES + EXTRA_CASES
