@@ -266,14 +266,13 @@ def bound_suite(spec, stats) -> list:
     r in turn, then the S_mn cells."""
     q, d = spec.q, spec.d
     mu_d = mu(d)
-    second = Fraction(stats.sum_v2, stats.n_b)
+    second = stats.second_moment
     if spec.s == 0:
         checks = [_check("v2_s0", spec, second, mu_d**2 * q**2)]
     else:
-        mean = Fraction(stats.sum_v, stats.n_b)
         checks = [
-            _check("mean_main", spec, mean, mu_d * q),
-            _check("mean_refined", spec, mean, mu_d * q),
+            _check("mean_main", spec, stats.mean, mu_d * q),
+            _check("mean_refined", spec, stats.mean, mu_d * q),
             _check("v2", spec, second, mu_d**2 * q**2),
         ]
     gamma_main = Fraction(q ** (d - spec.s))

@@ -27,7 +27,7 @@ from . import reports as rp
 from .errors import BudgetExceeded, InvalidParameter, VslabError
 from .family import FamilySpec
 from .gf import parse_descriptor
-from .sweep import collect_stats, default_workers
+from .sweep import FamilyStats, collect_stats, default_workers
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -138,7 +138,7 @@ def _grid(args, checked):
 def cmd_mean(args):
     results = []
     for spec, stats in _instances(args):
-        mean = mo.value_set_mean(spec, stats=stats)
+        mean = stats.mean
         mu_q = mo.mu(spec.d) * spec.q
         results.append(
             {
@@ -174,21 +174,20 @@ def cmd_second_moment(args):
     return 0
 
 
-def _count_table(args, header, count, oracle_method, checks_of):
-    """One CSV row per bound check: cell, swept count, main term, rhs and
-    verdict.  Unless --method is "profile", the oracle must agree exactly."""
+def _count_table(args, header, count, oracle, checks_of):
+    """One CSV row per bound check: cell, swept count (count(stats, *cell)),
+    main term, rhs and verdict.  Unless --method is "profile", the oracle
+    must agree exactly."""
     rows = []
     mismatches = []
     for spec, stats in _instances(args):
         for check in checks_of(spec, stats):
             cell = (check.r,) if check.m is None else (check.m, check.n)
-            value = count(spec, *cell, stats=stats)
+            value = count(stats, *cell)
             if args.method != "profile":
-                oracle = count(
-                    spec, *cell, method=oracle_method, budget=args.subset_budget
-                )
-                if oracle != value:
-                    mismatches.append((spec.key, *cell, value, oracle))
+                other = oracle(spec, *cell, budget=args.subset_budget)
+                if other != value:
+                    mismatches.append((spec.key, *cell, value, other))
             rows.append([spec.key, *cell, value, check.main, check.rhs, check.passed])
     _emit_csv(args, header, rows)
     if mismatches:
@@ -200,18 +199,23 @@ def _count_table(args, header, count, oracle_method, checks_of):
 def cmd_chi(args):
     r_values = parse_int_list(args.r) if args.r else None
     return _count_table(
-        args, rp.CHI_CSV_HEADER, ct.chi_r, "subsets",
+        args, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
         lambda spec, stats: bd.chi_checks(spec, stats, r_values),
     )
 
 
 def cmd_smn(args):
-    return _count_table(args, rp.SMN_CSV_HEADER, ct.s_mn, "brute", bd.smn_checks)
+    return _count_table(
+        args, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
+    )
 
 
 def cmd_gamma(args):
     d, s = args.d, args.s
     r_list = parse_int_list(args.r) if args.r else range(1, d + 1)
+    for r in r_list:
+        if not 1 <= r <= d:
+            raise InvalidParameter(f"need 1 <= r <= d, got r={r}")
     mn_pairs = []
     if args.m and args.n:
         m_list, n_list = parse_int_list(args.m), parse_int_list(args.n)
@@ -221,20 +225,20 @@ def cmd_gamma(args):
     for spec, stats in _instances(args):
         entry = {"spec": spec.key, "r": {}, "mn": {}}
         for r in r_list:
-            g = ct.gamma_counts_r(spec, r, stats=stats)
-            item = {"affine_open": g.affine_open, "closed": g.closed}
+            affine_open, closed = stats.gamma_open(r), stats.gamma_closed[r - 1]
+            item = {"affine_open": affine_open, "closed": closed}
             if r >= d - s + 1:
-                ok = g.affine_open == factorial(r) * stats.chi(r)
+                ok = affine_open == factorial(r) * stats.chi(r)
                 item["open_equals_r_factorial_chi"] = ok
                 if not ok:
                     failures.append((spec.key, "gamma_r", r))
             if r == 1:
-                ok = g.closed == spec.q ** (d - s)
+                ok = closed == spec.q ** (d - s)
                 item["closed_equals_q_power"] = ok
                 if not ok:
                     failures.append((spec.key, "gamma_1_closed", 1))
             entry["r"][str(r)] = item
-        for (m, n), g in ct.gamma_counts_mn(spec, mn_pairs, stats=stats).items():
+        for (m, n), g in ct.gamma_counts_mn(spec, mn_pairs).items():
             ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(m, n)
             entry["mn"][f"{m},{n}"] = {
                 "affine_open": g.affine_open,
@@ -264,13 +268,12 @@ def cmd_verify_identities(args):
             entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
         if s >= 1:
             dual = [
-                stats.chi(r) == ct.chi_r(spec, r, "subsets", budget=args.subset_budget)
+                stats.chi(r) == ct.chi_r(spec, r, budget=args.subset_budget)
                 for r in range(d - s + 1, d + 1)
                 if comb(spec.q, r) <= args.subset_budget
             ]
             entry["chi_dual_method"] = all(dual) if dual else None
-        g1 = ct.gamma_counts_r(spec, 1, stats=stats)
-        entry["gamma_1_closed_exact"] = g1.closed == spec.q ** (d - s)
+        entry["gamma_1_closed_exact"] = stats.gamma_closed[0] == spec.q ** (d - s)
         # a check that could not run (None, or absent) does not fail the instance
         entry["ok"] = all(
             entry.get(key) is not False

@@ -1,16 +1,16 @@
-"""Interpolating-subset counts, incidence-variety point counts, and the
-linear-system / Jacobian diagnostics.
+"""Independent oracles for the counts the sweep reads off `FamilyStats`,
+and the linear-system / Jacobian diagnostics.
 
-chi_r and S_mn default to the value-profile route, which costs one
-family sweep total; the subset / brute routes exist as independent
-oracles with explicit budget caps and must agree exactly.
+The subset route for chi_r, the brute route for S_mn and the Gamma_mn
+scan use scalar field arithmetic only, with explicit budget caps; they
+must agree exactly with the sweep they check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, perm
 
 from .errors import (
     BudgetExceeded,
@@ -21,7 +21,7 @@ from .errors import (
     RegimeViolation,
 )
 from .family import FamilySpec, enumerate_b, family_poly
-from .sweep import DEFAULT_BUDGET, FamilyStats, collect_stats, exact_tuple_counts
+from .sweep import DEFAULT_BUDGET, exact_tuple_counts
 from .upoly import (
     ZERO,
     derivative,
@@ -41,12 +41,6 @@ class GammaCounts:
 
     affine_open: int
     closed: int
-
-
-def _stats_for(spec, stats, workers, budget=DEFAULT_BUDGET):
-    if stats is not None:
-        return stats
-    return collect_stats(spec, workers=workers, budget=budget)
 
 
 def interpolating_b0(spec: FamilySpec, subset):
@@ -78,15 +72,9 @@ def interpolating_b0(spec: FamilySpec, subset):
     return b, b0
 
 
-def chi_r(
-    spec: FamilySpec,
-    r: int,
-    method: str = "profile",
-    stats: FamilyStats | None = None,
-    budget: int = SUBSET_BUDGET,
-    workers: int | None = None,
-) -> int:
-    """Number of r-subsets of F_q annihilated by some family member."""
+def chi_r(spec: FamilySpec, r: int, budget: int = SUBSET_BUDGET) -> int:
+    """Number of r-subsets of F_q annihilated by some family member, by a
+    walk over the r-subsets (`_subset_walk`)."""
     d, s, q = spec.d, spec.s, spec.q
     if r > d:
         return 0
@@ -94,14 +82,9 @@ def chi_r(
         raise RegimeViolation(
             f"chi_r needs the uniqueness regime r >= d-s+1 = {d - s + 1}"
         )
-    if method == "profile":
-        st = _stats_for(spec, stats, workers)
-        return st.chi(r)
-    if method == "subsets":
-        if comb(q, r) > budget:
-            raise BudgetExceeded(f"C({q},{r}) exceeds the subset budget {budget}")
-        return _subset_walk(spec, r)
-    raise ValueError(f"unknown method {method!r}")
+    if comb(q, r) > budget:
+        raise BudgetExceeded(f"C({q},{r}) exceeds the subset budget {budget}")
+    return _subset_walk(spec, r)
 
 
 def _horner_steps(gf, g, t):
@@ -147,45 +130,32 @@ def _subset_walk(spec: FamilySpec, r: int) -> int:
     return walk(f_a, 0, 0)
 
 
-def s_mn(
-    spec: FamilySpec,
-    m: int,
-    n: int,
-    method: str = "profile",
-    stats: FamilyStats | None = None,
-    budget: int = SUBSET_BUDGET,
-    workers: int | None = None,
-) -> int:
-    """Triples (b, b01, b02), b01 != b02, with annihilated m- and n-sets."""
-    d, q = spec.d, spec.q
+def s_mn(spec: FamilySpec, m: int, n: int, budget: int = SUBSET_BUDGET) -> int:
+    """Triples (b, b01, b02), b01 != b02, with annihilated m- and n-sets,
+    by brute force over every member and subset pair."""
+    d, q, gf = spec.d, spec.q, spec.field
     if m > d or n > d or m < 1 or n < 1:
         return 0
-    if method == "profile":
-        st = _stats_for(spec, stats, workers)
-        return st.s_mn(m, n)
-    if method == "brute":
-        gf = spec.field
-        pairs = comb(q, m) * comb(q, n)
-        if pairs * spec.n_b * (m + n) > budget:
-            raise BudgetExceeded(
-                f"brute S_mn enumeration over {pairs} subset pairs x "
-                f"{spec.n_b} members exceeds the budget {budget}"
-            )
-        m_sets = list(itertools.combinations(range(q), m))
-        n_sets = m_sets if n == m else list(itertools.combinations(range(q), n))
-        total = 0
-        for b in enumerate_b(spec):
-            f = trim(spec.coeff_vector(b, 0))
-            vals = [eval_at(gf, f, t) for t in gf.elements()]
-            consts_m = _constant_values(vals, m_sets)
-            consts_n = consts_m if n == m else _constant_values(vals, n_sets)
-            # subsets with different constant values are disjoint
-            for c1 in consts_m:
-                for c2 in consts_n:
-                    if c1 != c2:
-                        total += 1
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    pairs = comb(q, m) * comb(q, n)
+    if pairs * spec.n_b * (m + n) > budget:
+        raise BudgetExceeded(
+            f"brute S_mn enumeration over {pairs} subset pairs x "
+            f"{spec.n_b} members exceeds the budget {budget}"
+        )
+    m_sets = list(itertools.combinations(range(q), m))
+    n_sets = m_sets if n == m else list(itertools.combinations(range(q), n))
+    total = 0
+    for b in enumerate_b(spec):
+        f = trim(spec.coeff_vector(b, 0))
+        vals = [eval_at(gf, f, t) for t in gf.elements()]
+        consts_m = _constant_values(vals, m_sets)
+        consts_n = consts_m if n == m else _constant_values(vals, n_sets)
+        # subsets with different constant values are disjoint
+        for c1 in consts_m:
+            for c2 in consts_n:
+                if c1 != c2:
+                    total += 1
+    return total
 
 
 def _constant_values(vals, subsets):
@@ -198,30 +168,14 @@ def _constant_values(vals, subsets):
     return out
 
 
-def gamma_counts_r(
-    spec: FamilySpec,
-    r: int,
-    stats: FamilyStats | None = None,
-    workers: int | None = None,
-) -> GammaCounts:
-    """|Gamma_r(F_q)| (distinct coordinates) and |Gamma_r^*(F_q)|."""
-    if not 1 <= r <= spec.d:
-        raise InvalidParameter(f"need 1 <= r <= d, got r={r}")
-    st = _stats_for(spec, stats, workers, None)
-    return GammaCounts(affine_open=st.gamma_open(r), closed=st.gamma_closed[r - 1])
+def gamma_counts_mn(spec: FamilySpec, pairs, budget: int = DEFAULT_BUDGET) -> dict:
+    """Point counts of Gamma_mn (pairwise-distinct coordinates, b01 != b02)
+    and Gamma_mn^* (diagonal included), keyed by (m, n) for each requested
+    pair, from one scan over b shared by all pairs (`_root_scan`).
 
-
-def gamma_counts_mn(
-    spec: FamilySpec,
-    pairs,
-    stats: FamilyStats | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
-    """Point counts of Gamma_mn and Gamma_mn^* (diagonal included), keyed
-    by (m, n) for each requested pair.
-
-    The open counts come from the sweep; the closed counts from one
-    independent scan over b shared by all pairs (`_closed_tuple_counts`).
+    Per member, with F_k(c) = N_b(c)! / (N_b(c) - k)! the ordered k-tuples
+    of distinct roots of f_b - c, the open count is sum_{c1 != c2}
+    F_m(c1) F_n(c2) = (sum_c F_m)(sum_c F_n) - sum_c F_m F_n.
     """
     d, q = spec.d, spec.q
     pairs = list(pairs)
@@ -230,27 +184,30 @@ def gamma_counts_mn(
     for m, n in pairs:
         if not (1 <= m <= d and 1 <= n <= d):
             raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
-    st = _stats_for(spec, stats, None, budget)
     if spec.n_b * q > budget:
         raise BudgetExceeded(
             f"closed Gamma_mn scan needs {spec.n_b * q} root profiles"
         )
+    orders = {k for pair in pairs for k in pair}
+    open_ = dict.fromkeys(pairs, 0)
     closed = dict.fromkeys(pairs, 0)
-    for w in _closed_tuple_counts(spec):
-        for m, n in closed:
+    for w, sizes in _root_scan(spec):
+        f = {r: [perm(k, r) for k in sizes] for r in orders}
+        for m, n in pairs:
+            same_c = sum(x * y for x, y in zip(f[m], f[n]))
+            open_[m, n] += sum(f[m]) * sum(f[n]) - same_c
             closed[m, n] += w[m - 1] * w[n - 1]
     return {
-        (m, n): GammaCounts(
-            affine_open=factorial(m) * factorial(n) * st.s_mn(m, n),
-            closed=closed[m, n],
-        )
-        for m, n in pairs
+        pair: GammaCounts(affine_open=open_[pair], closed=closed[pair])
+        for pair in pairs
     }
 
 
-def _closed_tuple_counts(spec: FamilySpec):
-    """Per member f_b, the vector (W_1, ..., W_d): W_r is the number of
-    (b0, ordered r-tuple) with the tuple a root multiset of f_b + b0.
+def _root_scan(spec: FamilySpec):
+    """Per member f_b, the pair (W, N): W = (W_1, ..., W_d), where W_r is
+    the number of (b0, ordered r-tuple) with the tuple a root multiset of
+    f_b + b0, and N lists the number of distinct roots of f_b - c for
+    each value c that f_b takes.
 
     Roots of f_b - c are the t in the fibre of c; a root's exact
     multiplicity comes from repeated synthetic division at t.  The
@@ -281,7 +238,7 @@ def _closed_tuple_counts(spec: FamilySpec):
                 memo[key] = exact_tuple_counts(key, 0, d)
             for r, x in enumerate(memo[key]):
                 w[r] += x
-        yield w
+        yield w, [len(caps) for caps in fibres.values()]
 
 
 # -- linear-system audit ------------------------------------------------------
@@ -319,14 +276,17 @@ def matrix_rank(gf, rows) -> int:
     return _row_reduce(gf, rows)[0]
 
 
-def _solution_count(gf, rows, rhs, n_unknowns):
-    """Number of solutions of rows * x = rhs over F_q."""
+def _solve_count(gf, rows, rhs, n_unknowns):
+    """(rank of rows, number of solutions of rows * x = rhs over F_q),
+    from one reduction of the augmented matrix: the rank counts the
+    pivots left of the rhs column, and a pivot in that column means no
+    solution."""
     aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    rank_aug, pivots = _row_reduce(gf, aug)
-    rank = matrix_rank(gf, rows)
-    if rank_aug > rank:  # a pivot landed in the rhs column
-        return 0
-    return gf.q ** (n_unknowns - rank)
+    _, pivots = _row_reduce(gf, aug)
+    rank = sum(col < n_unknowns for col in pivots)
+    if rank < len(pivots):
+        return rank, 0
+    return rank, gf.q ** (n_unknowns - rank)
 
 
 def vandermonde_rows(spec: FamilySpec, gamma1, gamma2):
@@ -365,11 +325,10 @@ def linear_system_audit(spec: FamilySpec, gamma1, gamma2) -> dict:
     gf = spec.field
     n_unknowns = d - s + 1
     rows, rhs = vandermonde_rows(spec, sorted(gamma1), sorted(gamma2))
-    rank = matrix_rank(gf, rows)
-    count_all = _solution_count(gf, rows, rhs, n_unknowns)
+    rank, count_all = _solve_count(gf, rows, rhs, n_unknowns)
     # the b01 = b02 hyperplane, as one extra equation
     diag_row = [0] * (d - s - 1) + [1, gf.neg(1)]
-    count_diag = _solution_count(gf, rows + [diag_row], rhs + [0], n_unknowns)
+    _, count_diag = _solve_count(gf, rows + [diag_row], rhs + [0], n_unknowns)
     return {
         "rank": rank,
         "count_all": count_all,

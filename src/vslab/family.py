@@ -115,14 +115,3 @@ def enumerate_b(spec: FamilySpec, start: int = 0, stop: int | None = None):
         stop = spec.n_b
     for idx in range(start, stop):
         yield index_to_b(spec, idx)
-
-
-def parse_spec_key(key: str) -> FamilySpec:
-    """Inverse of FamilySpec.key."""
-    from .gf import parse_descriptor
-
-    parts = dict(item.split("=", 1) for item in key.split(";"))
-    a = tuple(int(c) for c in parts["a"].split(",")) if parts.get("a") else ()
-    return FamilySpec(
-        parse_descriptor(parts["q"]), int(parts["d"]), int(parts["s"]), a
-    )

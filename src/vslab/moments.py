@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from .counting import _stats_for
 from .errors import RangeMismatch, RegimeViolation
 from .family import FamilySpec
-from .sweep import DEFAULT_BUDGET, FamilyStats
+from .sweep import FamilyStats
 
 
+@lru_cache(maxsize=None)
 def mu(d: int) -> Fraction:
     """sum_{r=1}^{d} (-1)^(r-1) / r!, the limiting value-set density."""
     if d < 1:
@@ -69,26 +70,6 @@ def cohen_exact_mean(q: int, d: int) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def value_set_mean(
-    spec: FamilySpec,
-    stats: FamilyStats | None = None,
-    workers: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Fraction:
-    st = _stats_for(spec, stats, workers, budget)
-    return Fraction(st.sum_v, st.n_b)
-
-
-def value_set_second_moment(
-    spec: FamilySpec,
-    stats: FamilyStats | None = None,
-    workers: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Fraction:
-    st = _stats_for(spec, stats, workers, budget)
-    return Fraction(st.sum_v2, st.n_b)
 
 
 def reconstruct_mean(spec: FamilySpec, chi) -> Fraction:
@@ -184,8 +165,7 @@ class MomentReport:
 def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:
     """Assemble the full exact report from one family sweep."""
     d, s = spec.d, spec.s
-    mean = Fraction(stats.sum_v, stats.n_b)
-    second = Fraction(stats.sum_v2, stats.n_b)
+    mean = stats.mean
     chi = {r: stats.chi(r) for r in range(d - s + 1, d + 1)} if s >= 1 else {}
     smn = {
         (m, n): stats.s_mn(m, n)
@@ -203,7 +183,7 @@ def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:
         s=s,
         a=spec.a,
         mean=mean,
-        second_moment=second,
+        second_moment=stats.second_moment,
         chi=chi,
         smn=smn,
         mean_reconstructed=mean_rec,

@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -70,6 +71,16 @@ class FamilyStats:
     hist_n: tuple
     prod_a: tuple
     gamma_closed: tuple
+
+    @property
+    def mean(self) -> Fraction:
+        """The average value-set size over the family."""
+        return Fraction(self.sum_v, self.n_b)
+
+    @property
+    def second_moment(self) -> Fraction:
+        """The average squared value-set size over the family."""
+        return Fraction(self.sum_v2, self.n_b)
 
     def chi(self, r: int) -> int:
         """Incidence count sum_{(b,c)} C(N_b(c), r)."""

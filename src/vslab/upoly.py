@@ -303,17 +303,3 @@ def discriminant(gf: GF, f) -> int:
     if (d * (d - 1) // 2) % 2:
         res = gf.neg(res)
     return res
-
-
-def poly_text(f) -> str:
-    """Comma-separated low-to-high coefficient text form."""
-    if not f:
-        return "0"
-    return ",".join(str(c) for c in f)
-
-
-def parse_poly(text: str):
-    text = text.strip()
-    if text in ("", "0"):
-        return ZERO
-    return trim(int(c) for c in text.split(","))

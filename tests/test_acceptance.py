@@ -19,7 +19,6 @@ from vslab.counting import (
     chi_r,
     divides_check_multiplicity,
     gamma_counts_mn,
-    gamma_counts_r,
     linear_system_audit,
     s_mn,
 )
@@ -31,7 +30,6 @@ from vslab.moments import (
     mu,
     one_minus_inv_e_enclosure,
     reconstruct_mean,
-    value_set_mean,
 )
 from vslab.sweep import collect_stats
 
@@ -62,7 +60,7 @@ def test_criterion_01_cohen_identity():
     cases = [(5, 3), (5, 4), (7, 3), (7, 5), (11, 4), (13, 5)]
     for q, d in cases:
         spec = FamilySpec(field_for(q), d, 0)
-        brute = value_set_mean(spec, stats=stats_for(spec))
+        brute = stats_for(spec).mean
         assert brute == cohen_exact_mean(q, d), (q, d)
     ok = verdict(1, True, f"Cohen identity exact on {len(cases)} (q,d) "
                           f"[{time.time()-t0:.1f}s]")
@@ -78,9 +76,7 @@ def test_criterion_02_mean_reconstruction_all_a():
             spec = FamilySpec(field, d, s, a)
             stats = stats_for(spec)
             chi = {r: stats.chi(r) for r in range(d - s + 1, d + 1)}
-            assert reconstruct_mean(spec, chi) == value_set_mean(
-                spec, stats=stats
-            ), spec.key
+            assert reconstruct_mean(spec, chi) == stats.mean, spec.key
             total += 1
     ok = verdict(2, True, f"mean reconstruction identity exact on {total} specs "
                           f"[{time.time()-t0:.1f}s]")
@@ -104,7 +100,7 @@ def test_criterion_03_chi_dual_method():
         stats = stats_for(spec)
         for r in range(d - s + 1, d + 1):
             assert comb(q, r) <= 10**6
-            assert stats.chi(r) == chi_r(spec, r, method="subsets"), (spec.key, r)
+            assert stats.chi(r) == chi_r(spec, r), (spec.key, r)
             checked += 1
     ok = verdict(3, True, f"chi_r profile == subsets on {checked} (spec, r) "
                           f"[{time.time()-t0:.1f}s]")
@@ -154,9 +150,9 @@ def test_criterion_05_smn_dual_and_symmetric():
         stats = stats_for(spec)
         for m in range(1, d + 1):
             for n in range(1, d + 1):
-                prof = s_mn(spec, m, n, stats=stats)
-                assert prof == s_mn(spec, n, m, stats=stats)
-                assert prof == s_mn(spec, m, n, method="brute"), (spec.key, m, n)
+                prof = stats.s_mn(m, n)
+                assert prof == stats.s_mn(n, m)
+                assert prof == s_mn(spec, m, n), (spec.key, m, n)
                 checked += 1
     ok = verdict(5, True, f"S_mn profile == brute, symmetric: {checked} cells "
                           f"[{time.time()-t0:.1f}s]")
@@ -214,19 +210,17 @@ def test_criterion_07_gamma_count_identities():
     for spec in chi_accept_specs():
         stats = stats_for(spec)
         d, s, q = spec.d, spec.s, spec.q
-        assert gamma_counts_r(spec, 1, stats=stats).closed == q ** (d - s)
+        assert stats.gamma_closed[0] == q ** (d - s)
         for r in range(d - s + 1, d + 1):
-            g = gamma_counts_r(spec, r, stats=stats)
-            assert g.affine_open == factorial(r) * chi_r(spec, r, method="subsets")
+            assert stats.gamma_open(r) == factorial(r) * chi_r(spec, r)
             checked += 1
     q, d, s = 5, 3, 1
     for a in range(q):
         spec = FamilySpec(field_for(q), d, s, (a,))
-        stats = stats_for(spec)
         for m in range(1, d + 1):
             for n in range(1, d + 1):
-                g = gamma_counts_mn(spec, [(m, n)], stats=stats)[m, n]
-                brute = s_mn(spec, m, n, method="brute")
+                g = gamma_counts_mn(spec, [(m, n)])[m, n]
+                brute = s_mn(spec, m, n)
                 assert g.affine_open == factorial(m) * factorial(n) * brute
                 checked += 1
     ok = verdict(7, True, f"Gamma open/closed identities on {checked} counts "

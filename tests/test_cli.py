@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from vslab import cli
 from vslab.cli import main, parse_int_list, select_a_vectors
 from vslab.gf import make_field
 
@@ -130,6 +132,29 @@ def test_gamma_command(tmp_path):
     data = json.loads(out.read_text())
     entry = data["results"][0]
     assert entry["r"]["1"]["closed_equals_q_power"] is True
+
+
+def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch):
+    # the open Gamma_mn count comes from the oracle's own scan, so a sweep
+    # whose S_11 is off by one must fail the check
+    real = cli.collect_stats
+
+    def corrupted(spec, **kw):
+        st = real(spec, **kw)
+        prod = [list(row) for row in st.prod_a]
+        prod[0][0] += 1
+        return dataclasses.replace(st, prod_a=tuple(tuple(row) for row in prod))
+
+    monkeypatch.setattr(cli, "collect_stats", corrupted)
+    out = tmp_path / "gamma.json"
+    code = run(
+        ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "2",
+         "--m", "1", "--n", "1", "--out", str(out)]
+    )
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["results"][0]["mn"]["1,1"]["open_equals_mn_factorial_smn"] is False
+    assert data["failures"] == [["q=5^1/0,1;d=3;s=1;a=2", "gamma_mn", [1, 1]]]
 
 
 def test_audit_linear(tmp_path):

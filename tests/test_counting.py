@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st_
 
 from vslab import cli
+from vslab import counting as ct
 from vslab.errors import (
     BudgetExceeded,
     NotOnVariety,
@@ -18,7 +19,6 @@ from vslab.counting import (
     divides_check_division,
     divides_check_multiplicity,
     gamma_counts_mn,
-    gamma_counts_r,
     interpolating_b0,
     jacobian_rank,
     linear_system_audit,
@@ -77,8 +77,8 @@ def test_chi3_subset_count_frozen():
         if sum(subset) % 5 == 0
     )
     assert brute == 2
-    assert chi_r(spec, 3, method="subsets") == 2
-    assert chi_r(spec, 3, method="profile") == 2
+    assert chi_r(spec, 3) == 2
+    assert collect_stats(spec).chi(3) == 2
 
 
 def test_chi_r_dual_method_equality():
@@ -91,7 +91,7 @@ def test_chi_r_dual_method_equality():
     for spec, rs in cases:
         st = collect_stats(spec)
         for r in rs:
-            assert chi_r(spec, r, "profile", stats=st) == chi_r(spec, r, "subsets")
+            assert st.chi(r) == chi_r(spec, r)
 
 
 def test_chi_r_edges():
@@ -100,7 +100,7 @@ def test_chi_r_edges():
     with pytest.raises(RegimeViolation):
         chi_r(spec, 2)  # r = d-s
     with pytest.raises(BudgetExceeded):
-        chi_r(spec, 3, method="subsets", budget=3)
+        chi_r(spec, 3, budget=3)
 
 
 def test_low_range_incidences_match_closed_form():
@@ -117,9 +117,9 @@ def test_s_mn_symmetry_and_duality():
     st = collect_stats(spec)
     for m in range(1, 4):
         for n in range(1, 4):
-            prof = s_mn(spec, m, n, "profile", stats=st)
-            assert prof == s_mn(spec, n, m, "profile", stats=st)
-            assert prof == s_mn(spec, m, n, "brute")
+            prof = st.s_mn(m, n)
+            assert prof == st.s_mn(n, m)
+            assert prof == s_mn(spec, m, n)
     assert s_mn(spec, 4, 1) == 0  # m > d
 
 
@@ -127,32 +127,30 @@ def test_gamma_counts_r_identities():
     for spec in (FamilySpec(F5, 3, 1, (1,)), FamilySpec(F7, 4, 2, (1, 2))):
         st = collect_stats(spec)
         d, s = spec.d, spec.s
-        assert gamma_counts_r(spec, 1, stats=st).closed == spec.q ** (d - s)
+        assert st.gamma_closed[0] == spec.q ** (d - s)
         for r in range(d - s + 1, d + 1):
-            g = gamma_counts_r(spec, r, stats=st)
-            assert g.affine_open == factorial(r) * chi_r(spec, r, stats=st)
-            assert g.closed >= g.affine_open
+            assert st.gamma_open(r) == factorial(r) * chi_r(spec, r)
+            assert st.gamma_closed[r - 1] >= st.gamma_open(r)
 
 
 def test_gamma_counts_mn_identities():
     spec = FamilySpec(F5, 3, 1, (1,))
     st = collect_stats(spec)
     pairs = [(m, n) for m in range(1, 4) for n in range(1, 4)]
-    counts = gamma_counts_mn(spec, pairs, stats=st)
+    counts = gamma_counts_mn(spec, pairs)
     for m, n in pairs:
         g = counts[m, n]
-        expected = factorial(m) * factorial(n) * s_mn(spec, m, n, stats=st)
+        expected = factorial(m) * factorial(n) * st.s_mn(m, n)
         assert g.affine_open == expected
         assert g.closed >= g.affine_open
     # (1,1) closed includes the diagonal c1 = c2
-    g11 = gamma_counts_mn(spec, [(1, 1)], stats=st)[1, 1]
+    g11 = gamma_counts_mn(spec, [(1, 1)])[1, 1]
     assert g11.closed > g11.affine_open
 
 
 def test_gamma_mn_closed_against_direct_count():
     # direct count over (b, b01, b02, ordered tuples) at tiny size
     spec = FamilySpec(F5, 3, 1, (2,))
-    st = collect_stats(spec)
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         direct = 0
         for b in enumerate_b(spec):
@@ -171,7 +169,7 @@ def test_gamma_mn_closed_against_direct_count():
                         if up.divides_at_nodes(F5, f2, tup)
                     )
                     direct += w_m * w_n
-        assert gamma_counts_mn(spec, [(m, n)], stats=st)[m, n].closed == direct
+        assert gamma_counts_mn(spec, [(m, n)])[m, n].closed == direct
 
 
 def test_linear_system_audit_exhaustive():
@@ -208,6 +206,15 @@ def test_linear_system_audit_errors():
         linear_system_audit(spec, {0, 1}, {1, 2})
     with pytest.raises(RegimeViolation):
         linear_system_audit(spec, {0, 1}, {2, 3})  # m+n > d-s
+
+
+def test_solve_count_inconsistent_and_consistent():
+    # a repeated row with a different rhs has no solution; the rank still
+    # counts only the coefficient columns
+    rows = [[1, 2, 0], [1, 2, 0], [0, 0, 1]]
+    assert ct._solve_count(F5, rows, [3, 4, 1], 3) == (2, 0)
+    assert ct._solve_count(F5, rows, [3, 3, 1], 3) == (2, 5)
+    assert ct._solve_count(F5, [], [], 2) == (0, 25)
 
 
 def test_jacobian_rank_cases():
@@ -325,7 +332,7 @@ def test_subset_walk_equals_per_subset_witness(case):
         interpolating_b0(spec, subset) is not None
         for subset in itertools.combinations(range(spec.q), r)
     )
-    assert chi_r(spec, r, "subsets") == plain
+    assert chi_r(spec, r) == plain
 
 
 def _closed_mn_per_pair(spec, m, n):
@@ -354,7 +361,7 @@ def test_one_scan_gamma_equals_per_pair_count(case, more):
     pairs = list(dict.fromkeys([(m, n)] + [
         (x, y) for x, y in more if x <= spec.d and y <= spec.d
     ]))
-    got = gamma_counts_mn(spec, pairs, stats=collect_stats(spec))
+    got = gamma_counts_mn(spec, pairs)
     assert list(got) == pairs
     for x, y in pairs:
         assert got[x, y].closed == _closed_mn_per_pair(spec, x, y), (x, y)
@@ -376,7 +383,7 @@ def test_hoisted_brute_equals_per_pair_set_check(case):
                 c1 = {vals[t] for t in g1}
                 c2 = {vals[t] for t in g2}
                 plain += len(c1) == 1 and len(c2) == 1 and c1 != c2
-    assert s_mn(spec, m, n, "brute") == plain
+    assert s_mn(spec, m, n) == plain
 
 
 def test_cmd_gamma_scans_once_per_a_vector(tmp_path, monkeypatch):

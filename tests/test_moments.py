@@ -13,8 +13,6 @@ from vslab.moments import (
     one_minus_inv_e_enclosure,
     reconstruct_mean,
     reconstruct_second_moment,
-    value_set_mean,
-    value_set_second_moment,
 )
 from vslab.sweep import collect_stats
 from vslab import upoly as up
@@ -59,8 +57,9 @@ def test_value_set_mean_squaring_family():
     spec = FamilySpec(F7, 2, 0)
     vs = brute_value_sets(spec)
     assert vs == [4] * 7  # every T^2+bT hits exactly (q+1)/2 values
-    assert value_set_mean(spec) == 4
-    assert value_set_second_moment(spec) == 16
+    st = collect_stats(spec)
+    assert st.mean == 4
+    assert st.second_moment == 16
 
 
 def test_mean_equals_cohen_for_s0():
@@ -70,18 +69,18 @@ def test_mean_equals_cohen_for_s0():
         vs = brute_value_sets(spec)
         mean = Fraction(sum(vs), len(vs))
         assert mean == cohen_exact_mean(q, d)
-        assert value_set_mean(spec) == mean
+        assert collect_stats(spec).mean == mean
 
 
 def test_degenerate_linear_family():
     spec = FamilySpec(F5, 1, 0)
-    assert value_set_mean(spec) == 5
+    assert collect_stats(spec).mean == 5
 
 
 def test_bounds_on_moments():
     for spec in (FamilySpec(F5, 4, 1, (2,)), FamilySpec(F7, 4, 2, (0, 3))):
-        mean = value_set_mean(spec)
-        second = value_set_second_moment(spec)
+        st = collect_stats(spec)
+        mean, second = st.mean, st.second_moment
         assert 1 <= mean <= spec.q
         assert second >= mean * mean  # Jensen
         assert second <= spec.q**2
@@ -95,7 +94,7 @@ def test_reconstruct_mean_exact():
     ):
         st = collect_stats(spec)
         chi = build_moment_report(spec, st).chi
-        assert reconstruct_mean(spec, chi) == value_set_mean(spec, stats=st)
+        assert reconstruct_mean(spec, chi) == st.mean
 
 
 def test_reconstruct_mean_regime_errors():
@@ -114,9 +113,8 @@ def test_reconstruct_second_moment_exact_mode():
     ):
         st = collect_stats(spec)
         smn = build_moment_report(spec, st).smn
-        mean = value_set_mean(spec, stats=st)
-        v2 = reconstruct_second_moment(spec, mean, smn, mode="exact")
-        assert v2 == value_set_second_moment(spec, stats=st)
+        v2 = reconstruct_second_moment(spec, st.mean, smn, mode="exact")
+        assert v2 == st.second_moment
 
 
 def test_paper_mode_residual_is_reported_not_asserted():

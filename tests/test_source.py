@@ -18,3 +18,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names(path):
+    """Every identifier a module names: variables, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_one_module_starts_sweeps():
+    # every engine count is read off the FamilyStats that the CLI's instance
+    # loop collects; the oracles in counting must not see the engine at all
+    starts = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        if path.name not in ("sweep.py", "cli.py")
+        and "collect_stats" in _names(path)
+    )
+    assert starts == []
+    assert "FamilyStats" not in _names(SOURCE / "counting.py")

@@ -211,11 +211,3 @@ def test_discriminant_errors():
         up.discriminant(F5, (1, 2))
     with pytest.raises(DegreeTooSmall):
         up.discriminant(F5, (3, 1))
-
-
-def test_poly_text_round_trip():
-    f = (3, 2, 1, 1)
-    assert up.poly_text(f) == "3,2,1,1"
-    assert up.parse_poly("3,2,1,1") == f
-    assert up.parse_poly("0") == up.ZERO
-    assert up.poly_text(up.ZERO) == "0"
