@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CaseMismatch, DegenerateCase, InvalidParameter
+from .errors import BrokenInvariant, CaseMismatch, DegenerateCase, InvalidParameter
 from .gf import make_field
 from . import mpoly as mp
 
@@ -310,13 +310,13 @@ def specialization_scalar(p: int, d: int, free, samples: int = 200, seed: int = 
         plain = up.discriminant(gf, ff)
         if plain == 0 or sym == 0:
             if (plain == 0) != (sym == 0):
-                raise AssertionError("vanishing loci disagree")
+                raise BrokenInvariant("vanishing loci disagree")
             checked += 1
             continue
         ratio = gf.div(sym, plain)
         if scalar is None:
             scalar = ratio
         elif scalar != ratio:
-            raise AssertionError(f"scalar not global: {scalar} vs {ratio}")
+            raise BrokenInvariant(f"scalar not global: {scalar} vs {ratio}")
         checked += 1
     return scalar, checked

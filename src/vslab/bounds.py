@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .errors import MissingParameter, RegimeViolation
+from .errors import BrokenInvariant, MissingParameter, RegimeViolation
 from .moments import mu
 
 RELATIVE_SLACK = Fraction(1, 10**9)
@@ -331,9 +331,9 @@ def unimodality_audit(d: int) -> UnimodalityAudit:
     plateau = all(values[k] == peak for k in range(first, last + 1))
     falling = all(values[k] >= values[k + 1] for k in range(last, d - 1))
     if not (rising and plateau and falling):
-        raise AssertionError(f"h is not unimodal for d={d}: {values}")
+        raise BrokenInvariant(f"h is not unimodal for d={d}: {values}")
     classification = "increasing" if last == d - 1 and rising else "unimodal"
     k0 = k0_floor(d)
     if k0 not in argmax:
-        raise AssertionError(f"floor(k0)={k0} misses argmax {argmax} for d={d}")
+        raise BrokenInvariant(f"floor(k0)={k0} misses argmax {argmax} for d={d}")
     return UnimodalityAudit(d, k0, values, argmax, classification)

@@ -220,6 +220,9 @@ def cmd_gamma(args):
     if args.m and args.n:
         m_list, n_list = parse_int_list(args.m), parse_int_list(args.n)
         mn_pairs = list(itertools.product(m_list, n_list))
+    for m, n in mn_pairs:
+        if not (1 <= m <= d and 1 <= n <= d):
+            raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
     results = []
     failures = []
     for spec, stats in _instances(args):

@@ -56,14 +56,10 @@ def interpolating_b0(spec: FamilySpec, subset):
     d, s, gf = spec.d, spec.s, spec.field
     if r < d - s + 1:
         raise NotUniqueRegime(f"need |subset| >= {d - s + 1}, got {r}")
-    f_a = [0] * (d + 1)
-    f_a[d] = 1
-    for i, c in enumerate(spec.a):
-        f_a[d - 1 - i] = c
     prod = (1,)
     for alpha in subset:
         prod = poly_mul(gf, prod, (gf.neg(alpha), 1))
-    _, rem = poly_divmod(gf, trim(f_a), prod)
+    _, rem = poly_divmod(gf, family_poly(spec, (0,) * spec.free_len), prod)
     if rem and len(rem) - 1 > d - s - 1:
         return None
     dense = list(rem) + [0] * (d - s - len(rem))
@@ -113,7 +109,7 @@ def _subset_walk(spec: FamilySpec, r: int) -> int:
     """
     q, gf = spec.q, spec.field
     free = spec.d - spec.s
-    f_a = (1, *spec.a) + (0,) * free  # high-to-low coefficients
+    f_a = family_poly(spec, (0,) * spec.free_len)[::-1]  # high-to-low
 
     def walk(g, start, depth):
         count = 0
@@ -296,11 +292,7 @@ def vandermonde_rows(spec: FamilySpec, gamma1, gamma2):
     side is -f_a at each node.
     """
     gf, d, s = spec.field, spec.d, spec.s
-    f_a = [0] * (d + 1)
-    f_a[d] = 1
-    for i, c in enumerate(spec.a):
-        f_a[d - 1 - i] = c
-    f_a = trim(f_a)
+    f_a = family_poly(spec, (0,) * spec.free_len)
     rows, rhs = [], []
     for kind, gamma in ((0, gamma1), (1, gamma2)):
         for alpha in gamma:

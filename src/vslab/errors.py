@@ -86,7 +86,7 @@ class SchemaMismatch(VslabError):
 
 
 class BrokenInvariant(VslabError):
-    """An internal invariant of the enumeration engine failed."""
+    """A computed result broke a property the mathematics guarantees."""
 
 
 class Int64Overflow(VslabError):

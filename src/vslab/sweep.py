@@ -16,7 +16,7 @@ int64_chunk_limit, which bounds every int64 intermediate below 2^63
 from (q, d, chunk); a family no chunk can keep below it is refused.
 
 b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
-g depends only on the outer prefix idx // q.  So Horner runs once per
+g depends only on the outer prefix idx // q.  So g is evaluated once per
 prefix, and the value table of a chunk is one gather of g's values
 against the table b_1 * t.  A chunk may cut a prefix block; both chunks
 then evaluate g for it.  The d = 1 family has no free b_1 and runs the
@@ -24,12 +24,20 @@ same route with a zero b_1 column.
 
 Root multiplicities enter only through critical points, where
 f_b'(t) = g'(t) + b_1 = 0: every (prefix, t) is critical for exactly
-one b_1, so they are read off g' without a scan.  Their exact
-multiplicities come from a cascade of Hasse derivative evaluations
-(characteristic-safe), which for j >= 2 depend on the prefix only.  A
-(b, c) class with one critical point of multiplicity m takes its gamma
-correction from the (m, n) table single_root_table; a class with
-several goes through the memo multi_root_correction.
+one b_1, so they are read off g' without a scan.  The multiplicity of a
+critical point is the order of the first nonvanishing Hasse derivative
+there (characteristic-safe), and for j >= 2 the j-th derivative depends
+on the prefix only.  One Horner evaluator of the Hasse derivatives of g
+serves the whole kernel: j = 0, 1 and 2 on the prefix grid (values,
+critical points, the first multiplicity split), j >= 3 on the critical
+pairs still pending.  A (b, c) class with one critical point of
+multiplicity m takes its gamma correction from the (m, n) table
+single_root_table; a class with several goes through the memo
+multi_root_correction.
+
+Each chunk takes its field from parse_descriptor, which returns the one
+interned field object per descriptor, so the add and mul tables are
+built once per process.
 """
 
 from __future__ import annotations
@@ -175,30 +183,12 @@ def int64_chunk_limit(q: int, d: int) -> int:
     return limit
 
 
-_WORKER_CACHE: dict = {}
-
-
 def _chunk_kernel(task):
-    (descriptor, d, s, a, lo, hi, with_gamma) = task
-    cache_key = (descriptor, d, s, a)
-    ctx = _WORKER_CACHE.get(cache_key)
-    if ctx is None:
-        gf = parse_descriptor(descriptor)
-        spec = FamilySpec(gf, d, s, a)
-        add_t = gf.add_table()
-        mul_t = gf.mul_table()
-        neg_t = np.argmin(add_t, axis=1).astype(np.int32)  # x + neg_t[x] = 0
-        # coefficient of T^i in f_b for non-free positions; None marks a
-        # free b column
-        coef = [None] * (d + 1)
-        coef[0] = 0
-        coef[d] = 1
-        for i, c in enumerate(a):
-            coef[d - 1 - i] = c
-        ctx = (gf, spec.free_len, add_t, mul_t, neg_t, coef)
-        _WORKER_CACHE[cache_key] = ctx
-    gf, L, add_t, mul_t, neg_t, coef = ctx
+    (descriptor, d, s, a, lo, hi, L) = task
+    gf = parse_descriptor(descriptor)  # interned: its tables are built once
     q, p = gf.q, gf.p
+    add_t, mul_t = gf.add_table(), gf.mul_table()
+    add_f, mul_f = add_t.ravel(), mul_t.ravel()
     n_chunk = hi - lo
 
     # idx = prefix * qb + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
@@ -215,29 +205,32 @@ def _chunk_kernel(task):
     pre_row, b1 = np.divmod(np.arange(lo, hi, dtype=np.int64), qb)
     pre_row -= pre_lo
 
-    def g_coef(i, scale=1):
-        """scale * (coefficient of T^i in g): a scalar, or a prefix column."""
-        if coef[i] is not None:
-            return gf.mul(scale, coef[i])
-        if i == 1:
-            return 0
-        # free coefficient b_i sits at digit column d-s-1-i
-        return mul_t[scale, pre_digits[:, d - s - 1 - i]][:, None]
+    # fixed coefficients of g: T^d and a; T^0 and T^1 are zero, and the
+    # free b_i with 2 <= i < d-s sit at digit column d-s-1-i
+    coef = [0] * (d + 1)
+    coef[d] = 1
+    coef[d - s:d] = reversed(a)
 
-    t_row = np.arange(q, dtype=np.int32)[None, :]
-    add_f, mul_f = add_t.ravel(), mul_t.ravel()
-
-    def horner(coef_seq):
-        """Values on (prefix, t); coef_seq highest degree first."""
-        acc = np.full((n_pre, q), coef_seq[0], dtype=np.int32)
-        for c in coef_seq[1:]:
-            acc = np.take(add_f, np.take(mul_f, acc * q + t_row) * q + c)
+    def hasse(j, rows, ts):
+        """The j-th Hasse derivative sum_{i>=j} C(i,j) g_i t^(i-j) of g at
+        broadcast arrays of prefix rows and t values, by Horner."""
+        shape = np.broadcast_shapes(np.shape(rows), np.shape(ts))
+        acc = np.full(shape, comb(d, j) % p, dtype=np.int32)
+        for i in range(d - 1, j - 1, -1):
+            emb = comb(i, j) % p
+            if 2 <= i < d - s:
+                c = mul_t[emb, pre_digits[rows, d - s - 1 - i]]
+            else:
+                c = mul_t[emb, coef[i]]
+            acc = np.take(add_f, np.take(mul_f, acc * q + ts) * q + c)
         return acc
 
+    grid = (np.arange(n_pre)[:, None], np.arange(q, dtype=np.int32)[None, :])
+
     # values of f_b on all of F_q: g per prefix, then f_b = g + b_1 t
-    g_val = horner([g_coef(i) for i in range(d, -1, -1)])
     val = np.take(
-        add_f, np.take(g_val * q, pre_row, axis=0) + np.take(mul_t, b1, axis=0)
+        add_f,
+        np.take(hasse(0, *grid) * q, pre_row, axis=0) + np.take(mul_t, b1, axis=0),
     )
 
     # per-b histogram of values, then per-b histogram of root counts N
@@ -264,30 +257,30 @@ def _chunk_kernel(task):
     a_cols = h_per_b @ binom
     prod_a = a_cols.T @ a_cols
 
+    # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
+    # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
+    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep the b inside this chunk.
+    # With d = 1, g' = 1 and no b_1 column: nothing is critical.
+    b1_crit = mul_t[p - 1][hasse(1, *grid)].astype(np.int64)
+    gidx = np.arange(pre_lo, pre_lo + n_pre)[:, None] * qb + b1_crit
+    pre_c, ts = np.nonzero((b1_crit < qb) & (gidx >= lo) & (gidx < hi))
     gamma_corr = [0] * d
-    n_crit = 0
-    if with_gamma and d >= 2:
-        # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
-        # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical
-        # for exactly one b_1 = -g'(t); keep the b inside this chunk.
-        g_der = horner([g_coef(i, i % p) for i in range(d, 0, -1)])
-        b1_crit = neg_t[g_der].astype(np.int64)
-        gidx = np.arange(pre_lo, pre_lo + n_pre)[:, None] * qb + b1_crit
-        crit = (b1_crit < qb) & (gidx >= lo) & (gidx < hi)
-        pre_c, ts = np.nonzero(crit)
-        n_crit = len(pre_c)
-        if n_crit:
-            rows = gidx[pre_c, ts] - lo
-            cvals = val[rows, ts]
-            nvals = nmat[rows, cvals]
-            # the second Hasse derivative separates multiplicity 2 from
-            # higher; evaluate it on the prefix grid like g
-            hasse2 = horner([g_coef(i, comb(i, 2) % p) for i in range(d, 1, -1)])
-            mults = _multiplicity_cascade(
-                gf, coef, pre_digits, pre_c, ts, hasse2[pre_c, ts] == 0, d, s,
-                add_f, mul_f,
-            )
-            gamma_corr = _gamma_corrections(rows, cvals, nvals, mults, q, d)
+    if len(pre_c):
+        rows = gidx[pre_c, ts] - lo
+        cvals = val[rows, ts]
+        # the multiplicity of t in f_b - f_b(t) is the smallest j with a
+        # nonzero j-th Hasse derivative; j = 1 vanished by construction.
+        # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices.
+        # j = 2 runs on the prefix grid, higher j only on pending pairs.
+        # The loop ends because the d-th derivative of monic g is 1.
+        mults = np.full(len(pre_c), 2)
+        pending = np.flatnonzero(hasse(2, *grid)[pre_c, ts] == 0)
+        j = 2
+        while len(pending):
+            j += 1
+            mults[pending] = j
+            pending = pending[hasse(j, pre_c[pending], ts[pending]) == 0]
+        gamma_corr = _gamma_corrections(rows, cvals, nmat[rows, cvals], mults, q, d)
 
     return (
         sum_v,
@@ -295,44 +288,7 @@ def _chunk_kernel(task):
         [int(x) for x in hist_n],
         [[int(x) for x in row] for row in prod_a],
         gamma_corr,
-        n_crit,
     )
-
-
-def _multiplicity_cascade(
-    gf, coef, pre_digits, pre_rows, ts, hasse2_zero, d, s, add_f, mul_f
-):
-    """Exact multiplicity of t in f_b - f_b(t) for critical pairs.
-
-    The multiplicity is the smallest j >= 1 with nonvanishing j-th Hasse
-    derivative at t; j = 1 vanished by construction and hasse2_zero marks
-    where j = 2 vanished too, so refine those pairs from j = 3 level by
-    level.  For j >= 2 neither b_0 nor b_1 enters, so the prefix digits
-    suffice.
-    """
-    p, q = gf.p, gf.q
-    mult = np.where(hasse2_zero, 3, 2)
-    pending = np.flatnonzero(hasse2_zero)
-    for j in range(3, d + 1):
-        if not len(pending):
-            break
-        sub_rows = pre_rows[pending]
-        sub_ts = ts[pending]
-        acc = None
-        for i in range(d, j - 1, -1):
-            emb = comb(i, j) % p
-            if coef[i] is not None:
-                c = gf.mul(emb, coef[i])
-            else:
-                c = mul_f[emb * q + pre_digits[sub_rows, d - s - 1 - i]]
-            if acc is None:
-                acc = np.broadcast_to(c, (len(pending),)).astype(np.int32)
-            else:
-                acc = np.take(add_f, np.take(mul_f, acc * q + sub_ts) * q + c)
-        still = acc == 0
-        mult[pending[still]] = j + 1
-        pending = pending[still]
-    return mult
 
 
 def _gamma_corrections(rows, cvals, nvals, mults, q, d):
@@ -382,8 +338,7 @@ def _merge(results, d):
     hist = [0] * (d + 1)
     prod = [[0] * d for _ in range(d)]
     corr = [0] * d
-    crit = 0
-    for sv, sv2, h, pa, gc, nc in results:
+    for sv, sv2, h, pa, gc in results:
         sum_v += sv
         sum_v2 += sv2
         for i, x in enumerate(h):
@@ -393,8 +348,7 @@ def _merge(results, d):
                 prod[i][j] += pa[i][j]
         for i, x in enumerate(gc):
             corr[i] += x
-        crit += nc
-    return sum_v, sum_v2, hist, prod, corr, crit
+    return sum_v, sum_v2, hist, prod, corr
 
 
 def default_workers() -> int:
@@ -409,7 +363,6 @@ def collect_stats(
     workers: int | None = None,
     budget: int | None = DEFAULT_BUDGET,
     chunk_size: int | None = None,
-    with_gamma: bool = True,
 ) -> FamilyStats:
     """Run the family sweep and assemble exact aggregate statistics."""
     if spec.q > TABLE_LIMIT:
@@ -428,7 +381,7 @@ def collect_stats(
 
     tasks = [
         (spec.field.descriptor, d, spec.s, spec.a, lo, min(lo + chunk_size, n_b),
-         with_gamma)
+         spec.free_len)
         for lo in range(0, n_b, chunk_size)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -437,7 +390,7 @@ def collect_stats(
             results = pool.map(_chunk_kernel, tasks, chunksize=1)
     else:
         results = [_chunk_kernel(t) for t in tasks]
-    sum_v, sum_v2, hist, prod, corr, _ = _merge(results, d)
+    sum_v, sum_v2, hist, prod, corr = _merge(results, d)
 
     gamma_closed = []
     for r in range(1, d + 1):

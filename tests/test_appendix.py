@@ -10,8 +10,9 @@ from vslab.appendix import (
     specialization_scalar,
     subres1_terms_check,
 )
-from vslab.errors import CaseMismatch, DegenerateCase
+from vslab.errors import BrokenInvariant, CaseMismatch, DegenerateCase
 from vslab import mpoly as mp
+from vslab import upoly
 
 
 def test_select_case():
@@ -171,6 +172,19 @@ def test_specialization_scalar_is_global(p, d, free):
     scalar, checked = specialization_scalar(p, d, set(free), samples=200)
     assert checked == 200
     assert scalar is not None and scalar != 0
+
+
+def test_specialization_scalar_breach_raises(monkeypatch):
+    real = upoly.discriminant
+    monkeypatch.setattr(upoly, "discriminant", lambda gf, f: 0)
+    with pytest.raises(BrokenInvariant, match="vanishing loci"):
+        specialization_scalar(7, 4, {0, 1}, samples=50)
+    # the same zeros, but a ratio that follows the constant coefficient
+    monkeypatch.setattr(
+        upoly, "discriminant", lambda gf, f: gf.mul(real(gf, f), f[0] or 1)
+    )
+    with pytest.raises(BrokenInvariant, match="not global"):
+        specialization_scalar(7, 4, {0, 1}, samples=50)
 
 
 def test_scalar_match_uniqueness():

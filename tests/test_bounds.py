@@ -15,7 +15,8 @@ from vslab.bounds import (
     unimodality_audit,
     xi_mn,
 )
-from vslab.errors import MissingParameter
+from vslab import bounds
+from vslab.errors import BrokenInvariant, MissingParameter
 from vslab.family import FamilySpec
 from vslab.gf import make_field
 from vslab.sweep import collect_stats
@@ -125,6 +126,18 @@ def test_unimodality_sweep():
         audit = unimodality_audit(d)
         assert audit.classification in ("increasing", "unimodal")
         assert audit.k0 in audit.argmax_set
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [(lambda d, k: k % 2, "not unimodal"),  # two peaks
+     (lambda d, k: k, "misses argmax")],  # increasing: the peak is not floor(k0) = 1
+    ids=["two-peaks", "increasing"],
+)
+def test_unimodality_breach_raises(monkeypatch, shape, message):
+    monkeypatch.setattr(bounds, "h_value", shape)
+    with pytest.raises(BrokenInvariant, match=message):
+        unimodality_audit(4)
 
 
 def test_partial_sum_bounded_by_peak():

@@ -277,6 +277,17 @@ def test_usage_errors():
         assert err.value.code == 2, argv
 
 
+def test_gamma_checks_m_and_n_before_the_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("gamma swept before checking --m/--n")
+
+    monkeypatch.setattr(cli, "collect_stats", no_sweep)
+    family = ["--field", "13^1", "--d", "7", "--s", "1", "--a", "1"]
+    for mn in (["--m", "9", "--n", "1"], ["--m", "1", "--n", "0"],
+               ["--m", "1,8", "--n", "2"]):
+        assert run(["gamma", *family, *mn]) == 2, mn
+
+
 def test_verify_bounds_records_every_explicit_s(tmp_path):
     out = tmp_path / "bounds.csv"
     code = run(["verify-bounds", "--fields", "7^1", "--d", "5", "--s", "3,4",

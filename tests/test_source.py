@@ -8,14 +8,22 @@ import vslab
 SOURCE = Path(vslab.__file__).parent
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so an invariant guarded by one
-    # goes unchecked; the package raises explicit exceptions instead
+    # goes unchecked; a raised AssertionError escapes the VslabError -> exit 2
+    # mapping.  The package raises BrokenInvariant instead of either.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 

@@ -248,6 +248,7 @@ def test_engine_matches_value_profile(spec, chunk_size):
     st = collect_stats(spec, chunk_size=chunk_size)
     assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a) == profile_stats(spec)
     assert st.gamma_closed[0] == spec.q ** (spec.d - spec.s)
+    assert st.gamma_closed == oracle_stats(spec)[4]
 
 
 # -- explicit invariants --------------------------------------------------
@@ -255,7 +256,6 @@ def test_engine_matches_value_profile(spec, chunk_size):
 
 def test_fiber_invariant_raises(monkeypatch):
     # a corrupt addition table makes f_b constant: one fiber of size q > d
-    monkeypatch.setattr(sweep, "_WORKER_CACHE", {})
     monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
     with pytest.raises(BrokenInvariant):
         collect_stats(FamilySpec(F7, 4, 1, (1,)))
