@@ -73,6 +73,11 @@ EXTRA_CASES = [
      "--out sweep.csv", 0, {}),
     # a CSV command without --out writes its CSV to stdout
     ("chi-stdout", "chi --field 7^1 --d 4 --s 2 --a 1,2", 0, {}),
+    # every a of a family, one entry per a in --a order: an extension field
+    # and a prime field
+    ("mean-all-a", "mean --field 3^2 --d 5 --s 2 --a all --out mean.json", 0, {}),
+    ("second-moment-all-a",
+     "second-moment --field 7^1 --d 5 --s 2 --a all --out v2.json", 0, {}),
 ]
 
 CASES = README_CASES + EXTRA_CASES
