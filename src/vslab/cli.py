@@ -13,6 +13,7 @@ VSLAB_WORKERS sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -25,7 +26,7 @@ from . import counting as ct
 from . import moments as mo
 from . import reports as rp
 from .errors import BudgetExceeded, InvalidParameter, VslabError
-from .family import FamilySpec
+from .family import FamilySpec, orbit_representatives
 from .gf import parse_descriptor
 from .sweep import FamilyStats, collect_stats, default_workers
 
@@ -80,6 +81,8 @@ def select_a_vectors(field, d, s, policy, seed):
     try:
         if policy.startswith("random:"):
             count = int(policy.split(":", 1)[1])
+            if count < 1:
+                raise VslabError(f"--a random:N needs N >= 1, got {count}")
             rng = _philox(seed, q, d, s)
             draws = rng.integers(0, q, size=(count, s))
             return [tuple(int(x) for x in row) for row in draws]
@@ -94,14 +97,30 @@ def select_a_vectors(field, d, s, policy, seed):
 
 
 def _instances(args, field=None, d=None, s=None):
-    """(spec, stats) for each --a vector at one (field, d, s); the
-    single-field commands take all three from --field, --d and --s."""
+    """(spec, stats) for each --a vector at one (field, d, s), in --a order;
+    the single-field commands take all three from --field, --d and --s.
+
+    One sweep serves every requested member of a scaling orbit of a: the
+    members share all statistics, so each gets its representative's
+    stats under its own key.
+    """
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
-    for a in select_a_vectors(field, d, s, args.a, args.seed):
-        spec = FamilySpec(field, d, s, a)
-        yield spec, collect_stats(spec, workers=args.workers, budget=args.budget)
+    specs = [
+        FamilySpec(field, d, s, a)
+        for a in select_a_vectors(field, d, s, args.a, args.seed)
+    ]
+    reps = orbit_representatives(field, s, [spec.a for spec in specs])
+    swept = {}
+    for spec, rep in zip(specs, reps):
+        if rep not in swept:
+            swept[rep] = collect_stats(
+                dataclasses.replace(spec, a=rep),
+                workers=args.workers,
+                budget=args.budget,
+            )
+        yield spec, dataclasses.replace(swept[rep], key=spec.key)
 
 
 def _grid(args, checked):
@@ -576,14 +595,14 @@ def _apply_config_file(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    args = parser.parse_args(argv)
     try:
+        # the parser reads VSLAB_WORKERS for the --workers default
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)

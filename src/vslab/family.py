@@ -9,12 +9,21 @@ b ranging over F_q^{d-s-1}; the statistics adjoin a constant b_0.  The
 free vectors are enumerated in canonical lexicographic order with
 b_{d-s-1} as the outermost digit, so sharded runs are reproducible and
 chunked reductions are partition-invariant.
+
+For lambda in F_q^* the substitution f -> lambda^-d f(lambda T) maps the
+family at a bijectively onto the family at
+(lambda^-1 a_{d-1}, ..., lambda^-s a_{d-s}) and keeps every value-set
+size and root multiplicity, so all members of one scaling orbit of a
+share their statistics (orbit_representatives).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch
 from .gf import GF
@@ -115,3 +124,41 @@ def enumerate_b(spec: FamilySpec, start: int = 0, stop: int | None = None):
         stop = spec.n_b
     for idx in range(start, stop):
         yield index_to_b(spec, idx)
+
+
+@lru_cache(maxsize=None)
+def _inverse_powers(field: GF, s: int):
+    """(q-1) x s table whose row for lambda holds lambda^-1, ..., lambda^-s."""
+    mul = field.mul_table()
+    inv = np.array([field.inv(lam) for lam in range(1, field.q)])
+    cols = [inv]
+    for _ in range(s - 1):
+        cols.append(mul[cols[-1], inv])
+    return np.stack(cols, axis=1)
+
+
+def orbit_representatives(field: GF, s: int, a_vectors):
+    """The canonical member of each a's scaling orbit: the lexicographically
+    smallest (lambda^-1 a_{d-1}, ..., lambda^-s a_{d-s}) over lambda in F_q^*.
+
+    Each a is a valid fixed-coefficient vector (a_{d-1}, ..., a_{d-s}).
+    """
+    if s == 0:
+        return [()] * len(a_vectors)
+    scale = _inverse_powers(field, s)
+    mul = field.mul_table()
+    reps = []
+    # chunks of about 2^20 images bound the memory
+    step = max(1, (1 << 20) // scale.size)
+    for lo in range(0, len(a_vectors), step):
+        a = np.array(a_vectors[lo : lo + step], dtype=np.int64)
+        images = mul[scale[None, :, :], a[:, None, :]]  # (a, lambda, i)
+        # lexicographic minimum over lambda, one coordinate at a time
+        keep = np.ones(images.shape[:2], dtype=bool)
+        rep = np.empty_like(a)
+        for i in range(s):
+            col = np.where(keep, images[:, :, i], field.q)
+            rep[:, i] = col.min(axis=1)
+            keep &= col == rep[:, i, None]
+        reps.extend(tuple(int(c) for c in row) for row in rep)
+    return reps

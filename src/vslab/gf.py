@@ -270,7 +270,7 @@ class GF:
         """Full q*q addition table (int32); built lazily, q <= TABLE_LIMIT."""
         if self._np_add is None:
             if self.q > TABLE_LIMIT:
-                raise ValueError(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
+                raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q, p = self.q, self.p
             if self.k == 1:
                 i = np.arange(q, dtype=np.int64)
@@ -288,7 +288,7 @@ class GF:
     def mul_table(self) -> np.ndarray:
         if self._np_mul is None:
             if self.q > TABLE_LIMIT:
-                raise ValueError(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
+                raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q = self.q
             if self.k == 1:
                 i = np.arange(q, dtype=np.int64)

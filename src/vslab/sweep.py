@@ -352,10 +352,17 @@ def _merge(results, d):
 
 
 def default_workers() -> int:
+    """VSLAB_WORKERS, else 1; refused, as --workers is, unless an integer >= 1."""
     env = os.environ.get("VSLAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameter(f"VSLAB_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def collect_stats(

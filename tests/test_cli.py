@@ -254,6 +254,8 @@ def test_usage_errors():
         ["verify-bounds", "--fields", "7^1", "--d", "5-x"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "random:x"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "random:-1"],
+        ["mean", "--field", "7^1", "--d", "5", "--s", "1", "--a", "random:0"],
+        ["verify-bounds", "--fields", "7^1", "--d", "5", "--a", "random:0"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "9"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "3", "--a", "1,2,3"],
         ["gamma", *family, "--r", "9"],
@@ -262,6 +264,7 @@ def test_usage_errors():
         ["mean", "--field", "7^x", "--d", "4", "--s", "0"],
         ["mean", "--field", "7^0", "--d", "4", "--s", "0"],
         ["mean", "--field", "5003^1", "--d", "3", "--s", "0"],  # no tables
+        ["mean", "--field", "5003^1", "--d", "3", "--s", "1", "--a", "1"],
         ["sweep", "--fields", "7^1", "--d", "4", "--s", "1,3"],  # s > d-2
     ):
         assert run(argv) == 2, argv
@@ -298,3 +301,63 @@ def test_verify_bounds_records_every_explicit_s(tmp_path):
     # were asked for, so both are recorded
     assert rows == ["instance,7,5,3,,,,,,false,true,,0",
                     "instance,7,5,4,,,,,,false,true,,0"]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name; the returned list gets one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_sweep_per_scaling_orbit(tmp_path, monkeypatch):
+    sweeps = _count_calls(monkeypatch, cli, "collect_stats")
+    out = tmp_path / "v2.json"
+    assert run(["second-moment", "--field", "7^1", "--d", "5", "--s", "2",
+                "--a", "all", "--out", str(out)]) == 0
+    # F_7^2 splits into 10 orbits under a -> (a_4 / lam, a_3 / lam^2)
+    assert len(sweeps) == 10
+    results = json.loads(out.read_text())["results"]
+    assert [tuple(r["a"]) for r in results] == select_a_vectors(
+        make_field(7), 5, 2, "all", 0
+    )
+
+
+def test_two_members_of_one_orbit_sweep_once(tmp_path, monkeypatch):
+    # at s = 1 every nonzero a_{d-1} lies in one orbit
+    assert select_a_vectors(make_field(7), 5, 1, "random:2", 1) == [(5,), (6,)]
+    sweeps = _count_calls(monkeypatch, cli, "collect_stats")
+    out = tmp_path / "mean.json"
+    assert run(["mean", "--field", "7^1", "--d", "5", "--s", "1",
+                "--a", "random:2", "--seed", "1", "--out", str(out)]) == 0
+    assert len(sweeps) == 1
+    results = json.loads(out.read_text())["results"]
+    assert [r["spec"] for r in results] == [
+        "q=7^1/0,1;d=5;s=1;a=5", "q=7^1/0,1;d=5;s=1;a=6"
+    ]
+    assert results[0]["mean"] == results[1]["mean"]
+
+
+def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):
+    oracle = _count_calls(monkeypatch, cli.ct, "chi_r")
+    assert run(["chi", "--field", "7^1", "--d", "5", "--s", "2", "--a", "all",
+                "--method", "both", "--out", str(tmp_path / "chi.csv")]) == 0
+    # r = 4, 5 for each of the 49 a-vectors
+    assert len(oracle) == 49 * 2
+    assert {args[0].a for args in oracle} == set(
+        select_a_vectors(make_field(7), 5, 2, "all", 0)
+    )
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
+def test_bad_vslab_workers_is_a_usage_error(workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("VSLAB_WORKERS", workers)
+    assert run(["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
+                "--out", str(tmp_path / "mean.json")]) == 2
+    assert run(["appendix", "--out", str(tmp_path / "appendix.json")]) == 2

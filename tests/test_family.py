@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings, strategies as st_
 
 from vslab.errors import LengthMismatch
 from vslab.family import (
@@ -6,9 +9,11 @@ from vslab.family import (
     enumerate_b,
     family_poly,
     index_to_b,
+    orbit_representatives,
     value_profile,
 )
-from vslab.gf import make_field
+from vslab.gf import make_field, parse_descriptor
+from vslab.sweep import collect_stats
 from vslab import upoly as up
 
 F5 = make_field(5)
@@ -95,3 +100,54 @@ def test_validation():
         FamilySpec(F5, 6, 1, (1,), strict=True)  # q <= d, strict
     with pytest.warns(UserWarning):
         FamilySpec(F5, 6, 1, (1,))  # q <= d, flagged only
+
+
+ORBIT_FIELDS = [parse_descriptor(t) for t in ("5^1", "7^1", "3^2", "5^2", "11^1")]
+# (gf, d, s) with at most 7^4 members; q <= d only where p | d
+ORBIT_POINTS = [
+    (gf, d, s)
+    for gf in ORBIT_FIELDS
+    for d in range(2, 8)
+    if gf.q > d or d % gf.p == 0
+    for s in range(d - 1)
+    if gf.q ** (d - s - 1) <= 7**4
+]
+
+
+def _scaled(gf, a, lam):
+    """(lam^-1 a_{d-1}, ..., lam^-s a_{d-s}) by scalar field arithmetic."""
+    return tuple(gf.mul(gf.pow(lam, -i), c) for i, c in enumerate(a, 1))
+
+
+@st_.composite
+def scaled_family(draw):
+    """(gf, d, s, a, lam): a family's a and a scaling lam in F_q^*."""
+    gf, d, s = draw(st_.sampled_from(ORBIT_POINTS))
+    a = tuple(draw(st_.integers(0, gf.q - 1)) for _ in range(s))
+    return gf, d, s, a, draw(st_.integers(1, gf.q - 1))
+
+
+def test_orbit_points_cover_the_edge_cases():
+    assert {gf for gf, _, _ in ORBIT_POINTS} == set(ORBIT_FIELDS)
+    assert {gf.q for gf, d, _ in ORBIT_POINTS if d % gf.p == 0} == {5, 7, 9, 25}
+    assert any(s == d - 2 and s > 0 for _, d, s in ORBIT_POINTS)
+
+
+@pytest.mark.filterwarnings("ignore:q = ")  # p | d with q = d
+@settings(max_examples=40, deadline=None)
+@given(case=scaled_family())
+@example(case=(parse_descriptor("3^2"), 6, 2, (4, 7), 5))  # p | d
+@example(case=(parse_descriptor("5^2"), 5, 2, (3, 11), 17))  # p | d
+@example(case=(parse_descriptor("7^1"), 7, 3, (2, 0, 5), 3))  # p | d, q = d
+def test_one_sweep_per_scaling_orbit(case):
+    # lam^-d f(lam T) carries the family at a onto the family at the scaled
+    # a, so the sweep of a's representative gives the scaled a's statistics
+    gf, d, s, a, lam = case
+    scaled = _scaled(gf, a, lam)
+    rep, rep_scaled = orbit_representatives(gf, s, [a, scaled])
+    assert rep == min(_scaled(gf, a, mu) for mu in range(1, gf.q))
+    assert rep_scaled == rep
+    key = FamilySpec(gf, d, s, a).key
+    via_rep = collect_stats(FamilySpec(gf, d, s, rep))
+    full = collect_stats(FamilySpec(gf, d, s, scaled))
+    assert dataclasses.replace(via_rep, key=key) == dataclasses.replace(full, key=key)
