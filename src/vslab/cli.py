@@ -107,16 +107,17 @@ def _instances(args, field=None, d=None, s=None):
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
-    specs = [
-        FamilySpec(field, d, s, a)
-        for a in select_a_vectors(field, d, s, args.a, args.seed)
-    ]
+
+    def spec_at(a):  # one call site, so a q <= d warning prints once
+        return FamilySpec(field, d, s, a)
+
+    specs = [spec_at(a) for a in select_a_vectors(field, d, s, args.a, args.seed)]
     reps = orbit_representatives(field, s, [spec.a for spec in specs])
     swept = {}
     for spec, rep in zip(specs, reps):
         if rep not in swept:
             swept[rep] = collect_stats(
-                dataclasses.replace(spec, a=rep),
+                spec_at(rep),
                 workers=args.workers,
                 budget=args.budget,
             )
@@ -157,16 +158,15 @@ def _grid(args, checked):
 def cmd_mean(args):
     results = []
     for spec, stats in _instances(args):
-        mean = stats.mean
-        mu_q = mo.mu(spec.d) * spec.q
+        mu_q = mo.main_term("mean_main", spec)
         results.append(
             {
                 "spec": spec.key,
                 "a": list(spec.a),
                 "n_b": stats.n_b,
-                "mean": mean,
+                "mean": stats.mean,
                 "mu_d_q": mu_q,
-                "residual": mean - mu_q,
+                "residual": stats.mean - mu_q,
             }
         )
     _emit_json(args, results)
@@ -179,11 +179,11 @@ def cmd_second_moment(args):
     failures = []
     for spec, stats in _instances(args):
         rep = mo.build_moment_report(spec, stats)
-        reports.append(rp.moment_report_dict(rep))
-        rows.append(rp.moment_report_row(rep))
-        for exact in (rep.v2_exact_mode_matches, rep.mean_reconstruction_exact):
-            if exact is False:
-                failures.append(spec.key)
+        cols = rp.moment_columns(rep)
+        reports.append({k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS})
+        rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
+        if not rep.identities_hold:
+            failures.append(spec.key)
     _emit_json(args, reports, failures=failures)
     if args.csv:
         rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
@@ -279,13 +279,8 @@ def cmd_verify_identities(args):
     checks = []
     for spec, stats in _instances(args):
         rep = mo.build_moment_report(spec, stats)
-        entry = {
-            "spec": spec.key,
-            "mean": rep.mean,
-            "second_moment": rep.second_moment,
-            "paper_mode_residual": rep.paper_mode_residual(),
-            "v2_exact_mode_matches": rep.v2_exact_mode_matches,
-        }
+        cols = rp.moment_columns(rep)
+        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
         if rep.mean_reconstruction_exact is not None:
             entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
         if s >= 1:
@@ -297,14 +292,10 @@ def cmd_verify_identities(args):
             entry["chi_dual_method"] = all(dual) if dual else None
         entry["gamma_1_closed_exact"] = stats.gamma_closed[0] == spec.q ** (d - s)
         # a check that could not run (None, or absent) does not fail the instance
-        entry["ok"] = all(
-            entry.get(key) is not False
-            for key in (
-                "mean_reconstruction_exact",
-                "v2_exact_mode_matches",
-                "chi_dual_method",
-                "gamma_1_closed_exact",
-            )
+        entry["ok"] = (
+            rep.identities_hold
+            and entry.get("chi_dual_method") is not False
+            and entry["gamma_1_closed_exact"]
         )
         checks.append(entry)
     _emit_json(args, checks)
@@ -340,14 +331,18 @@ def cmd_verify_bounds(args):
 
 def cmd_sweep(args):
     rows = []
+    failed = False
     # the whole grid is checked before the first sweep
     for field, d, s, _ in list(_grid(args, checked=False)):
         for spec, stats in _instances(args, field, d, s):
             rep = mo.build_moment_report(spec, stats)
-            summary = bd.suite_summary(bd.bound_suite(spec, stats))
-            rows.append(rp.sweep_row(rep, args.seed, stats.n_b, summary))
+            checks = bd.bound_suite(spec, stats)
+            failed |= not rep.identities_hold
+            failed |= any(check.passed is False for check in checks)
+            cols = rp.moment_columns(rep)
+            cols.update(seed=args.seed, bounds=bd.suite_summary(checks))
+            rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
     _emit_csv(args, rp.SWEEP_CSV_HEADER, rows)
-    failed = any(row[-1].startswith("fail") for row in rows)
     return CHECK_FAILED if failed else 0
 
 

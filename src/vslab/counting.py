@@ -338,7 +338,7 @@ def jacobian_rank(spec: FamilySpec, b0_full, alpha) -> int:
     gf, d, s = spec.field, spec.d, spec.s
     b0_full = tuple(b0_full)
     if len(b0_full) != d - s:
-        raise ValueError(f"expected {d - s} coordinates, got {len(b0_full)}")
+        raise InvalidParameter(f"expected {d - s} coordinates, got {len(b0_full)}")
     b, b0 = b0_full[: d - s - 1], b0_full[-1]
     f = family_poly(spec, b, b0)
     r = len(alpha)

@@ -36,7 +36,6 @@ class FamilySpec:
     d: int
     s: int
     a: tuple = dc_field(default=())
-    strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
@@ -55,9 +54,8 @@ class FamilySpec:
             )
         if self.field.q <= self.d:
             msg = f"q = {self.field.q} <= d = {self.d}: outside the q > d regime the estimates assume"
-            if self.strict:
-                raise InvalidParameter(msg)
-            warnings.warn(msg, stacklevel=2)
+            # 3: past __post_init__ and the __init__ dataclass generates
+            warnings.warn(msg, stacklevel=3)
 
     @property
     def q(self) -> int:

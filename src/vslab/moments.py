@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import RangeMismatch, RegimeViolation
+from .errors import InvalidParameter, MissingParameter, RangeMismatch, RegimeViolation
 from .family import FamilySpec
 from .sweep import FamilyStats
 
@@ -35,11 +35,29 @@ from .sweep import FamilyStats
 def mu(d: int) -> Fraction:
     """sum_{r=1}^{d} (-1)^(r-1) / r!, the limiting value-set density."""
     if d < 1:
-        raise ValueError("mu is defined for d >= 1")
+        raise InvalidParameter("mu is defined for d >= 1")
     return sum(
         (Fraction((-1) ** (r - 1), factorial(r)) for r in range(1, d + 1)),
         Fraction(0),
     )
+
+
+def main_term(kind: str, spec: FamilySpec, r=None, m=None, n=None) -> Fraction:
+    """The main term the bound of the named kind centres on: mu_d q for the
+    mean, mu_d^2 q^2 for the second moment, q^(d-s)/r! for chi_r,
+    q^(d-s) for Gamma_r^*, and q^(d-s+1)/(m! n!) for S_mn."""
+    q, d, s = spec.q, spec.d, spec.s
+    if kind in ("mean_main", "mean_refined"):
+        return mu(d) * q
+    if kind in ("v2", "v2_s0"):
+        return mu(d) ** 2 * q**2
+    if kind == "chi":
+        return Fraction(q ** (d - s), factorial(r))
+    if kind == "gamma_star":
+        return Fraction(q ** (d - s))
+    if kind in ("smn", "smn_s0"):
+        return Fraction(q ** (d - s + 1), factorial(m) * factorial(n))
+    raise MissingParameter(f"unknown bound kind {kind!r}")
 
 
 def one_minus_inv_e_enclosure(terms: int = 60):
@@ -62,7 +80,7 @@ def one_minus_inv_e_enclosure(terms: int = 60):
 def cohen_exact_mean(q: int, d: int) -> Fraction:
     """The exact average value set of all monic degree-d f with f(0)=0."""
     if d < 1:
-        raise ValueError("need d >= 1")
+        raise InvalidParameter("need d >= 1")
     return sum(
         (
             Fraction((-1) ** (r - 1) * comb(q, r), q ** (r - 1))
@@ -97,7 +115,7 @@ def reconstruct_second_moment(
     """Rebuild the second moment from S_mn; see the module docstring."""
     d, s, q = spec.d, spec.s, spec.q
     if mode not in ("paper", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParameter(f"unknown mode {mode!r}")
     lo = 2 if mode == "exact" else d - s + 1
     cells = [
         (m, n)
@@ -121,28 +139,21 @@ def reconstruct_second_moment(
     return total + Fraction(signed, q ** (d - s - 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentReport:
-    """Everything one family sweep establishes, exactly."""
+    """Everything one family sweep establishes, exactly: the two moments,
+    their main terms and their reconstructions."""
 
-    spec_key: str
-    q: int
-    d: int
-    s: int
-    a: tuple
+    spec: FamilySpec
     mean: Fraction
     second_moment: Fraction
+    mu_d_q: Fraction
+    mu_d2_q2: Fraction
     chi: dict
     smn: dict
     mean_reconstructed: Fraction | None
     v2_exact_mode: Fraction
-    v2_paper_mode: Fraction | None
-
-    def residual_mean(self) -> Fraction:
-        return self.mean - mu(self.d) * self.q
-
-    def residual_second(self) -> Fraction:
-        return self.second_moment - mu(self.d) ** 2 * self.q**2
+    v2_paper_mode: Fraction
 
     @property
     def mean_reconstruction_exact(self) -> bool | None:
@@ -156,10 +167,12 @@ class MomentReport:
     def v2_exact_mode_matches(self) -> bool:
         return self.v2_exact_mode == self.second_moment
 
-    def paper_mode_residual(self) -> Fraction | None:
-        if self.v2_paper_mode is None:
-            return None
-        return self.v2_paper_mode - self.v2_exact_mode
+    @property
+    def identities_hold(self) -> bool:
+        """The report's verdict: every reconstruction that is defined here
+        gives its moment exactly."""
+        exact_mean = self.mean_reconstruction_exact is not False
+        return self.v2_exact_mode_matches and exact_mean
 
 
 def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:
@@ -173,20 +186,15 @@ def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:
         for n in range(1, d + 1)
         if 2 <= m + n <= 2 * d
     }
-    mean_rec = reconstruct_mean(spec, chi) if 1 <= s <= d - 2 else None
-    v2_exact = reconstruct_second_moment(spec, mean, smn, mode="exact")
-    v2_paper = reconstruct_second_moment(spec, mean, smn, mode="paper")
     return MomentReport(
-        spec_key=spec.key,
-        q=spec.q,
-        d=d,
-        s=s,
-        a=spec.a,
+        spec=spec,
         mean=mean,
         second_moment=stats.second_moment,
+        mu_d_q=main_term("mean_main", spec),
+        mu_d2_q2=main_term("v2", spec),
         chi=chi,
         smn=smn,
-        mean_reconstructed=mean_rec,
-        v2_exact_mode=v2_exact,
-        v2_paper_mode=v2_paper,
+        mean_reconstructed=reconstruct_mean(spec, chi) if 1 <= s <= d - 2 else None,
+        v2_exact_mode=reconstruct_second_moment(spec, mean, smn, mode="exact"),
+        v2_paper_mode=reconstruct_second_moment(spec, mean, smn, mode="paper"),
     )

@@ -58,7 +58,7 @@ class MultiPoly:
 
     def _check(self, other):
         if self.p != other.p or self.names != other.names:
-            raise ValueError("operands live in different polynomial rings")
+            raise InvalidParameter("operands live in different polynomial rings")
 
     def __add__(self, other):
         self._check(other)

@@ -50,6 +50,10 @@ def fmt_opt(x) -> str:
         return fmt_float(x)
     if isinstance(x, Fraction):
         return frac_str(x)
+    if isinstance(x, tuple):
+        return ",".join(str(c) for c in x)
+    if isinstance(x, dict):
+        return ";".join(f"{k}:{v}" for k, v in sorted(x.items()))
     return str(x)
 
 
@@ -101,27 +105,37 @@ def bound_check_row(check) -> list:
     ]
 
 
-def moment_report_dict(report) -> dict:
+def moment_columns(report) -> dict:
+    """Every named moment column of one report, each computed once.  The
+    second-moment JSON, its CSV row and the sweep row select from it; in a
+    CSV the a-vector is a comma list and chi a list of r:value pairs."""
+    spec = report.spec
     return {
-        "spec": report.spec_key,
-        "q": report.q,
-        "d": report.d,
-        "s": report.s,
-        "a": list(report.a),
+        "spec": spec.key,
+        "q": spec.q,
+        "d": spec.d,
+        "s": spec.s,
+        "a": spec.a,
+        "n_b": spec.n_b,
         "mean": report.mean,
-        "mu_d_q": report.mean - report.residual_mean(),
-        "residual_mean": report.residual_mean(),
+        "mu_d_q": report.mu_d_q,
+        "residual_mean": report.mean - report.mu_d_q,
         "second_moment": report.second_moment,
-        "mu_d2_q2": report.second_moment - report.residual_second(),
-        "residual_second": report.residual_second(),
-        "chi": {str(r): v for r, v in sorted(report.chi.items())},
-        "smn": {f"{m},{n}": v for (m, n), v in sorted(report.smn.items())},
+        "mu_d2_q2": report.mu_d2_q2,
+        "residual_second": report.second_moment - report.mu_d2_q2,
+        "chi": report.chi,
+        "smn": {f"{m},{n}": v for (m, n), v in report.smn.items()},
         "mean_reconstructed": report.mean_reconstructed,
         "v2_exact_mode": report.v2_exact_mode,
         "v2_paper_mode": report.v2_paper_mode,
-        "paper_mode_residual": report.paper_mode_residual(),
+        "paper_mode_residual": report.v2_paper_mode - report.v2_exact_mode,
+        "mean_reconstruction_exact": report.mean_reconstruction_exact,
+        "v2_exact_mode_matches": report.v2_exact_mode_matches,
     }
 
+
+# the flat rows' own columns; the second-moment JSON holds all the others
+ROW_ONLY_COLUMNS = ("n_b", "mean_reconstruction_exact", "v2_exact_mode_matches")
 
 MOMENT_CSV_HEADER = [
     "spec",
@@ -139,46 +153,35 @@ MOMENT_CSV_HEADER = [
     "paper_mode_residual",
 ]
 
+# verify-identities echoes these beside its own checks
+IDENTITY_JSON_KEYS = [
+    "spec",
+    "mean",
+    "second_moment",
+    "paper_mode_residual",
+    "v2_exact_mode_matches",
+]
 
-def moment_report_row(report) -> list:
-    return [
-        report.spec_key,
-        report.q,
-        report.d,
-        report.s,
-        report.mean,
-        report.mean - report.residual_mean(),
-        report.residual_mean(),
-        report.second_moment,
-        report.second_moment - report.residual_second(),
-        report.residual_second(),
-        report.mean_reconstruction_exact,
-        report.v2_exact_mode_matches,
-        report.paper_mode_residual(),
-    ]
-
-
-def _sweep_columns(moment_columns, a, seed, n_b, chi, bounds):
-    m = list(moment_columns)
-    return m[:4] + [a, seed, n_b] + m[4:10] + [chi] + m[10:12] + [bounds]
-
-
-# a sweep row is a moment row without paper_mode_residual, plus the
-# a-vector, seed, n_b, chi vector (r:value pairs) and bound-suite summary
-SWEEP_CSV_HEADER = _sweep_columns(
-    MOMENT_CSV_HEADER, "a", "seed", "n_b", "chi", "bounds"
-)
-
-
-def sweep_row(report, seed, n_b, bounds) -> list:
-    return _sweep_columns(
-        moment_report_row(report),
-        ",".join(str(c) for c in report.a),
-        seed,
-        n_b,
-        ";".join(f"{r}:{v}" for r, v in sorted(report.chi.items())),
-        bounds,
-    )
+# seed and bounds (the bound-suite summary) are not moment columns
+SWEEP_CSV_HEADER = [
+    "spec",
+    "q",
+    "d",
+    "s",
+    "a",
+    "seed",
+    "n_b",
+    "mean",
+    "mu_d_q",
+    "residual_mean",
+    "second_moment",
+    "mu_d2_q2",
+    "residual_second",
+    "chi",
+    "mean_reconstruction_exact",
+    "v2_exact_mode_matches",
+    "bounds",
+]
 
 
 CHI_CSV_HEADER = ["spec", "r", "chi_r", "main_term", "bound_rhs", "pass"]

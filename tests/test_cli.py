@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -155,6 +156,57 @@ def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch)
     data = json.loads(out.read_text())
     assert data["results"][0]["mn"]["1,1"]["open_equals_mn_factorial_smn"] is False
     assert data["failures"] == [["q=5^1/0,1;d=3;s=1;a=2", "gamma_mn", [1, 1]]]
+
+
+def _corrupt_stats(monkeypatch, field, by=1):
+    """Make every sweep the CLI collects return `field` larger by `by`."""
+    real = cli.collect_stats
+
+    def corrupted(spec, **kw):
+        st = real(spec, **kw)
+        return dataclasses.replace(st, **{field: getattr(st, field) + by})
+
+    monkeypatch.setattr(cli, "collect_stats", corrupted)
+
+
+@pytest.mark.parametrize(
+    "field, column",
+    [("sum_v2", "v2_exact_mode_matches"), ("sum_v", "mean_reconstruction_exact")],
+)
+def test_sweep_fails_on_a_false_reconstruction_verdict(
+    tmp_path, monkeypatch, field, column
+):
+    # one more value set in the sum moves a moment off its reconstruction,
+    # but by far too little to fail a bound: the row's verdict alone must
+    # fail the run
+    _corrupt_stats(monkeypatch, field)
+    out = tmp_path / "sweep.csv"
+    code = run(
+        ["sweep", "--fields", "7^1", "--d", "5", "--s", "1", "--a", "2",
+         "--out", str(out)]
+    )
+    assert code == 1
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row[column] == "false"
+    assert row["bounds"] == "pass"
+
+
+def test_second_moment_lists_a_failing_spec_once(tmp_path, monkeypatch, capsys):
+    # a mean off by 1/n_b breaks both identities, and the spec is one failure
+    _corrupt_stats(monkeypatch, "sum_v")
+    out, table = tmp_path / "v2.json", tmp_path / "v2.csv"
+    code = run(
+        ["second-moment", "--field", "7^1", "--d", "5", "--s", "1", "--a", "2",
+         "--out", str(out), "--csv", str(table)]
+    )
+    assert code == 1
+    with open(table, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["mean_reconstruction_exact"] == row["v2_exact_mode_matches"] == "false"
+    key = "q=7^1/0,1;d=5;s=1;a=2"
+    assert json.loads(out.read_text())["failures"] == [key]
+    assert capsys.readouterr().err == f"FAIL: {key}\n"
 
 
 def test_audit_linear(tmp_path):

@@ -95,11 +95,14 @@ def test_validation():
         FamilySpec(F5, 4, 3, (1, 2, 3))  # s > d-2
     with pytest.raises(LengthMismatch):
         FamilySpec(F5, 4, 2, (1,))
-    FamilySpec(F5, 4, 1, (1,), strict=True)  # q > d: fine
-    with pytest.raises(ValueError):
-        FamilySpec(F5, 6, 1, (1,), strict=True)  # q <= d, strict
     with pytest.warns(UserWarning):
         FamilySpec(F5, 6, 1, (1,))  # q <= d, flagged only
+
+
+def test_q_le_d_warning_names_the_caller():
+    with pytest.warns(UserWarning) as record:
+        FamilySpec(F5, 6, 1, (1,))
+    assert [w.filename for w in record] == [__file__]
 
 
 ORBIT_FIELDS = [parse_descriptor(t) for t in ("5^1", "7^1", "3^2", "5^2", "11^1")]

@@ -3,17 +3,20 @@ from math import factorial
 
 import pytest
 
-from vslab.errors import RangeMismatch, RegimeViolation
+from vslab.bounds import BOUND_KINDS
+from vslab.errors import MissingParameter, RangeMismatch, RegimeViolation
 from vslab.family import FamilySpec, enumerate_b, family_poly
 from vslab.gf import make_field
 from vslab.moments import (
     build_moment_report,
     cohen_exact_mean,
+    main_term,
     mu,
     one_minus_inv_e_enclosure,
     reconstruct_mean,
     reconstruct_second_moment,
 )
+from vslab.reports import moment_columns
 from vslab.sweep import collect_stats
 from vslab import upoly as up
 
@@ -122,7 +125,7 @@ def test_paper_mode_residual_is_reported_not_asserted():
     st = collect_stats(spec)
     report = build_moment_report(spec, st)
     assert report.v2_exact_mode == report.second_moment
-    resid = report.paper_mode_residual()
+    resid = moment_columns(report)["paper_mode_residual"]
     assert resid is not None  # whatever its value, it must be computable
 
 
@@ -138,6 +141,27 @@ def test_moment_report_residuals_recomputed():
     spec = FamilySpec(F7, 4, 1, (1,))
     st = collect_stats(spec)
     rep = build_moment_report(spec, st)
-    assert rep.residual_mean() == rep.mean - mu(4) * 7
-    assert rep.residual_second() == rep.second_moment - mu(4) ** 2 * 49
+    cols = moment_columns(rep)
+    assert cols["residual_mean"] == rep.mean - mu(4) * 7
+    assert cols["residual_second"] == rep.second_moment - mu(4) ** 2 * 49
     assert rep.mean_reconstructed == rep.mean
+
+
+def test_main_term_per_bound_kind():
+    # q = 7, d = 6, s = 2: q^(d-s) = 2401
+    spec = FamilySpec(F7, 6, 2, (1, 2))
+    expected = {
+        "mean_main": mu(6) * 7,
+        "mean_refined": mu(6) * 7,
+        "v2": mu(6) ** 2 * 49,
+        "v2_s0": mu(6) ** 2 * 49,
+        "chi": Fraction(2401, 24),  # r = 4
+        "gamma_star": Fraction(2401),
+        "smn": Fraction(2401 * 7, 2 * 6),  # m = 2, n = 3
+        "smn_s0": Fraction(2401 * 7, 2 * 6),
+    }
+    assert set(expected) == set(BOUND_KINDS)
+    for kind, value in expected.items():
+        assert main_term(kind, spec, r=4, m=2, n=3) == value, kind
+    with pytest.raises(MissingParameter):
+        main_term("mean", spec)

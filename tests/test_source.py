@@ -8,24 +8,38 @@ import vslab
 SOURCE = Path(vslab.__file__).parent
 
 
-def _raises_assertion_error(node):
+def _raises(node, name):
+    """Whether node is a `raise name` or `raise name(...)` statement."""
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(exc, ast.Name) and exc.id == name
+
+
+def _nodes(where):
+    """`file:line` of every AST node of the package for which where(node) holds."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if where(node)
+    ]
 
 
 def test_no_assert_statements():
     # python -O strips assert statements, so an invariant guarded by one
     # goes unchecked; a raised AssertionError escapes the VslabError -> exit 2
     # mapping.  The package raises BrokenInvariant instead of either.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
-    ]
+    found = _nodes(
+        lambda node: isinstance(node, ast.Assert) or _raises(node, "AssertionError")
+    )
     assert found == []
+
+
+def test_no_bare_value_errors():
+    # a bare ValueError escapes the VslabError -> exit 2 mapping as a
+    # traceback; InvalidParameter is both, so `except ValueError` still works
+    assert _nodes(lambda node: _raises(node, "ValueError")) == []
 
 
 def _names(path):
@@ -52,3 +66,13 @@ def test_one_module_starts_sweeps():
     )
     assert starts == []
     assert "FamilyStats" not in _names(SOURCE / "counting.py")
+
+
+def test_one_module_forms_main_terms():
+    # every main term comes from moments.main_term, which alone reads mu
+    named = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        if path.name != "moments.py" and "mu" in _names(path)
+    )
+    assert named == []
