@@ -28,7 +28,7 @@ from . import reports as rp
 from .errors import BudgetExceeded, InvalidParameter, VslabError
 from .family import FamilySpec, orbit_representatives
 from .gf import parse_descriptor
-from .sweep import FamilyStats, collect_stats, default_workers
+from .sweep import FamilyStats, collect_stats, default_workers, run_scope
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -42,14 +42,17 @@ def _philox(seed: int, *counters: int):
 
 
 def parse_int_list(text: str):
-    """"5", "5,7", and "5-9" all become sorted integer lists."""
+    """"5", "5,7", and "5-9" all become sorted integer lists; a reversed
+    range such as "9-5" is refused, not read as empty."""
     out = []
     try:
         for part in str(text).split(","):
             part = part.strip()
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in part.split("-", 1))
+                if lo > hi:
+                    raise VslabError(f"reversed range {part!r} in {text!r}")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
     except ValueError:
@@ -236,7 +239,9 @@ def cmd_gamma(args):
         if not 1 <= r <= d:
             raise InvalidParameter(f"need 1 <= r <= d, got r={r}")
     mn_pairs = []
-    if args.m and args.n:
+    if bool(args.m) != bool(args.n):
+        raise InvalidParameter("--m and --n are given together or not at all")
+    if args.m:
         m_list, n_list = parse_int_list(args.m), parse_int_list(args.n)
         mn_pairs = list(itertools.product(m_list, n_list))
     for m, n in mn_pairs:
@@ -598,7 +603,9 @@ def main(argv=None):
     try:
         # the parser reads VSLAB_WORKERS for the --workers default
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # every sweep of the run shares one worker pool, closed on return
+        with run_scope():
+            return args.func(args)
     except BudgetExceeded as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,9 +11,18 @@ modules need, as exact integers:
 
 The per-chunk kernel is vectorized with numpy over the field tables;
 chunks reduce by integer addition, so results are independent of the
-chunk partition and of the worker count.  Chunk length is capped by
-int64_chunk_limit, which bounds every int64 intermediate below 2^63
-from (q, d, chunk); a family no chunk can keep below it is refused.
+chunk partition and of the worker count.  A default chunk holds about
+CHUNK_CELLS = 2^18 (b, t) cells, between 1024 and MAX_CHUNK b-vectors,
+so its value and count arrays stay near the size of a core's L2 cache.
+Chunk length is further capped by int64_chunk_limit, which bounds every
+int64 intermediate below 2^63 from (q, d, chunk); a family no chunk can
+keep below it is refused.
+
+The per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the
+(d+1) x (d+1) Gram matrix of the chunk's root-count histograms, one
+float64 BLAS product.  Its entries are integers of at most chunk * q^2,
+exact while that is at most 2^53 (table fields and MAX_CHUNK keep it
+below 2^40); the kernel checks the bound and finishes in Python ints.
 
 b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
 g depends only on the outer prefix idx // q.  So g is evaluated once per
@@ -37,13 +46,17 @@ multi_root_correction.
 
 Each chunk takes its field from parse_descriptor, which returns the one
 interned field object per descriptor, so the add and mul tables are
-built once per process.
+built once per process.  The sweeps of one run share a single fork pool
+(run_scope, which the CLI opens around each command), so every worker
+builds a field's tables, and fills the single_root_table and
+multi_root_correction memos, once per run.  One worker never forks.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,8 +69,10 @@ from .family import FamilySpec
 from .gf import TABLE_LIMIT, parse_descriptor
 
 MAX_CHUNK = 65536
+CHUNK_CELLS = 2**18  # (b, t) cells per default chunk
 DEFAULT_BUDGET = 10**6
 INT64_MAX = 2**63 - 1
+FLOAT64_EXACT = 2**53  # every integer up to this is a float64
 
 
 def falling(n: int, r: int) -> int:
@@ -236,26 +251,29 @@ def _chunk_kernel(task):
     # per-b histogram of values, then per-b histogram of root counts N
     flat = (np.arange(n_chunk, dtype=np.int64)[:, None] * q + val).ravel()
     nmat = np.bincount(flat, minlength=n_chunk * q).reshape(n_chunk, q)
-    flat_h = (np.arange(n_chunk, dtype=np.int64)[:, None] * (d + 1) + nmat).ravel()
-    h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1))
-    # a count N > d would land in a later b's row; the first b holding
-    # one then counts fewer than q values
-    if h_per_b.size != n_chunk * (d + 1) or not (
-        h_per_b.reshape(n_chunk, d + 1).sum(axis=1) == q
-    ).all():
+    if nmat.max() > d:
         raise BrokenInvariant("a fiber exceeded d roots")
-    h_per_b = h_per_b.reshape(n_chunk, d + 1)
-    hist_n = h_per_b.sum(axis=0)
-    v_per_b = q - h_per_b[:, 0]
-    sum_v = int(v_per_b.sum())
-    sum_v2 = int((v_per_b * v_per_b).sum())
+    flat_h = (np.arange(n_chunk, dtype=np.int64)[:, None] * (d + 1) + nmat).ravel()
+    h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1)).reshape(n_chunk, d + 1)
 
+    # the Gram matrix G = H^T H of H = h_per_b, exact in float64 (see the
+    # module docstring), then Python ints.  Each row of H sums to q, so
+    # row n of G sums to q * hist_n[n]; V_b = q - H[b, 0]; and
+    # prod_a = B^T G B with B[n][k-1] = C(n, k), as A_k(b) = (H B)[b, k-1].
+    if n_chunk * q * q > FLOAT64_EXACT:
+        raise BrokenInvariant(
+            f"a chunk of {n_chunk} at q = {q} leaves float64's exact integers"
+        )
+    h_float = h_per_b.astype(np.float64)
+    gram = (h_float.T @ h_float).astype(np.int64).astype(object)
+    hist_n = [row_sum // q for row_sum in gram.sum(axis=1)]
+    sum_v = n_chunk * q - hist_n[0]
+    sum_v2 = n_chunk * q * q - 2 * q * hist_n[0] + gram[0, 0]
     binom = np.array(
         [[comb(n, k) for k in range(1, d + 1)] for n in range(d + 1)],
-        dtype=np.int64,
+        dtype=object,
     )
-    a_cols = h_per_b @ binom
-    prod_a = a_cols.T @ a_cols
+    prod_a = binom.T @ gram @ binom
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
@@ -282,13 +300,7 @@ def _chunk_kernel(task):
             pending = pending[hasse(j, pre_c[pending], ts[pending]) == 0]
         gamma_corr = _gamma_corrections(rows, cvals, nmat[rows, cvals], mults, q, d)
 
-    return (
-        sum_v,
-        sum_v2,
-        [int(x) for x in hist_n],
-        [[int(x) for x in row] for row in prod_a],
-        gamma_corr,
-    )
+    return sum_v, sum_v2, hist_n, prod_a.tolist(), gamma_corr
 
 
 def _gamma_corrections(rows, cvals, nvals, mults, q, d):
@@ -365,6 +377,55 @@ def default_workers() -> int:
     return workers
 
 
+class _RunScope:
+    """The fork pool of one run, opened by the first sweep that needs it."""
+
+    def __init__(self):
+        self.pool = None
+        self.workers = 1
+
+    def map(self, fn, tasks, workers):
+        """fn over tasks in order; more than one task on more than one
+        worker runs on the run's pool."""
+        if workers == 1 or len(tasks) == 1:
+            return [fn(task) for task in tasks]
+        if self.workers != workers:
+            self.close()
+        if self.pool is None:
+            self.pool = multiprocessing.get_context("fork").Pool(workers)
+            self.workers = workers
+        return self.pool.map(fn, tasks, chunksize=1)
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+        self.pool, self.workers = None, 1
+
+
+_active_scope = None
+
+
+@contextmanager
+def run_scope():
+    """Share one fork pool among every sweep inside; close it on the way out.
+
+    A scope opened inside another is the outer one, so the CLI's scope
+    around a whole run serves each collect_stats call of that run, and a
+    call outside any scope gets a scope, and at most a pool, of its own.
+    """
+    global _active_scope
+    if _active_scope is not None:
+        yield _active_scope
+        return
+    scope = _active_scope = _RunScope()
+    try:
+        yield scope
+    finally:
+        _active_scope = None
+        scope.close()
+
+
 def collect_stats(
     spec: FamilySpec,
     workers: int | None = None,
@@ -382,7 +443,7 @@ def collect_stats(
     if workers is None:
         workers = default_workers()
     if chunk_size is None:
-        chunk_size = min(MAX_CHUNK, max(1024, 4_000_000 // spec.q))
+        chunk_size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
     d = spec.d
     chunk_size = min(chunk_size, int64_chunk_limit(spec.q, d))
 
@@ -391,12 +452,8 @@ def collect_stats(
          spec.free_len)
         for lo in range(0, n_b, chunk_size)
     ]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_chunk_kernel, tasks, chunksize=1)
-    else:
-        results = [_chunk_kernel(t) for t in tasks]
+    with run_scope() as scope:
+        results = scope.map(_chunk_kernel, tasks, workers)
     sum_v, sum_v2, hist, prod, corr = _merge(results, d)
 
     gamma_closed = []

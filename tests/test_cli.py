@@ -1,12 +1,15 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 
+import numpy as np
 import pytest
 
-from vslab import cli
+from vslab import cli, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
-from vslab.gf import make_field
+from vslab.errors import VslabError
+from vslab.gf import GF, make_field
 
 
 def run(argv):
@@ -18,6 +21,9 @@ def test_parse_int_list():
     assert parse_int_list("5,7,5") == [5, 7]
     assert parse_int_list("5-8") == [5, 6, 7, 8]
     assert parse_int_list("3,5-7") == [3, 5, 6, 7]
+    assert parse_int_list("5-5") == [5]
+    with pytest.raises(VslabError, match="reversed"):
+        parse_int_list("9-5")
 
 
 def test_select_a_vectors_policies():
@@ -100,6 +106,69 @@ def test_worker_count_invariance_json(tmp_path):
     assert run(base + ["--workers", "2", "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
     assert "workers" not in json.loads(one.read_text())["config"]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every fork pool opened while the test runs."""
+    opened = []
+    fork = type(multiprocessing.get_context("fork"))
+    real = fork.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        opened.append(processes)
+        return real(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", spy)
+    return opened
+
+
+def test_worker_count_invariance_multi_chunk(tmp_path, pools):
+    # 11^5 = 161051 b-vectors span several default chunks, so --workers 2
+    # really runs on a pool
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    base = ["sweep", "--fields", "11^1", "--d", "6", "--s", "0"]
+    assert run(base + ["--workers", "1", "--out", str(one)]) == 0
+    assert pools == []
+    assert run(base + ["--workers", "2", "--out", str(two)]) == 0
+    assert pools == [2]
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_one_pool_per_run(tmp_path, monkeypatch, pools):
+    # with chunks of 500, 7^1 d=5 s=0 (2401 b-vectors), d=6 s=0 (16807)
+    # and d=6 s=1 (2401) each take several chunks
+    monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
+    sweeps = []
+    real = cli.collect_stats
+
+    def multi_chunk(spec, **kwargs):
+        sweeps.append(spec.n_b > 500)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "collect_stats", multi_chunk)
+    base = ["verify-bounds", "--fields", "7^1", "--d", "5-6"]
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert run(base + ["--workers", "1", "--out", str(one)]) == 0
+    assert pools == []
+    sweeps.clear()
+    assert run(base + ["--workers", "2", "--out", str(two)]) == 0
+    assert sweeps.count(True) == 3
+    assert pools == [2]
+    assert one.read_bytes() == two.read_bytes()
+    # the pool closed with the run: no worker is left to serve a later one
+    assert multiprocessing.active_children() == []
+
+
+def test_broken_invariant_in_a_worker_exits_2(tmp_path, monkeypatch, pools):
+    # a corrupt addition table makes f_b constant, so a worker's chunk
+    # holds a fiber of q > d roots
+    monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
+    monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
+    assert run(["sweep", "--fields", "7^1", "--d", "5", "--s", "0", "--workers", "2",
+                "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_chi_both_methods(tmp_path):
@@ -318,6 +387,10 @@ def test_usage_errors():
         ["mean", "--field", "5003^1", "--d", "3", "--s", "0"],  # no tables
         ["mean", "--field", "5003^1", "--d", "3", "--s", "1", "--a", "1"],
         ["sweep", "--fields", "7^1", "--d", "4", "--s", "1,3"],  # s > d-2
+        # reversed ranges
+        ["verify-bounds", "--fields", "7^1", "--d", "9-5"],
+        ["sweep", "--fields", "7^1", "--d", "5", "--s", "3-2"],
+        ["chi", *family, "--r", "1-0"],
     ):
         assert run(argv) == 2, argv
     # counts below 1 are refused by the parser
@@ -339,7 +412,7 @@ def test_gamma_checks_m_and_n_before_the_sweep(monkeypatch):
     monkeypatch.setattr(cli, "collect_stats", no_sweep)
     family = ["--field", "13^1", "--d", "7", "--s", "1", "--a", "1"]
     for mn in (["--m", "9", "--n", "1"], ["--m", "1", "--n", "0"],
-               ["--m", "1,8", "--n", "2"]):
+               ["--m", "1,8", "--n", "2"], ["--m", "1"], ["--n", "2"]):
         assert run(["gamma", *family, *mn]) == 2, mn
 
 

@@ -76,3 +76,19 @@ def test_one_module_forms_main_terms():
         if path.name != "moments.py" and "mu" in _names(path)
     )
     assert named == []
+
+
+def test_one_pool_construction_site():
+    # one fork pool serves a whole run; a second construction site would
+    # bring back a pool per sweep
+    pools = ("Pool", "ThreadPool", "ProcessPoolExecutor")
+
+    def constructs_pool(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in pools
+
+    sites = _nodes(constructs_pool)
+    assert len(sites) == 1 and sites[0].startswith("sweep.py:"), sites

@@ -251,7 +251,34 @@ def test_engine_matches_value_profile(spec, chunk_size):
     assert st.gamma_closed == oracle_stats(spec)[4]
 
 
+@settings(max_examples=30, deadline=None)
+@given(spec=small_specs(), blocks=st_.integers(0, 3), cut=st_.integers(1, 8))
+def test_gram_prod_a_matches_value_profile_on_cut_blocks(spec, blocks, cut):
+    # a chunk of blocks * q + cut b-vectors, cut not a multiple of q, ends
+    # inside a prefix block of q consecutive b-vectors, and so does every
+    # later chunk boundary up to the q-th
+    chunk_size = blocks * spec.q + cut
+    if cut % spec.q == 0 or chunk_size >= spec.n_b:
+        chunk_size = max(1, spec.q - 1)
+    st = collect_stats(spec, chunk_size=chunk_size)
+    assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a) == profile_stats(spec)
+
+
 # -- explicit invariants --------------------------------------------------
+
+
+def test_gram_exactness_guard_raises(monkeypatch):
+    # prod_a is read off a float64 Gram matrix whose entries are at most
+    # chunk * q^2; the kernel refuses a chunk past the exact range
+    spec = FamilySpec(F7, 4, 1, (1,))
+    whole = collect_stats(spec, chunk_size=10)
+    monkeypatch.setattr(sweep, "FLOAT64_EXACT", 10 * 7 * 7)
+    assert collect_stats(spec, chunk_size=10) == whole
+    monkeypatch.setattr(sweep, "FLOAT64_EXACT", 10 * 7 * 7 - 1)
+    with pytest.raises(BrokenInvariant, match="exact"):
+        collect_stats(spec, chunk_size=10)
+    # every table field at the largest chunk is far inside the bound
+    assert sweep.MAX_CHUNK * sweep.TABLE_LIMIT**2 <= 2**53
 
 
 def test_fiber_invariant_raises(monkeypatch):
