@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BrokenInvariant, CaseMismatch, DegenerateCase, InvalidParameter
-from .gf import make_field
+from .errors import BrokenInvariant, InvalidParameter
+from .gf import is_prime, make_field
 from . import mpoly as mp
 
 MAX_SYMBOLIC_DEGREE = 8
@@ -28,8 +28,18 @@ def _family_names(free):
     return tuple(f"B{j}" for j in sorted(free))
 
 
+def _require_odd_prime(p: int):
+    if p == 2 or not is_prime(p):
+        raise InvalidParameter(f"p must be an odd prime, got {p}")
+
+
 def build_generic_member(p: int, d: int, free):
-    """(names, F) with F a T-polynomial over MultiPoly coefficients."""
+    """(names, F) with F a T-polynomial over MultiPoly coefficients.
+
+    Every appendix route builds its member here, so Z/p that is not a
+    field is refused before any symbolic work.
+    """
+    _require_odd_prime(p)
     free = set(free)
     if 0 not in free:
         raise InvalidParameter("the constant coefficient B0 must be free")
@@ -38,7 +48,6 @@ def build_generic_member(p: int, d: int, free):
     names = _family_names(free)
     zero = mp.MultiPoly(p, names)
     coeffs = [zero] * (d + 1)
-    coeffs = list(coeffs)
     for j in free:
         coeffs[j] = mp.MultiPoly.variable(p, names, f"B{j}")
     coeffs[d] = mp.MultiPoly.constant(p, names, 1)
@@ -47,8 +56,6 @@ def build_generic_member(p: int, d: int, free):
 
 def generic_disc(p: int, d: int, free) -> mp.MultiPoly:
     """Symbolic Res_T(F, dF/dT) for the chosen free coefficient set."""
-    if p % 2 == 0:
-        raise InvalidParameter("odd characteristic only")
     if d < 2:
         raise InvalidParameter("need d >= 2")
     if d > MAX_SYMBOLIC_DEGREE:
@@ -56,7 +63,7 @@ def generic_disc(p: int, d: int, free) -> mp.MultiPoly:
     _, f = build_generic_member(p, d, free)
     fp = mp.tpoly_derivative(f)
     if not fp:
-        raise DegenerateCase("dF/dT vanishes identically")
+        raise InvalidParameter("dF/dT vanishes identically")
     return mp.symbolic_resultant(f, fp)
 
 
@@ -107,6 +114,7 @@ class AppendixReport:
 
 
 def select_case(p: int, d: int) -> str:
+    _require_odd_prime(p)
     if d % p and (d - 1) % p:
         return "generic"
     if d % p == 0:
@@ -173,7 +181,7 @@ def closed_form_target(p: int, d: int, case: str, names) -> mp.MultiPoly:
             + _b_mono(p, names, b0=half, b2=half, coeff=2)
             + _b_mono(p, names, b1=2, b2=d - 1, coeff=-1)
         )
-    raise CaseMismatch(f"no closed form for case {case!r}")
+    raise InvalidParameter(f"no closed form for case {case!r}")
 
 
 def poisson_route_disc(p: int, d: int) -> mp.MultiPoly:
@@ -184,7 +192,7 @@ def poisson_route_disc(p: int, d: int) -> mp.MultiPoly:
     Res(g, B2 T^2 - B0) by (-1)^d B0 recovers Res(g, g') exactly.
     """
     if (d - 1) % p:
-        raise CaseMismatch("the Poisson shortcut needs p | d-1")
+        raise InvalidParameter("the Poisson shortcut needs p | d-1")
     names, f = build_generic_member(p, d, {0, 1, 2})
     zero = mp.MultiPoly(p, names)
     b0 = mp.MultiPoly.variable(p, names, "B0")
@@ -205,7 +213,7 @@ def appendix_case_check(p: int, d: int, expect_case: str | None = None):
     """
     case = select_case(p, d)
     if expect_case is not None and expect_case != case:
-        raise CaseMismatch(f"(p={p}, d={d}) selects {case}, not {expect_case}")
+        raise InvalidParameter(f"(p={p}, d={d}) selects {case}, not {expect_case}")
     derived = None
     derived_matched = None
     if case == "generic":
@@ -246,7 +254,7 @@ def subres1_terms_check(p: int, d: int):
     names, f = build_generic_member(p, d, {0, 1, 2})
     fp = mp.tpoly_derivative(f)
     if not fp:
-        raise DegenerateCase("dF/dT vanishes identically")
+        raise InvalidParameter("dF/dT vanishes identically")
     s1 = mp.symbolic_subres1(f, fp)
     if d * (d - 1) % p:
         case = "term_b1"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .errors import BrokenInvariant, InvalidParameter, MissingParameter, RegimeViolation
+from .errors import BrokenInvariant, InvalidParameter
 from .moments import main_term
 
 RELATIVE_SLACK = Fraction(1, 10**9)
@@ -123,14 +123,14 @@ def bound_value(
 ) -> float:
     """Float value of the named bound's right-hand side."""
     if kind not in BOUND_KINDS:
-        raise MissingParameter(f"unknown bound kind {kind!r}")
+        raise InvalidParameter(f"unknown bound kind {kind!r}")
     need_s = kind in ("mean_refined", "chi", "gamma_star", "smn")
     if need_s and s is None:
-        raise MissingParameter(f"{kind} needs s")
+        raise InvalidParameter(f"{kind} needs s")
     if kind in ("chi", "gamma_star") and r is None:
-        raise MissingParameter(f"{kind} needs r")
+        raise InvalidParameter(f"{kind} needs r")
     if kind in ("smn", "smn_s0") and (m is None or n is None):
-        raise MissingParameter(f"{kind} needs m and n")
+        raise InvalidParameter(f"{kind} needs m and n")
 
     sqrt_q = math.sqrt(q)
     if kind == "mean_main":
@@ -186,7 +186,7 @@ def bound_value(
             tail = _pow_term(d, 2 * d + 8, 4 * math.sqrt(d) - 2 * d + math.log(14.0**3))
         return (d * d * 2.0 ** (2 * d - 2) + tail) * q
 
-    raise MissingParameter(kind)
+    raise InvalidParameter(kind)
 
 
 # -- checks --------------------------------------------------------------------
@@ -236,7 +236,7 @@ def chi_checks(spec, stats, r_values=None) -> list:
         r_values = range(d - s + 1, d + 1)
     outside = [r for r in r_values if not d - s + 1 <= r <= d]
     if outside:
-        raise RegimeViolation(
+        raise InvalidParameter(
             f"the chi_r bounds hold for {d - s + 1} <= r <= {d}, not r = {outside}"
         )
     return [_check("chi", spec, stats.chi(r), r=r) for r in r_values]

@@ -45,18 +45,15 @@ def parse_int_list(text: str):
     """"5", "5,7", and "5-9" all become sorted integer lists; a reversed
     range such as "9-5" is refused, not read as empty."""
     out = []
-    try:
-        for part in str(text).split(","):
-            part = part.strip()
-            if "-" in part:
-                lo, hi = (int(x) for x in part.split("-", 1))
-                if lo > hi:
-                    raise VslabError(f"reversed range {part!r} in {text!r}")
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(part))
-    except ValueError:
-        raise VslabError(f"malformed integer list {text!r}") from None
+    for part in str(text).split(","):
+        part = part.strip()
+        try:
+            ends = [int(x) for x in part.split("-", 1)]
+        except ValueError:
+            raise InvalidParameter(f"malformed integer list {text!r}") from None
+        if ends[0] > ends[-1]:
+            raise InvalidParameter(f"reversed range {part!r} in {text!r}")
+        out.extend(range(ends[0], ends[-1] + 1))
     return sorted(set(out))
 
 
@@ -81,21 +78,23 @@ def select_a_vectors(field, d, s, policy, seed):
     policy = (policy or "").strip()
     if policy == "all":
         return list(itertools.product(range(q), repeat=s))
+    if not policy:
+        raise InvalidParameter(f"--a is required when s = {s} > 0")
     try:
         if policy.startswith("random:"):
             count = int(policy.split(":", 1)[1])
-            if count < 1:
-                raise VslabError(f"--a random:N needs N >= 1, got {count}")
-            rng = _philox(seed, q, d, s)
-            draws = rng.integers(0, q, size=(count, s))
-            return [tuple(int(x) for x in row) for row in draws]
-        if not policy:
-            raise VslabError(f"--a is required when s = {s} > 0")
-        vec = tuple(int(c) for c in policy.split(","))
+        else:
+            vec = tuple(int(c) for c in policy.split(","))
     except ValueError:
-        raise VslabError(f"malformed --a {policy!r}") from None
+        raise InvalidParameter(f"malformed --a {policy!r}") from None
+    if policy.startswith("random:"):
+        if count < 1:
+            raise InvalidParameter(f"--a random:N needs N >= 1, got {count}")
+        rng = _philox(seed, q, d, s)
+        draws = rng.integers(0, q, size=(count, s))
+        return [tuple(int(x) for x in row) for row in draws]
     if len(vec) != s:
-        raise VslabError(f"--a needs {s} entries, got {len(vec)}")
+        raise InvalidParameter(f"--a needs {s} entries, got {len(vec)}")
     return [vec]
 
 
@@ -362,7 +361,7 @@ def _pairs(text, default):
     try:
         return [(int(p), int(d)) for p, d in (c.split(",") for c in text.split(";"))]
     except ValueError:
-        raise VslabError(f"malformed p,d pair list {text!r}") from None
+        raise InvalidParameter(f"malformed p,d pair list {text!r}") from None
 
 
 def cmd_appendix(args):
@@ -581,6 +580,9 @@ def _apply_config_file(argv):
         return argv
     with open(path) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        kind = type(conf).__name__
+        raise InvalidParameter(f"{path}: expected a JSON object, got {kind}")
     command = conf.pop("command", None)
     if command and (not rest or rest[0].startswith("-")):
         rest.insert(0, command)
@@ -597,7 +599,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-    except (OSError, json.JSONDecodeError, IndexError) as exc:
+    except (OSError, json.JSONDecodeError, IndexError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

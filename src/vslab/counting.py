@@ -12,14 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, perm
 
-from .errors import (
-    BudgetExceeded,
-    InvalidParameter,
-    NotOnVariety,
-    NotUniqueRegime,
-    OverlappingSubsets,
-    RegimeViolation,
-)
+from .errors import BudgetExceeded, InvalidParameter
 from .family import FamilySpec, enumerate_b, family_poly
 from .sweep import DEFAULT_BUDGET, exact_tuple_counts
 from .upoly import (
@@ -55,7 +48,7 @@ def interpolating_b0(spec: FamilySpec, subset):
     r = len(subset)
     d, s, gf = spec.d, spec.s, spec.field
     if r < d - s + 1:
-        raise NotUniqueRegime(f"need |subset| >= {d - s + 1}, got {r}")
+        raise InvalidParameter(f"need |subset| >= {d - s + 1}, got {r}")
     prod = (1,)
     for alpha in subset:
         prod = poly_mul(gf, prod, (gf.neg(alpha), 1))
@@ -75,7 +68,7 @@ def chi_r(spec: FamilySpec, r: int, budget: int = SUBSET_BUDGET) -> int:
     if r > d:
         return 0
     if r < d - s + 1:
-        raise RegimeViolation(
+        raise InvalidParameter(
             f"chi_r needs the uniqueness regime r >= d-s+1 = {d - s + 1}"
         )
     if comb(q, r) > budget:
@@ -307,11 +300,11 @@ def linear_system_audit(spec: FamilySpec, gamma1, gamma2) -> dict:
     """Rank and solution counts of the two-subset vanishing system."""
     gamma1, gamma2 = set(gamma1), set(gamma2)
     if gamma1 & gamma2:
-        raise OverlappingSubsets(f"subsets share {sorted(gamma1 & gamma2)}")
+        raise InvalidParameter(f"subsets share {sorted(gamma1 & gamma2)}")
     m, n = len(gamma1), len(gamma2)
     d, s = spec.d, spec.s
     if m + n > d - s:
-        raise RegimeViolation(
+        raise InvalidParameter(
             f"audit is for the low regime m+n <= d-s = {d - s}, got {m + n}"
         )
     gf = spec.field
@@ -344,7 +337,7 @@ def jacobian_rank(spec: FamilySpec, b0_full, alpha) -> int:
     r = len(alpha)
     for a_i in alpha:
         if eval_at(gf, f, a_i) != 0:
-            raise NotOnVariety(f"alpha={a_i} is not a root of the member")
+            raise InvalidParameter(f"alpha={a_i} is not a root of the member")
     fp = derivative(gf, f)
     rows = []
     for i, a_i in enumerate(alpha):

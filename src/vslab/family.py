@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, LengthMismatch
+from .errors import InvalidParameter
 from .gf import GF
 from .upoly import eval_at, trim
 
@@ -47,7 +47,7 @@ class FamilySpec:
         if self.d == 1 and self.s != 0:
             raise InvalidParameter("the d=1 family has no fixable coefficients")
         if len(self.a) != self.s:
-            raise LengthMismatch(f"expected {self.s} fixed coefficients, got {self.a}")
+            raise InvalidParameter(f"expected {self.s} fixed coefficients, got {self.a}")
         if not all(0 <= c < self.field.q for c in self.a):
             raise InvalidParameter(
                 f"fixed coefficients must lie in [0, {self.field.q}), got {self.a}"
@@ -79,7 +79,7 @@ class FamilySpec:
     def coeff_vector(self, b, b0: int = 0):
         """Dense low-to-high coefficients of f_b + b0."""
         if len(b) != self.free_len:
-            raise LengthMismatch(
+            raise InvalidParameter(
                 f"expected {self.free_len} free coefficients, got {len(b)}"
             )
         coeffs = [0] * (self.d + 1)

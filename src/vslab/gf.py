@@ -18,13 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    BrokenInvariant,
-    DivisionByZero,
-    EvenCharacteristic,
-    InvalidParameter,
-    ReducibleModulus,
-)
+from .errors import BrokenInvariant, InvalidParameter
 
 TABLE_LIMIT = 4096
 
@@ -95,7 +89,7 @@ class GF:
 
     def __init__(self, p: int, k: int, modulus=None):
         if p == 2 or not is_prime(p):
-            raise EvenCharacteristic(f"p must be an odd prime, got {p}")
+            raise InvalidParameter(f"p must be an odd prime, got {p}")
         if k < 1:
             raise InvalidParameter(f"extension degree must be >= 1, got {k}")
         self.p = p
@@ -106,12 +100,12 @@ class GF:
         else:
             modulus = list(modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(
+                raise InvalidParameter(
                     f"modulus must be monic of degree {k}, got {modulus}"
                 )
             modulus = [c % p for c in modulus[:-1]] + [1]
             if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+                raise InvalidParameter(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
         self._exp = None
         self._log = None
@@ -131,7 +125,7 @@ class GF:
             coeffs.append(1)
             if _is_irreducible(coeffs, p):
                 return coeffs
-        raise ReducibleModulus(f"no irreducible monic of degree {k} over F_{p}")
+        raise InvalidParameter(f"no irreducible monic of degree {k} over F_{p}")
 
     # -- element codec -------------------------------------------------
 
@@ -235,7 +229,7 @@ class GF:
 
     def inv(self, x: int) -> int:
         if x == 0:
-            raise DivisionByZero("inverse of 0")
+            raise InvalidParameter("inverse of 0")
         if self.k == 1:
             return pow(x, self.p - 2, self.p)
         if self._exp is not None:
@@ -244,7 +238,7 @@ class GF:
 
     def div(self, x: int, y: int) -> int:
         if y == 0:
-            raise DivisionByZero("division by 0")
+            raise InvalidParameter("division by 0")
         return self.mul(x, self.inv(y))
 
     def pow(self, x: int, n: int) -> int:

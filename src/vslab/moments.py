@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import InvalidParameter, MissingParameter, RangeMismatch, RegimeViolation
+from .errors import InvalidParameter
 from .family import FamilySpec
 from .sweep import FamilyStats
 
@@ -57,7 +57,7 @@ def main_term(kind: str, spec: FamilySpec, r=None, m=None, n=None) -> Fraction:
         return Fraction(q ** (d - s))
     if kind in ("smn", "smn_s0"):
         return Fraction(q ** (d - s + 1), factorial(m) * factorial(n))
-    raise MissingParameter(f"unknown bound kind {kind!r}")
+    raise InvalidParameter(f"unknown bound kind {kind!r}")
 
 
 def one_minus_inv_e_enclosure(terms: int = 60):
@@ -94,10 +94,10 @@ def reconstruct_mean(spec: FamilySpec, chi) -> Fraction:
     """Rebuild the mean from the interpolating-subset counts chi_r."""
     d, s, q = spec.d, spec.s, spec.q
     if not 1 <= s <= d - 2:
-        raise RegimeViolation(f"mean reconstruction needs 1 <= s <= d-2, got s={s}")
+        raise InvalidParameter(f"mean reconstruction needs 1 <= s <= d-2, got s={s}")
     missing = [r for r in range(d - s + 1, d + 1) if r not in chi]
     if missing:
-        raise RangeMismatch(f"chi vector is missing r in {missing}")
+        raise InvalidParameter(f"chi vector is missing r in {missing}")
     low = sum(
         (
             Fraction((-1) ** (r - 1) * comb(q, r), q ** (r - 1))
@@ -125,7 +125,7 @@ def reconstruct_second_moment(
     ]
     missing = [cell for cell in cells if cell not in smatrix]
     if missing:
-        raise RangeMismatch(f"S matrix is missing cells {missing[:6]}...")
+        raise InvalidParameter(f"S matrix is missing cells {missing[:6]}...")
 
     total = Fraction(mean)
     if mode == "paper":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateLeadingCoefficient, InexactDivision, InvalidParameter
+from .errors import InvalidParameter
 
 
 class MultiPoly:
@@ -122,10 +122,10 @@ class MultiPoly:
         return expo, self.terms[expo]
 
     def exact_div(self, other):
-        """Exact quotient self / other; InexactDivision when it is not."""
+        """Exact quotient self / other; InvalidParameter when it is not."""
         self._check(other)
         if other.is_zero():
-            raise InexactDivision("division by the zero polynomial")
+            raise InvalidParameter("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly(self.p, self.names)
         rem = dict(self.terms)
@@ -137,7 +137,7 @@ class MultiPoly:
             re, rc = r.leading()
             qe = tuple(a - b for a, b in zip(re, lead_e))
             if any(x < 0 for x in qe):
-                raise InexactDivision("leading term not divisible")
+                raise InvalidParameter("leading term not divisible")
             qc = (rc * lead_inv) % self.p
             quot[qe] = qc
             piece = MultiPoly(self.p, self.names, {qe: qc}) * other
@@ -316,7 +316,7 @@ def _subres1_matrix(f, g, p, names):
 def _validate_pair(f, g):
     f, g = _tpoly_trim(f), _tpoly_trim(g)
     if len(f) < 2 or len(g) < 2:
-        raise DegenerateLeadingCoefficient(
+        raise InvalidParameter(
             "symbolic resultant needs degree >= 1 in T on both sides"
         )
     sample = f[0]

@@ -14,7 +14,7 @@ import io
 import json
 from fractions import Fraction
 
-from .errors import SchemaMismatch
+from .errors import InvalidParameter
 
 BOUND_CSV_HEADER = [
     "kind",
@@ -202,11 +202,11 @@ def merge_csv_files(paths):
             try:
                 this_header = next(reader)
             except StopIteration:
-                raise SchemaMismatch(f"{path}: empty file") from None
+                raise InvalidParameter(f"{path}: empty file") from None
             if header is None:
                 header = this_header
             elif this_header != header:
-                raise SchemaMismatch(
+                raise InvalidParameter(
                     f"{path}: columns {this_header} != {header}"
                 )
             rows.extend(list(r) for r in reader)

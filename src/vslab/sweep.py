@@ -14,9 +14,6 @@ chunks reduce by integer addition, so results are independent of the
 chunk partition and of the worker count.  A default chunk holds about
 CHUNK_CELLS = 2^18 (b, t) cells, between 1024 and MAX_CHUNK b-vectors,
 so its value and count arrays stay near the size of a core's L2 cache.
-Chunk length is further capped by int64_chunk_limit, which bounds every
-int64 intermediate below 2^63 from (q, d, chunk); a family no chunk can
-keep below it is refused.
 
 The per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the
 (d+1) x (d+1) Gram matrix of the chunk's root-count histograms, one
@@ -64,7 +61,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BrokenInvariant, BudgetExceeded, Int64Overflow, InvalidParameter
+from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter
 from .family import FamilySpec
 from .gf import TABLE_LIMIT, parse_descriptor
 
@@ -177,25 +174,6 @@ def multi_root_correction(caps: tuple, n_distinct: int, d: int) -> tuple:
     """
     exact = exact_tuple_counts(list(caps), n_distinct - len(caps), d)
     return tuple(exact[r - 1] - falling(n_distinct, r) for r in range(1, d + 1))
-
-
-def int64_chunk_limit(q: int, d: int) -> int:
-    """Largest chunk whose int64 intermediates provably cannot overflow.
-
-    Every fiber has N_b(c) <= d roots and sum_c N_b(c) = q.  Since
-    C(N, k)/N grows with N, A_k(b) = sum_c C(N_b(c), k) <= (q/d) C(d, k),
-    so a chunk adds at most chunk * max_k A_k^2 to any prod_a entry.
-    That also bounds A_k itself, sum_v2 (A_1 = q) and the flat bincount
-    indices (below chunk * q).
-    """
-    a_max = max(q * comb(d, k) // d for k in range(1, d + 1))
-    limit = INT64_MAX // (a_max * a_max)
-    if limit < 1:
-        raise Int64Overflow(
-            f"q={q}, d={d}: one b-vector can reach A_k = {a_max}, "
-            "whose square exceeds int64"
-        )
-    return limit
 
 
 def _chunk_kernel(task):
@@ -445,7 +423,6 @@ def collect_stats(
     if chunk_size is None:
         chunk_size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
     d = spec.d
-    chunk_size = min(chunk_size, int64_chunk_limit(spec.q, d))
 
     tasks = [
         (spec.field.descriptor, d, spec.s, spec.a, lo, min(lo + chunk_size, n_b),

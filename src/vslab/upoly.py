@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeTooSmall, NonMonic, ZeroPolynomial
+from .errors import InvalidParameter
 from .gf import GF
 
 ZERO = ()
@@ -27,17 +27,6 @@ def trim(coeffs) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def degree(f) -> int:
-    """Degree of a nonzero polynomial; raises on the zero sentinel."""
-    if not f:
-        raise ZeroPolynomial("degree of the zero polynomial is undefined")
-    return len(f) - 1
-
-
-def is_zero(f) -> bool:
-    return not f
 
 
 def poly_add(gf: GF, f, g):
@@ -79,7 +68,7 @@ def poly_mul(gf: GF, f, g):
 def poly_divmod(gf: GF, f, g):
     """Quotient and remainder of f by nonzero g."""
     if not g:
-        raise ZeroPolynomial("division by the zero polynomial")
+        raise InvalidParameter("division by the zero polynomial")
     r = list(f)
     dg = len(g) - 1
     lead_inv = gf.inv(g[-1])
@@ -123,12 +112,6 @@ def batch_eval(gf: GF, f):
     return [eval_at(gf, f, t) for t in gf.elements()]
 
 
-def monomial(gf: GF, deg: int, c: int = 1):
-    if c == 0:
-        return ZERO
-    return tuple([0] * deg) + (c,)
-
-
 @dataclass(frozen=True)
 class RootProfile:
     """F_q-roots of a polynomial with their exact multiplicities."""
@@ -151,7 +134,7 @@ def synthetic_quotient(gf: GF, f, alpha: int):
 def root_multiplicity(gf: GF, f, alpha: int) -> int:
     """Largest e with (T - alpha)^e dividing f, by repeated division."""
     if not f:
-        raise ZeroPolynomial("multiplicity in the zero polynomial")
+        raise InvalidParameter("multiplicity in the zero polynomial")
     e = 0
     while f and eval_at(gf, f, alpha) == 0:
         f = synthetic_quotient(gf, f, alpha)
@@ -161,7 +144,7 @@ def root_multiplicity(gf: GF, f, alpha: int) -> int:
 
 def root_profile(gf: GF, f) -> RootProfile:
     if not f:
-        raise ZeroPolynomial("root profile of the zero polynomial")
+        raise InvalidParameter("root profile of the zero polynomial")
     mults = {}
     g = f
     for t in gf.elements():
@@ -249,7 +232,7 @@ def resultant(gf: GF, f, g) -> int:
     """Sylvester-determinant resultant; zero iff deg gcd(f, g) >= 1."""
     f, g = trim(f), trim(g)
     if not f or not g:
-        raise ZeroPolynomial("resultant needs nonzero polynomials")
+        raise InvalidParameter("resultant needs nonzero polynomials")
     m, n = len(f) - 1, len(g) - 1
     if m == 0:
         return gf.pow(f[0], n)
@@ -281,7 +264,7 @@ def subres1(gf: GF, f, g) -> int:
     """
     f, g = trim(f), trim(g)
     if not f or not g:
-        raise ZeroPolynomial("subresultant needs nonzero polynomials")
+        raise InvalidParameter("subresultant needs nonzero polynomials")
     m, n = len(f) - 1, len(g) - 1
     if m == 0 or n == 0 or m + n == 2:
         return 1
@@ -292,10 +275,10 @@ def discriminant(gf: GF, f) -> int:
     """(-1)^(d(d-1)/2) * Res(f, f') for monic f of degree d >= 2."""
     f = trim(f)
     if not f or f[-1] != 1:
-        raise NonMonic("discriminant is defined for monic polynomials only")
+        raise InvalidParameter("discriminant is defined for monic polynomials only")
     d = len(f) - 1
     if d < 2:
-        raise DegreeTooSmall("discriminant needs degree >= 2")
+        raise InvalidParameter("discriminant needs degree >= 2")
     fp = derivative(gf, f)
     if not fp:
         return 0

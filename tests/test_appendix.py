@@ -10,7 +10,7 @@ from vslab.appendix import (
     specialization_scalar,
     subres1_terms_check,
 )
-from vslab.errors import BrokenInvariant, CaseMismatch, DegenerateCase
+from vslab.errors import BrokenInvariant, InvalidParameter
 from vslab import mpoly as mp
 from vslab import upoly
 
@@ -35,7 +35,7 @@ def test_quadratic_disc():
 
 
 def test_degenerate_derivative():
-    with pytest.raises(DegenerateCase):
+    with pytest.raises(InvalidParameter, match="dF/dT vanishes identically"):
         generic_disc(3, 3, {0})  # F = T^3 + B0, dF/dT = 3T^2 = 0
 
 
@@ -71,7 +71,7 @@ def test_even_cases_agree_with_poisson_route():
 
 
 def test_case_mismatch():
-    with pytest.raises(CaseMismatch):
+    with pytest.raises(InvalidParameter, match="selects generic, not p_divides_d"):
         appendix_case_check(7, 4, expect_case="p_divides_d")
 
 
@@ -198,7 +198,7 @@ def test_scalar_match_uniqueness():
 
 
 def test_build_generic_member_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="B0 must be free"):
         build_generic_member(5, 4, {1, 2})  # B0 not free
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="capped at d = 8"):
         generic_disc(5, 12, {0, 1})  # above the symbolic cap

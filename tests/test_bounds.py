@@ -16,7 +16,7 @@ from vslab.bounds import (
     xi_mn,
 )
 from vslab import bounds
-from vslab.errors import BrokenInvariant, MissingParameter
+from vslab.errors import BrokenInvariant, InvalidParameter
 from vslab.family import FamilySpec
 from vslab.gf import make_field
 from vslab.sweep import collect_stats
@@ -79,11 +79,11 @@ def test_bound_value_log_space_path():
 
 
 def test_missing_parameter_errors():
-    with pytest.raises(MissingParameter):
+    with pytest.raises(InvalidParameter, match="chi needs r"):
         bound_value("chi", 7, 5, s=1)  # r missing
-    with pytest.raises(MissingParameter):
+    with pytest.raises(InvalidParameter, match="smn needs m and n"):
         bound_value("smn", 7, 5, s=1, m=2)  # n missing
-    with pytest.raises(MissingParameter):
+    with pytest.raises(InvalidParameter, match="unknown bound kind 'nope'"):
         bound_value("nope", 7, 5)
 
 

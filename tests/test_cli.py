@@ -8,7 +8,7 @@ import pytest
 
 from vslab import cli, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
-from vslab.errors import VslabError
+from vslab.errors import InvalidParameter
 from vslab.gf import GF, make_field
 
 
@@ -22,8 +22,10 @@ def test_parse_int_list():
     assert parse_int_list("5-8") == [5, 6, 7, 8]
     assert parse_int_list("3,5-7") == [3, 5, 6, 7]
     assert parse_int_list("5-5") == [5]
-    with pytest.raises(VslabError, match="reversed"):
+    with pytest.raises(InvalidParameter, match="reversed range '9-5'"):
         parse_int_list("9-5")
+    with pytest.raises(InvalidParameter, match="malformed integer list '3,5-'"):
+        parse_int_list("3,5-")
 
 
 def test_select_a_vectors_policies():
@@ -332,7 +334,7 @@ def test_report_merge(tmp_path):
     assert run(["report-merge", str(x), str(z), "--out", str(out)]) == 2
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({
         "command": "mean", "field": "5^1", "d": 4, "s": 1, "a": "2",
@@ -354,6 +356,11 @@ def test_config_file(tmp_path):
         out4 = tmp_path / "m4.json"
         assert run(config + ["--a=3", "--out", str(out4)]) == 0
         assert out4.read_bytes() == out2.read_bytes()
+    # a config file must hold a JSON object
+    for text in ("[1, 2]", "7", '"mean"'):
+        conf.write_text(text)
+        assert run(["--config", str(conf)]) == 2, text
+        assert "config error: " in capsys.readouterr().err
 
 
 def test_usage_errors():
@@ -382,6 +389,9 @@ def test_usage_errors():
         ["gamma", *family, "--r", "9"],
         ["gamma", *family, "--m", "7", "--n", "1"],
         ["appendix", "--cases", "3,4,5"],
+        ["appendix", "--cases", "9,4"],  # Z/9 is not a field
+        ["appendix", "--subres", "9,3"],
+        ["appendix", "--cases", "0,4"],
         ["mean", "--field", "7^x", "--d", "4", "--s", "0"],
         ["mean", "--field", "7^0", "--d", "4", "--s", "0"],
         ["mean", "--field", "5003^1", "--d", "3", "--s", "0"],  # no tables

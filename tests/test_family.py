@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st_
 
-from vslab.errors import LengthMismatch
+from vslab.errors import InvalidParameter
 from vslab.family import (
     FamilySpec,
     enumerate_b,
@@ -25,7 +25,7 @@ def test_family_poly_placement():
     assert family_poly(spec, (2,), 3) == (3, 2, 1, 1)  # T^3+T^2+2T+3
     spec0 = FamilySpec(F5, 4, 0)
     assert family_poly(spec0, (0, 0, 0), 0) == (0, 0, 0, 0, 1)  # T^d
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidParameter, match="expected 1 free coefficients, got 2"):
         family_poly(spec, (1, 2), 0)
 
 
@@ -91,9 +91,9 @@ def test_spec_key_round_trip():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="need 0 <= s <= d-2"):
         FamilySpec(F5, 4, 3, (1, 2, 3))  # s > d-2
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidParameter, match="expected 2 fixed coefficients"):
         FamilySpec(F5, 4, 2, (1,))
     with pytest.warns(UserWarning):
         FamilySpec(F5, 6, 1, (1,))  # q <= d, flagged only

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from vslab.bounds import BOUND_KINDS
-from vslab.errors import MissingParameter, RangeMismatch, RegimeViolation
+from vslab.errors import InvalidParameter
 from vslab.family import FamilySpec, enumerate_b, family_poly
 from vslab.gf import make_field
 from vslab.moments import (
@@ -101,10 +101,10 @@ def test_reconstruct_mean_exact():
 
 
 def test_reconstruct_mean_regime_errors():
-    with pytest.raises(RegimeViolation):
+    with pytest.raises(InvalidParameter, match="needs 1 <= s <= d-2, got s=0"):
         reconstruct_mean(FamilySpec(F5, 4, 0), {})
     spec = FamilySpec(F7, 4, 2, (1, 2))
-    with pytest.raises(RangeMismatch):
+    with pytest.raises(InvalidParameter, match=r"chi vector is missing r in \[3\]"):
         reconstruct_mean(spec, {4: 0})  # missing r = 3
 
 
@@ -131,9 +131,9 @@ def test_paper_mode_residual_is_reported_not_asserted():
 
 def test_reconstruct_second_moment_range_check():
     spec = FamilySpec(F5, 4, 1, (2,))
-    with pytest.raises(RangeMismatch):
+    with pytest.raises(InvalidParameter, match="S matrix is missing cells"):
         reconstruct_second_moment(spec, Fraction(4), {(1, 1): 0}, mode="exact")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="unknown mode 'weird'"):
         reconstruct_second_moment(spec, Fraction(4), {}, mode="weird")
 
 
@@ -163,5 +163,5 @@ def test_main_term_per_bound_kind():
     assert set(expected) == set(BOUND_KINDS)
     for kind, value in expected.items():
         assert main_term(kind, spec, r=4, m=2, n=3) == value, kind
-    with pytest.raises(MissingParameter):
+    with pytest.raises(InvalidParameter, match="unknown bound kind 'mean'"):
         main_term("mean", spec)

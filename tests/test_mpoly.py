@@ -2,11 +2,7 @@ import random
 
 import pytest
 
-from vslab.errors import (
-    DegenerateLeadingCoefficient,
-    InexactDivision,
-    InvalidParameter,
-)
+from vslab.errors import InvalidParameter
 from vslab.gf import make_field
 from vslab import mpoly as mp
 from vslab import upoly as up
@@ -26,7 +22,7 @@ def test_arith_examples():
     assert prod == P(p, NAMES2, {(0, 2): 1, (2, 0): -1})
     quot = prod.exact_div(b1 - b0)
     assert quot == b1 + b0
-    with pytest.raises(InexactDivision):
+    with pytest.raises(InvalidParameter, match="leading term not divisible"):
         (b1 * b1 + mp.MultiPoly.constant(p, NAMES2, 1)).exact_div(b0)
 
 
@@ -152,10 +148,10 @@ def test_degenerate_leading_coefficient():
     p = 5
     one = mp.MultiPoly.constant(p, NAMES2, 1)
     b0 = mp.MultiPoly.variable(p, NAMES2, "B0")
-    with pytest.raises(DegenerateLeadingCoefficient):
+    with pytest.raises(InvalidParameter, match="needs degree >= 1 in T"):
         mp.symbolic_resultant([b0], [b0, one])
     zero = mp.MultiPoly(p, NAMES2)
-    with pytest.raises(DegenerateLeadingCoefficient):
+    with pytest.raises(InvalidParameter, match="needs degree >= 1 in T"):
         mp.symbolic_resultant([b0, zero], [b0, one])
 
 

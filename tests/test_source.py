@@ -92,3 +92,26 @@ def test_one_pool_construction_site():
 
     sites = _nodes(constructs_pool)
     assert len(sites) == 1 and sites[0].startswith("sweep.py:"), sites
+
+
+def test_four_exception_classes():
+    # bad input is InvalidParameter (a ValueError), an enumeration over its
+    # budget BudgetExceeded, a bug BrokenInvariant; main catches their base
+    # VslabError.  A finer class is one that no caller tells apart.
+    tree = ast.parse((SOURCE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes == [
+        "VslabError", "InvalidParameter", "BudgetExceeded", "BrokenInvariant"
+    ]
+    for name in classes[1:]:
+        assert _nodes(lambda node: _raises(node, name)), f"{name} is never raised"
+    assert _nodes(lambda node: _raises(node, "VslabError")) == []
+
+    def defines_exception(node):
+        bases = [getattr(base, "id", getattr(base, "attr", "")) for base in node.bases]
+        return any(b in classes or b.endswith(("Error", "Exception")) for b in bases)
+
+    sites = _nodes(
+        lambda node: isinstance(node, ast.ClassDef) and defines_exception(node)
+    )
+    assert all(site.startswith("errors.py:") for site in sites), sites

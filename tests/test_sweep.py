@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 from vslab import sweep
-from vslab.errors import BrokenInvariant, BudgetExceeded, Int64Overflow
+from vslab.errors import BrokenInvariant, BudgetExceeded
 from vslab.family import FamilySpec, enumerate_b, family_poly, value_profile
 from vslab.gf import GF, make_field
 from vslab.sweep import (
     collect_stats,
     exact_tuple_counts,
     falling,
-    int64_chunk_limit,
     multi_root_correction,
     single_root_table,
 )
@@ -288,22 +287,10 @@ def test_fiber_invariant_raises(monkeypatch):
         collect_stats(FamilySpec(F7, 4, 1, (1,)))
 
 
-def test_a_k_bound_holds_on_every_member():
-    # the headroom bound rests on A_k(b) <= (q/d) C(d, k)
-    for spec in (FamilySpec(F7, 4, 1, (2,)), FamilySpec(F5, 3, 0), FamilySpec(F9, 4, 2, (0, 3))):
-        q, d = spec.q, spec.d
-        for b in enumerate_b(spec):
-            counts = value_profile(spec, b)
-            for k in range(1, d + 1):
-                assert sum(comb(n, k) for n in counts) * d <= q * comb(d, k)
-
-
-def test_int64_headroom_extreme_table_field(monkeypatch):
+def test_extreme_table_field_sweeps(monkeypatch):
     gf = make_field(4093)
-    # d = 4: the default chunk is within the bound; check the sums
-    # against plain modular arithmetic
+    # d = 4: check the sums against plain modular arithmetic
     spec = FamilySpec(gf, 4, 2, (5, 11))
-    assert int64_chunk_limit(4093, 4) > 1024
     st = collect_stats(spec)
     q, d = spec.q, spec.d
     t = np.arange(q, dtype=np.int64)
@@ -327,11 +314,10 @@ def test_int64_headroom_extreme_table_field(monkeypatch):
     assert st.prod_a == tuple(tuple(int(x) for x in row) for row in prod)
     assert st.gamma_closed[0] == q ** (d - spec.s)
 
-    # d = 22: the bound is below the default chunk of 1024, so the chunk
-    # shrinks, and partition invariance keeps the result
-    limit = int64_chunk_limit(4093, 22)
-    assert limit < 1024
-    assert limit * (4093 * comb(22, 11) // 22) ** 2 < 2**63
+    # d = 22 and d = 40: A_k(b) <= (q/d) C(d, k) lets a chunk's sum of
+    # A_k(b)^2 pass int64, but the Gram route keeps no such sum, so the
+    # default chunk of 1024 runs uncut and d = 40 computes
+    assert 1024 * (q * comb(22, 11) // 22) ** 2 > 2**63
     spans = []
     kernel = sweep._chunk_kernel
 
@@ -341,13 +327,11 @@ def test_int64_headroom_extreme_table_field(monkeypatch):
 
     monkeypatch.setattr(sweep, "_chunk_kernel", spy)
     spec = FamilySpec(gf, 22, 20, tuple(range(1, 21)))
-    st = collect_stats(spec, chunk_size=4093)
-    assert max(spans) == limit
+    st = collect_stats(spec)
+    assert max(spans) == 1024
+    assert st == collect_stats(spec, chunk_size=535)
     assert sum(st.hist_n) == q * q
     assert st.gamma_closed[0] == q**2
-
-    # d = 40: a single b-vector can exceed int64, so the sweep refuses
-    with pytest.raises(Int64Overflow):
-        int64_chunk_limit(4093, 40)
-    with pytest.raises(Int64Overflow):
-        collect_stats(FamilySpec(gf, 40, 38, (0,) * 38))
+    st = collect_stats(FamilySpec(gf, 40, 38, (0,) * 38))
+    assert sum(st.hist_n) == q * q
+    assert st.gamma_closed[0] == q**2

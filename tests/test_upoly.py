@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vslab.errors import DegreeTooSmall, NonMonic, ZeroPolynomial
+from vslab.errors import InvalidParameter
 from vslab.gf import make_field
 from vslab import upoly as up
 
@@ -54,7 +54,7 @@ def test_root_profile_examples():
     assert up.root_profile(F7, (1, 0, 1)).multiplicities == {}
     # T^2+1 over F_5: 2^2 = 4 = -1
     assert up.root_profile(F5, (1, 0, 1)).multiplicities == {2: 1, 3: 1}
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InvalidParameter, match="root profile of the zero polynomial"):
         up.root_profile(F5, ())
 
 
@@ -148,7 +148,7 @@ def test_resultant_examples():
     fp = up.derivative(F7, f)
     assert up.resultant(F7, f, fp) == 0
     assert up.subres1(F7, f, fp) == 0
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InvalidParameter, match="resultant needs nonzero polynomials"):
         up.resultant(F7, (), (1, 1))
 
 
@@ -207,7 +207,7 @@ def test_discriminant_gcd_equivalence():
 
 
 def test_discriminant_errors():
-    with pytest.raises(NonMonic):
+    with pytest.raises(InvalidParameter, match="monic polynomials only"):
         up.discriminant(F5, (1, 2))
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(InvalidParameter, match="needs degree >= 2"):
         up.discriminant(F5, (3, 1))
