@@ -2,7 +2,9 @@
 
 Exit codes: 0 = all requested checks passed, 1 = a verification failed
 (failing instances are listed on stdout), 2 = usage/config error or an
-infeasible budget for a directly requested computation.
+infeasible budget for a directly requested computation, 3 = internal
+error: a computed result broke a property the mathematics guarantees
+(BrokenInvariant), which is a bug, not bad input.
 
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
@@ -13,10 +15,10 @@ VSLAB_WORKERS sets the default worker count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
+from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -25,13 +27,21 @@ from . import bounds as bd
 from . import counting as ct
 from . import moments as mo
 from . import reports as rp
-from .errors import BudgetExceeded, InvalidParameter, VslabError
+from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
 from .family import FamilySpec, orbit_representatives
 from .gf import parse_descriptor
-from .sweep import FamilyStats, collect_stats, default_workers, run_scope
+from .sweep import (
+    FamilyStats,
+    check_sweepable,
+    collect_many,
+    default_workers,
+    run_scope,
+    weighted_sum,
+)
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _philox(seed: int, *counters: int):
@@ -98,32 +108,56 @@ def select_a_vectors(field, d, s, policy, seed):
     return [vec]
 
 
-def _instances(args, field=None, d=None, s=None):
-    """(spec, stats) for each --a vector at one (field, d, s), in --a order;
+def _plan(args, field=None, d=None, s=None):
+    """(spec, routes) for each --a vector at one (field, d, s), in --a order;
     the single-field commands take all three from --field, --d and --s.
 
-    One sweep serves every requested member of a scaling orbit of a: the
-    members share all statistics, so each gets its representative's
-    stats under its own key.
+    routes lists (swept spec, weight) pairs whose weighted stats sum to
+    spec's (sweep.weighted_sum).  The budget is judged on the requested
+    family, before anything is swept.  Two routes:
+      - one sweep serves every requested member of a scaling orbit of a,
+        with weight 1: the members share all statistics;
+      - s = 0 with d >= 3 is the disjoint union over a_{d-1} of the s = 1
+        families, which fall into the scaling orbits of (0,) and (1,):
+        two sweeps of q^(d-2) vectors, weighted by the orbit sizes 1 and
+        q-1.  At d <= 2, where s = 1 names no family, s = 0 is swept whole.
     """
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
 
-    def spec_at(a):  # one call site, so a q <= d warning prints once
+    def spec_at(s, a):  # one call site, so a q <= d warning prints once
         return FamilySpec(field, d, s, a)
 
-    specs = [spec_at(a) for a in select_a_vectors(field, d, s, args.a, args.seed)]
+    specs = [spec_at(s, a) for a in select_a_vectors(field, d, s, args.a, args.seed)]
+    check_sweepable(specs[0], args.budget)  # n_b does not depend on a
+    if s == 0 and d >= 3:
+        a_1 = [(c,) for c in range(field.q)]
+        orbits = Counter(orbit_representatives(field, 1, a_1))
+        return [(spec, [(spec_at(1, rep), size) for rep, size in orbits.items()])
+                for spec in specs]
     reps = orbit_representatives(field, s, [spec.a for spec in specs])
-    swept = {}
-    for spec, rep in zip(specs, reps):
-        if rep not in swept:
-            swept[rep] = collect_stats(
-                spec_at(rep),
-                workers=args.workers,
-                budget=args.budget,
-            )
-        yield spec, dataclasses.replace(swept[rep], key=spec.key)
+    return [(spec, [(spec_at(s, rep), 1)]) for spec, rep in zip(specs, reps)]
+
+
+def _instances(args, plan=None):
+    """(spec, stats) for each (spec, routes) of the plan, in plan order; the
+    default plan is the one of --field, --d and --s.
+
+    Every distinct swept spec of the plan is swept once, and all of them
+    through one collect_many stream, so this loop works on one instance
+    while the workers sweep the next ones.
+    """
+    plan = _plan(args) if plan is None else plan
+    swept = list(dict.fromkeys(sw for _, routes in plan for sw, _ in routes))
+    stream = zip(swept, collect_many(swept, workers=args.workers))
+    done = {}
+    for spec, routes in plan:
+        for sw, _ in routes:
+            while sw not in done:
+                key, stats = next(stream)
+                done[key] = stats
+        yield spec, weighted_sum(spec, [(done[sw], w) for sw, w in routes])
 
 
 def _grid(args, checked):
@@ -311,22 +345,29 @@ def cmd_verify_identities(args):
 
 
 def cmd_verify_bounds(args):
-    rows = []
-    any_fail = False
+    # the marker rows or the plan of every grid point, before the first sweep
+    points = []
     for field, d, s, marker in _grid(args, checked=True):
+        markers, plan = [], []
         if marker is not None:
-            checks = [marker]
+            markers = [marker]
         else:
             try:
-                checks = [
-                    check
-                    for spec, stats in _instances(args, field, d, s)
-                    for check in bd.bound_suite(spec, stats)
-                ]
+                plan = _plan(args, field, d, s)
             except BudgetExceeded:
                 # n_b does not depend on a, so every a-vector is over budget
                 a_count = len(select_a_vectors(field, d, s, args.a, args.seed))
-                checks = [bd.marker("sweep", field.q, d, s)] * a_count
+                markers = [bd.marker("sweep", field.q, d, s)] * a_count
+        points.append((markers, plan))
+    instances = _instances(args, [entry for _, plan in points for entry in plan])
+    rows = []
+    any_fail = False
+    for markers, plan in points:
+        checks = markers + [
+            check
+            for spec, stats in itertools.islice(instances, len(plan))
+            for check in bd.bound_suite(spec, stats)
+        ]
         any_fail |= any(check.passed is False for check in checks)
         rows.extend(rp.bound_check_row(check) + [args.seed] for check in checks)
     _emit_csv(args, rp.BOUND_CSV_HEADER + ["seed"], rows)
@@ -336,16 +377,20 @@ def cmd_verify_bounds(args):
 def cmd_sweep(args):
     rows = []
     failed = False
-    # the whole grid is checked before the first sweep
-    for field, d, s, _ in list(_grid(args, checked=False)):
-        for spec, stats in _instances(args, field, d, s):
-            rep = mo.build_moment_report(spec, stats)
-            checks = bd.bound_suite(spec, stats)
-            failed |= not rep.identities_hold
-            failed |= any(check.passed is False for check in checks)
-            cols = rp.moment_columns(rep)
-            cols.update(seed=args.seed, bounds=bd.suite_summary(checks))
-            rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
+    # the whole grid is planned, and so checked, before the first sweep
+    plan = [
+        entry
+        for field, d, s, _ in _grid(args, checked=False)
+        for entry in _plan(args, field, d, s)
+    ]
+    for spec, stats in _instances(args, plan):
+        rep = mo.build_moment_report(spec, stats)
+        checks = bd.bound_suite(spec, stats)
+        failed |= not rep.identities_hold
+        failed |= any(check.passed is False for check in checks)
+        cols = rp.moment_columns(rep)
+        cols.update(seed=args.seed, bounds=bd.suite_summary(checks))
+        rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
     _emit_csv(args, rp.SWEEP_CSV_HEADER, rows)
     return CHECK_FAILED if failed else 0
 
@@ -611,6 +656,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenInvariant as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except VslabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -47,10 +47,22 @@ built once per process.  The sweeps of one run share a single fork pool
 (run_scope, which the CLI opens around each command), so every worker
 builds a field's tables, and fills the single_root_table and
 multi_root_correction memos, once per run.  One worker never forks.
+
+collect_many puts every chunk of a list of families through one ordered
+imap of that pool and yields each family's stats as its last chunk
+arrives, so the caller checks and writes one family while the workers
+sweep the next, and no family waits at a barrier of its own; the CLI
+runs each command's whole plan as one such stream, and collect_stats is
+its one-family case.  Entering run_scope also fixes glibc's mmap and
+trim thresholds (_steady_heap), so the kernel's 1-2 MB temporaries stay
+in the heap between chunks instead of being unmapped and faulted in
+again by the next one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import multiprocessing
 import os
 from contextlib import contextmanager
@@ -70,6 +82,7 @@ CHUNK_CELLS = 2**18  # (b, t) cells per default chunk
 DEFAULT_BUDGET = 10**6
 INT64_MAX = 2**63 - 1
 FLOAT64_EXACT = 2**53  # every integer up to this is a float64
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def falling(n: int, r: int) -> int:
@@ -114,6 +127,36 @@ class FamilyStats:
         """sum_b [A_m A_n - sum_c C(N,m)C(N,n)]: the c1 != c2 incidences."""
         same_c = sum(h * comb(k, m) * comb(k, n) for k, h in enumerate(self.hist_n))
         return self.prod_a[m - 1][n - 1] - same_c
+
+
+def _weighted(values, weights):
+    """sum of weight * value, entry by entry through nested tuples."""
+    if isinstance(values[0], tuple):
+        return tuple(_weighted(column, weights) for column in zip(*values))
+    return sum(w * v for v, w in zip(values, weights))
+
+
+_ADDITIVE_FIELDS = ("n_b", "sum_v", "sum_v2", "hist_n", "prod_a", "gamma_closed")
+
+
+def weighted_sum(spec: FamilySpec, parts) -> FamilyStats:
+    """The stats of spec's family from (stats, weight) pairs that cover it.
+
+    Every field but the key is a sum over the family, so a family that is
+    the disjoint union of weight copies of each part's family (up to a
+    bijection that keeps every statistic) has the weighted sum of its
+    parts' fields.  The weights must account for spec.n_b exactly.
+    """
+    stats, weights = zip(*parts)
+    fields = {
+        name: _weighted([getattr(st, name) for st in stats], weights)
+        for name in _ADDITIVE_FIELDS
+    }
+    if fields["n_b"] != spec.n_b:
+        raise BrokenInvariant(
+            f"{spec.key}: the parts cover {fields['n_b']} of {spec.n_b} vectors"
+        )
+    return FamilyStats(key=spec.key, q=spec.q, d=spec.d, s=spec.s, **fields)
 
 
 def exact_tuple_counts(caps, n_simple: int, d: int):
@@ -285,25 +328,28 @@ def _gamma_corrections(rows, cvals, nvals, mults, q, d):
     """Replace the all-simple tuple counts on classes with multiple roots.
 
     A class is one (b, c) holding critical points.  Classes with one
-    critical point take their correction from single_root_table, counted
-    by one bincount; the rest go through multi_root_correction.
+    critical point, almost all of them, are found by a bincount of their
+    keys and take their correction from single_root_table, counted by one
+    more bincount; only the rest are sorted into runs, and go through
+    multi_root_correction.
     """
     keys = rows * q + cvals
-    order = np.argsort(keys, kind="stable")
-    keys, nvals, mults = keys[order], nvals[order], mults[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    ends = np.append(starts[1:], len(keys))
-    single = starts[ends - starts == 1]
+    lone = np.bincount(keys)[keys] == 1
     counts = np.bincount(
-        mults[single] * (d + 1) + nvals[single], minlength=(d + 1) * (d + 1)
+        mults[lone] * (d + 1) + nvals[lone], minlength=(d + 1) * (d + 1)
     )
     gamma_corr = counts.astype(object) @ single_root_table(d)
     gamma_corr = [int(x) for x in gamma_corr]
 
-    # classes with k critical points: sort each class's caps, code
+    keys, nvals, mults = keys[~lone], nvals[~lone], mults[~lone]
+    order = np.argsort(keys, kind="stable")
+    keys, nvals, mults = keys[order], nvals[order], mults[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sizes = np.diff(np.append(starts, len(keys)))
+
+    # classes with k >= 2 critical points: sort each class's caps, code
     # (n, caps) in base d+1, then call the memo once per distinct code
-    sizes = ends - starts
-    for k in np.unique(sizes[sizes > 1]).tolist():
+    for k in np.unique(sizes).tolist():
         first = starts[sizes == k]
         caps = np.sort(mults[first[:, None] + np.arange(k)], axis=1)
         code = nvals[first]
@@ -323,24 +369,6 @@ def _gamma_corrections(rows, cvals, nvals, mults, q, d):
     return gamma_corr
 
 
-def _merge(results, d):
-    sum_v = sum_v2 = 0
-    hist = [0] * (d + 1)
-    prod = [[0] * d for _ in range(d)]
-    corr = [0] * d
-    for sv, sv2, h, pa, gc in results:
-        sum_v += sv
-        sum_v2 += sv2
-        for i, x in enumerate(h):
-            hist[i] += x
-        for i in range(d):
-            for j in range(d):
-                prod[i][j] += pa[i][j]
-        for i, x in enumerate(gc):
-            corr[i] += x
-    return sum_v, sum_v2, hist, prod, corr
-
-
 def default_workers() -> int:
     """VSLAB_WORKERS, else 1; refused, as --workers is, unless an integer >= 1."""
     env = os.environ.get("VSLAB_WORKERS")
@@ -356,23 +384,23 @@ def default_workers() -> int:
 
 
 class _RunScope:
-    """The fork pool of one run, opened by the first sweep that needs it."""
+    """The fork pool of one run, opened by the first stream that needs it."""
 
     def __init__(self):
         self.pool = None
         self.workers = 1
 
-    def map(self, fn, tasks, workers):
-        """fn over tasks in order; more than one task on more than one
-        worker runs on the run's pool."""
-        if workers == 1 or len(tasks) == 1:
-            return [fn(task) for task in tasks]
+    def imap(self, fn, tasks, workers):
+        """fn over tasks, lazily and in order; more than one task on more
+        than one worker runs on the run's pool."""
+        if workers == 1 or len(tasks) <= 1:
+            return map(fn, tasks)
         if self.workers != workers:
             self.close()
         if self.pool is None:
             self.pool = multiprocessing.get_context("fork").Pool(workers)
             self.workers = workers
-        return self.pool.map(fn, tasks, chunksize=1)
+        return self.pool.imap(fn, tasks, chunksize=1)
 
     def close(self):
         if self.pool is not None:
@@ -384,15 +412,35 @@ class _RunScope:
 _active_scope = None
 
 
+@lru_cache(maxsize=None)
+def _steady_heap():
+    """Keep freed kernel temporaries in glibc's heap instead of the OS.
+
+    By default glibc maps blocks above a dynamic threshold (from 128 KiB)
+    afresh and trims the heap top above 128 KiB, so each chunk's 1-2 MB
+    arrays are handed back and faulted in again by the next chunk.  A fixed
+    32 MiB mmap threshold and 64 MiB trim threshold keep them; forked
+    workers inherit the setting.  Skipped where libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 @contextmanager
 def run_scope():
     """Share one fork pool among every sweep inside; close it on the way out.
 
     A scope opened inside another is the outer one, so the CLI's scope
-    around a whole run serves each collect_stats call of that run, and a
-    call outside any scope gets a scope, and at most a pool, of its own.
+    around a whole run serves each stream of that run, and a stream
+    outside any scope gets a scope, and at most a pool, of its own.
     """
     global _active_scope
+    _steady_heap()
     if _active_scope is not None:
         yield _active_scope
         return
@@ -404,6 +452,83 @@ def run_scope():
         scope.close()
 
 
+def check_sweepable(spec: FamilySpec, budget: int | None = DEFAULT_BUDGET):
+    """Refuse a family the engine cannot sweep, or one over the budget."""
+    if spec.q > TABLE_LIMIT:
+        raise InvalidParameter("the enumeration engine needs table-backed fields")
+    if budget is not None and spec.n_b > budget:
+        raise BudgetExceeded(
+            f"{spec.key}: {spec.n_b} free vectors exceed the budget {budget}"
+        )
+
+
+def collect_many(specs, workers: int | None = None, chunk_size: int | None = None):
+    """FamilyStats of each spec, in order, from one stream of chunks.
+
+    Every chunk of every spec goes through one imap of the run's pool, so
+    the caller consumes a spec's stats while the workers compute the next
+    ones, and no spec waits for the last chunk of another.  No budget is
+    applied here: the caller judges it (check_sweepable) beforehand.
+    """
+    specs = list(specs)
+    for spec in specs:
+        check_sweepable(spec, budget=None)
+    if workers is None:
+        workers = default_workers()
+    tasks, counts = [], []
+    for spec in specs:
+        size = chunk_size
+        if size is None:
+            size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
+        n_b = spec.n_b
+        chunks = [
+            (spec.field.descriptor, spec.d, spec.s, spec.a, lo, min(lo + size, n_b),
+             spec.free_len)
+            for lo in range(0, n_b, size)
+        ]
+        tasks += chunks
+        counts.append(len(chunks))
+    with run_scope() as scope:
+        results = scope.imap(_chunk_kernel, tasks, workers)
+        for spec, count in zip(specs, counts):
+            yield _assemble(spec, itertools.islice(results, count))
+
+
+def _assemble(spec, results):
+    """The FamilyStats of spec from the kernel results of its chunks."""
+    d = spec.d
+    sum_v = sum_v2 = 0
+    hist = [0] * (d + 1)
+    prod = [[0] * d for _ in range(d)]
+    corr = [0] * d
+    for sv, sv2, h, pa, gc in results:
+        sum_v += sv
+        sum_v2 += sv2
+        for i, x in enumerate(h):
+            hist[i] += x
+        for i in range(d):
+            for j in range(d):
+                prod[i][j] += pa[i][j]
+        for i, x in enumerate(gc):
+            corr[i] += x
+    gamma_closed = []
+    for r in range(1, d + 1):
+        base = sum(h * falling(n, r) for n, h in enumerate(hist))
+        gamma_closed.append(base + corr[r - 1])
+    return FamilyStats(
+        key=spec.key,
+        q=spec.q,
+        d=d,
+        s=spec.s,
+        n_b=spec.n_b,
+        sum_v=sum_v,
+        sum_v2=sum_v2,
+        hist_n=tuple(hist),
+        prod_a=tuple(tuple(row) for row in prod),
+        gamma_closed=tuple(gamma_closed),
+    )
+
+
 def collect_stats(
     spec: FamilySpec,
     workers: int | None = None,
@@ -411,42 +536,6 @@ def collect_stats(
     chunk_size: int | None = None,
 ) -> FamilyStats:
     """Run the family sweep and assemble exact aggregate statistics."""
-    if spec.q > TABLE_LIMIT:
-        raise InvalidParameter("the enumeration engine needs table-backed fields")
-    n_b = spec.n_b
-    if budget is not None and n_b > budget:
-        raise BudgetExceeded(
-            f"{spec.key}: {n_b} free vectors exceed the budget {budget}"
-        )
-    if workers is None:
-        workers = default_workers()
-    if chunk_size is None:
-        chunk_size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
-    d = spec.d
-
-    tasks = [
-        (spec.field.descriptor, d, spec.s, spec.a, lo, min(lo + chunk_size, n_b),
-         spec.free_len)
-        for lo in range(0, n_b, chunk_size)
-    ]
-    with run_scope() as scope:
-        results = scope.map(_chunk_kernel, tasks, workers)
-    sum_v, sum_v2, hist, prod, corr = _merge(results, d)
-
-    gamma_closed = []
-    for r in range(1, d + 1):
-        base = sum(h * falling(n, r) for n, h in enumerate(hist))
-        gamma_closed.append(base + corr[r - 1])
-
-    return FamilyStats(
-        key=spec.key,
-        q=spec.q,
-        d=d,
-        s=spec.s,
-        n_b=n_b,
-        sum_v=sum_v,
-        sum_v2=sum_v2,
-        hist_n=tuple(hist),
-        prod_a=tuple(tuple(row) for row in prod),
-        gamma_closed=tuple(gamma_closed),
-    )
+    check_sweepable(spec, budget)
+    (stats,) = collect_many([spec], workers, chunk_size)
+    return stats

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -5,11 +6,13 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st_
 
 from vslab import cli, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
 from vslab.errors import InvalidParameter
-from vslab.gf import GF, make_field
+from vslab.family import FamilySpec
+from vslab.gf import GF, make_field, parse_descriptor
 
 
 def run(argv):
@@ -129,7 +132,7 @@ def test_worker_count_invariance_multi_chunk(tmp_path, pools):
     # 11^5 = 161051 b-vectors span several default chunks, so --workers 2
     # really runs on a pool
     one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    base = ["sweep", "--fields", "11^1", "--d", "6", "--s", "0"]
+    base = ["sweep", "--fields", "11^1", "--d", "7", "--s", "1"]
     assert run(base + ["--workers", "1", "--out", str(one)]) == 0
     assert pools == []
     assert run(base + ["--workers", "2", "--out", str(two)]) == 0
@@ -137,38 +140,47 @@ def test_worker_count_invariance_multi_chunk(tmp_path, pools):
     assert one.read_bytes() == two.read_bytes()
 
 
+def _streams(monkeypatch):
+    """Wrap cli.collect_many; the returned list gets the specs of each call."""
+    streams = []
+    real = cli.collect_many
+
+    def spy(specs, **kwargs):
+        streams.append(list(specs))
+        return real(streams[-1], **kwargs)
+
+    monkeypatch.setattr(cli, "collect_many", spy)
+    return streams
+
+
 def test_one_pool_per_run(tmp_path, monkeypatch, pools):
-    # with chunks of 500, 7^1 d=5 s=0 (2401 b-vectors), d=6 s=0 (16807)
-    # and d=6 s=1 (2401) each take several chunks
-    monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
-    sweeps = []
-    real = cli.collect_stats
-
-    def multi_chunk(spec, **kwargs):
-        sweeps.append(spec.n_b > 500)
-        return real(spec, **kwargs)
-
-    monkeypatch.setattr(cli, "collect_stats", multi_chunk)
+    # with chunks of 300, the swept 7^1 d=5 s=1 families (343 b-vectors;
+    # a = 0 and 1 also serve d=5 s=0), d=6 s=1 (2401, likewise) and d=6
+    # s=2 (343) each take several chunks
+    monkeypatch.setattr(sweep, "MAX_CHUNK", 300)
+    streams = _streams(monkeypatch)
     base = ["verify-bounds", "--fields", "7^1", "--d", "5-6"]
     one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert run(base + ["--workers", "1", "--out", str(one)]) == 0
     assert pools == []
-    sweeps.clear()
+    streams.clear()
     assert run(base + ["--workers", "2", "--out", str(two)]) == 0
-    assert sweeps.count(True) == 3
+    (swept,) = streams  # one chunk stream for the whole grid
+    assert [spec.n_b > 300 for spec in swept].count(True) == 5
     assert pools == [2]
     assert one.read_bytes() == two.read_bytes()
     # the pool closed with the run: no worker is left to serve a later one
     assert multiprocessing.active_children() == []
 
 
-def test_broken_invariant_in_a_worker_exits_2(tmp_path, monkeypatch, pools):
+def test_broken_invariant_in_a_worker_exits_3(tmp_path, monkeypatch, pools, capsys):
     # a corrupt addition table makes f_b constant, so a worker's chunk
-    # holds a fiber of q > d roots
+    # holds a fiber of q > d roots: a bug, reported as such, not as bad input
     monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
     monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
     assert run(["sweep", "--fields", "7^1", "--d", "5", "--s", "0", "--workers", "2",
-                "--out", str(tmp_path / "sweep.csv")]) == 2
+                "--out", str(tmp_path / "sweep.csv")]) == 3
+    assert capsys.readouterr().err == "internal error: a fiber exceeded d roots\n"
     assert pools == [2]
     assert multiprocessing.active_children() == []
 
@@ -209,15 +221,15 @@ def test_gamma_command(tmp_path):
 def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch):
     # the open Gamma_mn count comes from the oracle's own scan, so a sweep
     # whose S_11 is off by one must fail the check
-    real = cli.collect_stats
+    real = cli.collect_many
 
-    def corrupted(spec, **kw):
-        st = real(spec, **kw)
-        prod = [list(row) for row in st.prod_a]
-        prod[0][0] += 1
-        return dataclasses.replace(st, prod_a=tuple(tuple(row) for row in prod))
+    def corrupted(specs, **kw):
+        for st in real(specs, **kw):
+            prod = [list(row) for row in st.prod_a]
+            prod[0][0] += 1
+            yield dataclasses.replace(st, prod_a=tuple(tuple(row) for row in prod))
 
-    monkeypatch.setattr(cli, "collect_stats", corrupted)
+    monkeypatch.setattr(cli, "collect_many", corrupted)
     out = tmp_path / "gamma.json"
     code = run(
         ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "2",
@@ -231,13 +243,13 @@ def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch)
 
 def _corrupt_stats(monkeypatch, field, by=1):
     """Make every sweep the CLI collects return `field` larger by `by`."""
-    real = cli.collect_stats
+    real = cli.collect_many
 
-    def corrupted(spec, **kw):
-        st = real(spec, **kw)
-        return dataclasses.replace(st, **{field: getattr(st, field) + by})
+    def corrupted(specs, **kw):
+        for st in real(specs, **kw):
+            yield dataclasses.replace(st, **{field: getattr(st, field) + by})
 
-    monkeypatch.setattr(cli, "collect_stats", corrupted)
+    monkeypatch.setattr(cli, "collect_many", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +431,7 @@ def test_gamma_checks_m_and_n_before_the_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("gamma swept before checking --m/--n")
 
-    monkeypatch.setattr(cli, "collect_stats", no_sweep)
+    monkeypatch.setattr(cli, "collect_many", no_sweep)
     family = ["--field", "13^1", "--d", "7", "--s", "1", "--a", "1"]
     for mn in (["--m", "9", "--n", "1"], ["--m", "1", "--n", "0"],
                ["--m", "1,8", "--n", "2"], ["--m", "1"], ["--n", "2"]):
@@ -452,12 +464,13 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_sweep_per_scaling_orbit(tmp_path, monkeypatch):
-    sweeps = _count_calls(monkeypatch, cli, "collect_stats")
+    streams = _streams(monkeypatch)
     out = tmp_path / "v2.json"
     assert run(["second-moment", "--field", "7^1", "--d", "5", "--s", "2",
                 "--a", "all", "--out", str(out)]) == 0
     # F_7^2 splits into 10 orbits under a -> (a_4 / lam, a_3 / lam^2)
-    assert len(sweeps) == 10
+    (swept,) = streams
+    assert len(swept) == 10
     results = json.loads(out.read_text())["results"]
     assert [tuple(r["a"]) for r in results] == select_a_vectors(
         make_field(7), 5, 2, "all", 0
@@ -467,11 +480,11 @@ def test_one_sweep_per_scaling_orbit(tmp_path, monkeypatch):
 def test_two_members_of_one_orbit_sweep_once(tmp_path, monkeypatch):
     # at s = 1 every nonzero a_{d-1} lies in one orbit
     assert select_a_vectors(make_field(7), 5, 1, "random:2", 1) == [(5,), (6,)]
-    sweeps = _count_calls(monkeypatch, cli, "collect_stats")
+    streams = _streams(monkeypatch)
     out = tmp_path / "mean.json"
     assert run(["mean", "--field", "7^1", "--d", "5", "--s", "1",
                 "--a", "random:2", "--seed", "1", "--out", str(out)]) == 0
-    assert len(sweeps) == 1
+    assert [len(swept) for swept in streams] == [1]
     results = json.loads(out.read_text())["results"]
     assert [r["spec"] for r in results] == [
         "q=7^1/0,1;d=5;s=1;a=5", "q=7^1/0,1;d=5;s=1;a=6"
@@ -488,6 +501,63 @@ def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):
     assert {args[0].a for args in oracle} == set(
         select_a_vectors(make_field(7), 5, 2, "all", 0)
     )
+
+
+def _planned(field, d, s):
+    """cli._plan of one point, with the default flags it reads."""
+    args = argparse.Namespace(a="", seed=0, budget=10**6, workers=1)
+    return args, cli._plan(args, field, d, s)
+
+
+# (field, d) at s = 0 that the full route reaches within the default budget
+S0_POINTS = [
+    (parse_descriptor(text), d)
+    for text in ("3^1", "5^1", "7^1", "11^1", "3^2", "5^2")
+    for d in range(3, 7)
+    if parse_descriptor(text).q ** (d - 1) <= sweep.DEFAULT_BUDGET
+]
+
+
+@pytest.mark.filterwarnings("ignore:q = ")  # q <= d at 3^1 and 5^1
+@settings(max_examples=2 * len(S0_POINTS), deadline=None)
+@given(point=st_.sampled_from(S0_POINTS))
+@example(point=(parse_descriptor("5^1"), 5))  # p | d
+@example(point=(parse_descriptor("7^1"), 7))  # p | d
+@example(point=(parse_descriptor("3^2"), 6))  # p | d
+def test_s0_route_equals_the_full_sweep(point):
+    # the s = 0 family is the disjoint union over a_{d-1} of the s = 1
+    # families, and lam^-d f(lam T) carries each nonzero a_{d-1} onto 1
+    field, d = point
+    args, plan = _planned(field, d, 0)
+    ((_, routes),) = plan
+    assert [(sw.s, sw.a, w) for sw, w in routes] == [(1, (0,), 1), (1, (1,), field.q - 1)]
+    ((_, planned),) = cli._instances(args, plan)
+    assert planned == sweep.collect_stats(FamilySpec(field, d, 0, ()))
+
+
+def test_s0_points_cover_the_edge_cases():
+    assert {field.q for field, _ in S0_POINTS} == {3, 5, 7, 11, 9, 25}
+    assert {d for _, d in S0_POINTS} == {3, 4, 5, 6}
+    assert any(d % field.p == 0 for field, d in S0_POINTS)
+
+
+def test_s0_at_d2_takes_the_full_route():
+    # s = 1 names no family at d = 2
+    args, plan = _planned(make_field(7), 2, 0)
+    ((spec, routes),) = plan
+    assert routes == [(spec, 1)] and spec.s == 0
+    ((_, planned),) = cli._instances(args, plan)
+    assert planned == sweep.collect_stats(spec)
+
+
+def test_s0_budget_judges_the_requested_family(tmp_path, capsys):
+    # the route sweeps 2 * 11^5 vectors, but the request is 11^6 of them
+    assert run(["mean", "--field", "11^1", "--d", "7", "--s", "0"]) == 2
+    assert "1771561 free vectors exceed the budget" in capsys.readouterr().err
+    out = tmp_path / "bounds.csv"
+    assert run(["verify-bounds", "--fields", "11^1", "--d", "7", "--s", "0",
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["sweep,11,7,0,,,,,,true,false,,0"]
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-3"])

@@ -58,14 +58,34 @@ def _names(path):
 def test_one_module_starts_sweeps():
     # every engine count is read off the FamilyStats that the CLI's instance
     # loop collects; the oracles in counting must not see the engine at all
+    entries = {"collect_stats", "collect_many"}
     starts = sorted(
         path.name
         for path in SOURCE.glob("*.py")
-        if path.name not in ("sweep.py", "cli.py")
-        and "collect_stats" in _names(path)
+        if path.name not in ("sweep.py", "cli.py") and entries & _names(path)
     )
     assert starts == []
     assert "FamilyStats" not in _names(SOURCE / "counting.py")
+
+
+def test_the_stream_is_the_clis_only_sweep_entry():
+    # one collect_many stream per command: a collect_stats call in the CLI
+    # would bring back a sweep that waits for its own last chunk
+    names = _names(SOURCE / "cli.py")
+    assert "collect_many" in names and "collect_stats" not in names
+    calls = _nodes(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "collect_many"
+    )
+    assert len([site for site in calls if site.startswith("cli.py:")]) == 1, calls
+
+
+def test_one_mallopt_site():
+    # the heap setting is made once, where a run scope is entered
+    sites = _nodes(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "mallopt"
+    )
+    assert len(sites) == 1 and sites[0].startswith("sweep.py:"), sites
 
 
 def test_one_module_forms_main_terms():

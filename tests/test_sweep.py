@@ -18,11 +18,13 @@ from vslab.errors import BrokenInvariant, BudgetExceeded
 from vslab.family import FamilySpec, enumerate_b, family_poly, value_profile
 from vslab.gf import GF, make_field
 from vslab.sweep import (
+    collect_many,
     collect_stats,
     exact_tuple_counts,
     falling,
     multi_root_correction,
     single_root_table,
+    weighted_sum,
 )
 from vslab import upoly as up
 
@@ -99,6 +101,33 @@ def test_partition_invariance():
     assert whole == tiny_chunks
     two_workers = collect_stats(spec, workers=2, chunk_size=5)
     assert whole == two_workers
+
+
+# 343, 25, 5 and 7 b-vectors
+STREAM_SPECS = [
+    FamilySpec(F7, 4, 0),
+    FamilySpec(F5, 4, 1, (1,)),
+    FamilySpec(F5, 3, 1, (0,)),
+    FamilySpec(F7, 4, 2, (3, 1)),
+]
+
+
+@pytest.mark.parametrize("chunk_size", [None, 6])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stream_yields_each_spec_in_order(chunk_size, workers):
+    # by default every spec is one chunk; chunks of 6 cut all but the
+    # 5-vector family into several
+    streamed = list(collect_many(STREAM_SPECS, workers, chunk_size))
+    assert [st.key for st in streamed] == [spec.key for spec in STREAM_SPECS]
+    assert streamed == [collect_stats(spec) for spec in STREAM_SPECS]
+
+
+def test_weighted_sum_checks_the_cover():
+    spec = FamilySpec(F7, 4, 0)
+    zero, one = (collect_stats(FamilySpec(F7, 4, 1, (c,))) for c in (0, 1))
+    assert weighted_sum(spec, [(zero, 1), (one, 6)]) == collect_stats(spec)
+    with pytest.raises(BrokenInvariant, match="cover 294 of 343"):
+        weighted_sum(spec, [(zero, 1), (one, 5)])
 
 
 def test_budget_guard():
