@@ -15,6 +15,7 @@ VSLAB_WORKERS sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -28,7 +29,7 @@ from . import counting as ct
 from . import moments as mo
 from . import reports as rp
 from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
-from .family import FamilySpec, orbit_representatives
+from .family import FamilySpec, orbit_representatives, stabiliser_blocks
 from .gf import parse_descriptor
 from .sweep import (
     FamilyStats,
@@ -67,12 +68,22 @@ def parse_int_list(text: str):
     return sorted(set(out))
 
 
+def _at_least(low: int, text: str) -> int:
+    """The integer text, refused to argparse when below low."""
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _at_least(1, text)
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for budgets, which may be 0 but not negative."""
+    return _at_least(0, text)
 
 
 def select_a_vectors(field, d, s, policy, seed):
@@ -80,15 +91,17 @@ def select_a_vectors(field, d, s, policy, seed):
 
     "all" enumerates F_q^s; "random:N" draws N vectors from Philox
     keyed by the seed with (q, d, s) in the counter; anything else is
-    an explicit comma list.  s = 0 always yields the single empty a.
+    an explicit comma list.  s = 0 yields the single empty a, from no
+    policy, "all" or "random:N"; an explicit vector, which names
+    coefficients that s = 0 does not fix, is refused.
     """
     q = field.q
-    if s == 0:
-        return [()]
     policy = (policy or "").strip()
     if policy == "all":
         return list(itertools.product(range(q), repeat=s))
     if not policy:
+        if s == 0:
+            return [()]
         raise InvalidParameter(f"--a is required when s = {s} > 0")
     try:
         if policy.startswith("random:"):
@@ -100,12 +113,22 @@ def select_a_vectors(field, d, s, policy, seed):
     if policy.startswith("random:"):
         if count < 1:
             raise InvalidParameter(f"--a random:N needs N >= 1, got {count}")
+        if s == 0:
+            return [()]
         rng = _philox(seed, q, d, s)
         draws = rng.integers(0, q, size=(count, s))
         return [tuple(int(x) for x in row) for row in draws]
     if len(vec) != s:
         raise InvalidParameter(f"--a needs {s} entries, got {len(vec)}")
     return [vec]
+
+
+def _a_vectors(args, field, d, s, grid):
+    """The --a vectors at one point.  A grid applies --a to its s >= 1
+    points only, so an explicit vector is refused at s = 0 by the
+    single-field commands alone."""
+    policy = "all" if grid and s == 0 else args.a
+    return select_a_vectors(field, d, s, policy, args.seed)
 
 
 def _plan(args, field=None, d=None, s=None):
@@ -115,13 +138,17 @@ def _plan(args, field=None, d=None, s=None):
     routes lists (swept spec, weight) pairs whose weighted stats sum to
     spec's (sweep.weighted_sum).  The budget is judged on the requested
     family, before anything is swept.  Two routes:
-      - one sweep serves every requested member of a scaling orbit of a,
+      - one sweep serves every requested member of an affine orbit of a,
         with weight 1: the members share all statistics;
       - s = 0 with d >= 3 is the disjoint union over a_{d-1} of the s = 1
-        families, which fall into the scaling orbits of (0,) and (1,):
-        two sweeps of q^(d-2) vectors, weighted by the orbit sizes 1 and
-        q-1.  At d <= 2, where s = 1 names no family, s = 0 is swept whole.
+        families, weighted by the sizes of their affine orbits: for p not
+        dividing d all q of them lie in the orbit of (0,), and for p | d
+        in the orbits of (0,) and (1,), of sizes 1 and q-1.  At d <= 2,
+        where s = 1 names no family, s = 0 is swept whole.
+    Each swept spec is then swept one block per stabiliser orbit of blocks
+    (family.stabiliser_blocks).
     """
+    grid = field is not None
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
@@ -129,14 +156,14 @@ def _plan(args, field=None, d=None, s=None):
     def spec_at(s, a):  # one call site, so a q <= d warning prints once
         return FamilySpec(field, d, s, a)
 
-    specs = [spec_at(s, a) for a in select_a_vectors(field, d, s, args.a, args.seed)]
+    specs = [spec_at(s, a) for a in _a_vectors(args, field, d, s, grid)]
     check_sweepable(specs[0], args.budget)  # n_b does not depend on a
     if s == 0 and d >= 3:
         a_1 = [(c,) for c in range(field.q)]
-        orbits = Counter(orbit_representatives(field, 1, a_1))
+        orbits = Counter(orbit_representatives(field, d, 1, a_1))
         return [(spec, [(spec_at(1, rep), size) for rep, size in orbits.items()])
                 for spec in specs]
-    reps = orbit_representatives(field, s, [spec.a for spec in specs])
+    reps = orbit_representatives(field, d, s, [spec.a for spec in specs])
     return [(spec, [(spec_at(s, rep), 1)]) for spec, rep in zip(specs, reps)]
 
 
@@ -144,20 +171,47 @@ def _instances(args, plan=None):
     """(spec, stats) for each (spec, routes) of the plan, in plan order; the
     default plan is the one of --field, --d and --s.
 
-    Every distinct swept spec of the plan is swept once, and all of them
-    through one collect_many stream, so this loop works on one instance
-    while the workers sweep the next ones.
+    Every distinct swept spec of the plan is swept once, one block per
+    stabiliser orbit, and all of them through one collect_many stream, so
+    this loop works on one instance while the workers sweep the next ones.
+    Members with the same routes share their stats but the key, which are
+    summed once.
     """
     plan = _plan(args) if plan is None else plan
     swept = list(dict.fromkeys(sw for _, routes in plan for sw, _ in routes))
-    stream = zip(swept, collect_many(swept, workers=args.workers))
-    done = {}
+    stream = zip(
+        swept, collect_many(swept, workers=args.workers, blocks=stabiliser_blocks)
+    )
+    done, summed = {}, {}
     for spec, routes in plan:
-        for sw, _ in routes:
-            while sw not in done:
-                key, stats = next(stream)
-                done[key] = stats
-        yield spec, weighted_sum(spec, [(done[sw], w) for sw, w in routes])
+        shared = (spec.s, tuple(routes))
+        if shared not in summed:
+            for sw, _ in routes:
+                while sw not in done:
+                    key, stats = next(stream)
+                    done[key] = stats
+            summed[shared] = weighted_sum(spec, [(done[sw], w) for sw, w in routes])
+        yield spec, dataclasses.replace(summed[shared], key=spec.key)
+
+
+def _moment_instances(args, plan=None):
+    """(spec, stats, report, columns, JSON columns) for each instance.
+
+    A moment report and its columns depend on the spec only through q, d
+    and s, so they, and the columns' JSON form, are built once per
+    distinct stats; each member gets copies with its own spec and a.
+    """
+    built = {}
+    for spec, stats in _instances(args, plan):
+        shared = dataclasses.replace(stats, key="")
+        if shared not in built:
+            rep = mo.build_moment_report(spec, stats)
+            cols = rp.moment_columns(rep)
+            built[shared] = rep, cols, rp.jsonable(cols)
+        rep, cols, json_cols = built[shared]
+        own = {"spec": spec.key, "a": spec.a}
+        yield (spec, stats, dataclasses.replace(rep, spec=spec), {**cols, **own},
+               {**json_cols, **rp.jsonable(own)})
 
 
 def _grid(args, checked):
@@ -213,10 +267,10 @@ def cmd_second_moment(args):
     reports = []
     rows = []
     failures = []
-    for spec, stats in _instances(args):
-        rep = mo.build_moment_report(spec, stats)
-        cols = rp.moment_columns(rep)
-        reports.append({k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS})
+    for spec, _, rep, cols, json_cols in _moment_instances(args):
+        reports.append(
+            {k: v for k, v in json_cols.items() if k not in rp.ROW_ONLY_COLUMNS}
+        )
         rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
         if not rep.identities_hold:
             failures.append(spec.key)
@@ -315,10 +369,8 @@ def cmd_gamma(args):
 def cmd_verify_identities(args):
     d, s = args.d, args.s
     checks = []
-    for spec, stats in _instances(args):
-        rep = mo.build_moment_report(spec, stats)
-        cols = rp.moment_columns(rep)
-        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
+    for spec, stats, rep, _, json_cols in _moment_instances(args):
+        entry = {key: json_cols[key] for key in rp.IDENTITY_JSON_KEYS}
         if rep.mean_reconstruction_exact is not None:
             entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
         if s >= 1:
@@ -356,7 +408,7 @@ def cmd_verify_bounds(args):
                 plan = _plan(args, field, d, s)
             except BudgetExceeded:
                 # n_b does not depend on a, so every a-vector is over budget
-                a_count = len(select_a_vectors(field, d, s, args.a, args.seed))
+                a_count = len(_a_vectors(args, field, d, s, grid=True))
                 markers = [bd.marker("sweep", field.q, d, s)] * a_count
         points.append((markers, plan))
     instances = _instances(args, [entry for _, plan in points for entry in plan])
@@ -383,12 +435,10 @@ def cmd_sweep(args):
         for field, d, s, _ in _grid(args, checked=False)
         for entry in _plan(args, field, d, s)
     ]
-    for spec, stats in _instances(args, plan):
-        rep = mo.build_moment_report(spec, stats)
+    for spec, stats, rep, cols, _ in _moment_instances(args, plan):
         checks = bd.bound_suite(spec, stats)
         failed |= not rep.identities_hold
         failed |= any(check.passed is False for check in checks)
-        cols = rp.moment_columns(rep)
         cols.update(seed=args.seed, bounds=bd.suite_summary(checks))
         rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
     _emit_csv(args, rp.SWEEP_CSV_HEADER, rows)
@@ -437,7 +487,7 @@ def cmd_audit_linear(args):
     d, s = args.d, args.s
     q = field.q
     rng = _philox(args.seed, q, d, s)
-    a_vectors = select_a_vectors(field, d, s, args.a, args.seed)
+    a_vectors = _a_vectors(args, field, d, s, grid=False)
     checks = []
     failures = 0
     for a in a_vectors:
@@ -542,9 +592,10 @@ def _add_command(subs, name, func, help_text, field_mode="single", a_default="")
         sub.add_argument("--d", required=True, help="list or range, e.g. 5-9")
         sub.add_argument("--a", default="random:1")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=10**6,
-                     help="max enumerated b-vectors per instance")
-    sub.add_argument("--subset-budget", type=int, default=10**6, dest="subset_budget")
+    sub.add_argument("--budget", type=nonnegative_int, default=10**6,
+                     help="max b-vectors per requested instance")
+    sub.add_argument("--subset-budget", type=nonnegative_int, default=10**6,
+                     dest="subset_budget")
     sub.add_argument("--workers", type=positive_int, default=default_workers())
     sub.add_argument("--out", default=None)
     return sub

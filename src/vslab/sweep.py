@@ -11,9 +11,14 @@ modules need, as exact integers:
 
 The per-chunk kernel is vectorized with numpy over the field tables;
 chunks reduce by integer addition, so results are independent of the
-chunk partition and of the worker count.  A default chunk holds about
-CHUNK_CELLS = 2^18 (b, t) cells, between 1024 and MAX_CHUNK b-vectors,
-so its value and count arrays stay near the size of a core's L2 cache.
+chunk partition and of the worker count.  A chunk is a tuple of
+ascending index ranges; a default chunk holds about CHUNK_CELLS = 2^18
+(b, t) cells, between 1024 and MAX_CHUNK b-vectors, so its value and
+count arrays stay near the size of a core's L2 cache.  A family may be
+swept in weighted blocks (collect_many's blocks): the blocks of one
+weight are packed into full chunks, and the parent multiplies each
+chunk's sums by its weight, so weights never reach the kernel or its
+float64 bound.
 
 The per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the
 (d+1) x (d+1) Gram matrix of the chunk's root-count histograms, one
@@ -24,9 +29,10 @@ below 2^40); the kernel checks the bound and finishes in Python ints.
 b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
 g depends only on the outer prefix idx // q.  So g is evaluated once per
 prefix, and the value table of a chunk is one gather of g's values
-against the table b_1 * t.  A chunk may cut a prefix block; both chunks
-then evaluate g for it.  The d = 1 family has no free b_1 and runs the
-same route with a zero b_1 column.
+against the table b_1 * t.  Two chunks, or two ranges of one chunk,
+may each hold part of a prefix block; each then evaluates g for it.
+The d = 1 family has no free b_1 and runs the same route with a zero
+b_1 column.
 
 Root multiplicities enter only through critical points, where
 f_b'(t) = g'(t) + b_1 = 0: every (prefix, t) is critical for exactly
@@ -52,11 +58,12 @@ collect_many puts every chunk of a list of families through one ordered
 imap of that pool and yields each family's stats as its last chunk
 arrives, so the caller checks and writes one family while the workers
 sweep the next, and no family waits at a barrier of its own; the CLI
-runs each command's whole plan as one such stream, and collect_stats is
-its one-family case.  Entering run_scope also fixes glibc's mmap and
-trim thresholds (_steady_heap), so the kernel's 1-2 MB temporaries stay
-in the heap between chunks instead of being unmapped and faulted in
-again by the next one.
+runs each command's whole plan as one such stream, each family in its
+stabiliser blocks (family.stabiliser_blocks), and collect_stats is the
+one-family, one-block case that the independent checks use.  Entering
+run_scope also fixes glibc's mmap and trim thresholds (_steady_heap), so
+the kernel's 1-2 MB temporaries stay in the heap between chunks instead
+of being unmapped and faulted in again by the next one.
 """
 
 from __future__ import annotations
@@ -220,26 +227,39 @@ def multi_root_correction(caps: tuple, n_distinct: int, d: int) -> tuple:
 
 
 def _chunk_kernel(task):
-    (descriptor, d, s, a, lo, hi, L) = task
+    (descriptor, d, s, a, ranges, L) = task
     gf = parse_descriptor(descriptor)  # interned: its tables are built once
     q, p = gf.q, gf.p
     add_t, mul_t = gf.add_table(), gf.mul_table()
     add_f, mul_f = add_t.ravel(), mul_t.ravel()
-    n_chunk = hi - lo
 
     # idx = prefix * qb + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
     # where g drops the b_1 term.  With no free b_1 (d = 1) qb = 1 makes
-    # b_1 a zero column and g = f_b.
+    # b_1 a zero column and g = f_b.  Each of the chunk's index ranges gets
+    # rows for its own prefixes (two ranges may both hold part of one), and
+    # each row keeps its range's bounds and the offset of its b-vectors.
     qb = q if L else 1
-    pre_lo = lo // qb
-    n_pre = (hi - 1) // qb + 1 - pre_lo
-    pidx = np.arange(pre_lo, pre_lo + n_pre, dtype=np.int64)
+    pidx, pre_row, b1, own = [], [], [], []
+    n_pre = n_chunk = 0
+    for lo, hi in ranges:
+        first, stop = lo // qb, (hi - 1) // qb + 1
+        prefix, digit = np.divmod(np.arange(lo, hi, dtype=np.int64), qb)
+        pre_row.append(prefix - (first - n_pre))
+        b1.append(digit)
+        pidx.append(np.arange(first, stop, dtype=np.int64))
+        own.append((stop - first, lo, hi, lo - n_chunk))
+        n_pre += stop - first
+        n_chunk += hi - lo
+    pidx, pre_row, b1 = (np.concatenate(x) for x in (pidx, pre_row, b1))
+    n_rows, los, his, shifts = zip(*own)
+    row_lo, row_hi, row_shift = (
+        np.repeat(x, n_rows)[:, None] for x in (los, his, shifts)
+    )
     pre_digits = np.zeros((n_pre, max(L - 1, 0)), dtype=np.int32)
+    rest = pidx
     for j in range(L - 2, -1, -1):  # column j holds b_{d-s-1-j}
-        pidx, rem = np.divmod(pidx, q)
+        rest, rem = np.divmod(rest, q)
         pre_digits[:, j] = rem
-    pre_row, b1 = np.divmod(np.arange(lo, hi, dtype=np.int64), qb)
-    pre_row -= pre_lo
 
     # fixed coefficients of g: T^d and a; T^0 and T^1 are zero, and the
     # free b_i with 2 <= i < d-s sit at digit column d-s-1-i
@@ -298,14 +318,15 @@ def _chunk_kernel(task):
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
-    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep the b inside this chunk.
+    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep the b inside the row's
+    # own range, so a prefix that two ranges share counts each b once.
     # With d = 1, g' = 1 and no b_1 column: nothing is critical.
     b1_crit = mul_t[p - 1][hasse(1, *grid)].astype(np.int64)
-    gidx = np.arange(pre_lo, pre_lo + n_pre)[:, None] * qb + b1_crit
-    pre_c, ts = np.nonzero((b1_crit < qb) & (gidx >= lo) & (gidx < hi))
+    gidx = pidx[:, None] * qb + b1_crit
+    pre_c, ts = np.nonzero((b1_crit < qb) & (gidx >= row_lo) & (gidx < row_hi))
     gamma_corr = [0] * d
     if len(pre_c):
-        rows = gidx[pre_c, ts] - lo
+        rows = gidx[pre_c, ts] - row_shift[pre_c, 0]
         cvals = val[rows, ts]
         # the multiplicity of t in f_b - f_b(t) is the smallest j with a
         # nonzero j-th Hasse derivative; j = 1 vanished by construction.
@@ -462,55 +483,86 @@ def check_sweepable(spec: FamilySpec, budget: int | None = DEFAULT_BUDGET):
         )
 
 
-def collect_many(specs, workers: int | None = None, chunk_size: int | None = None):
+def _pack(ranges, size):
+    """Ascending index ranges cut and packed into tuples of size indices
+    (the last tuple may hold fewer); ranges that meet are merged."""
+    chunk, room = [], size
+    for lo, hi in ranges:
+        while lo < hi:
+            take = min(hi - lo, room)
+            if chunk and chunk[-1][1] == lo:
+                chunk[-1] = (chunk[-1][0], lo + take)
+            else:
+                chunk.append((lo, lo + take))
+            lo, room = lo + take, room - take
+            if not room:
+                yield tuple(chunk)
+                chunk, room = [], size
+    if chunk:
+        yield tuple(chunk)
+
+
+def collect_many(specs, workers: int | None = None, chunk_size: int | None = None,
+                 blocks=None):
     """FamilyStats of each spec, in order, from one stream of chunks.
 
     Every chunk of every spec goes through one imap of the run's pool, so
     the caller consumes a spec's stats while the workers compute the next
     ones, and no spec waits for the last chunk of another.  No budget is
     applied here: the caller judges it (check_sweepable) beforehand.
+
+    blocks(spec) lists (lo, hi, weight) index blocks whose weighted stats
+    sum to the spec's; by default the whole family is one block of weight 1.
+    The blocks of one weight are packed, in index order, into chunks of the
+    chunk size, and the parent multiplies each chunk's result by its weight.
     """
     specs = list(specs)
     for spec in specs:
         check_sweepable(spec, budget=None)
     if workers is None:
         workers = default_workers()
-    tasks, counts = [], []
+    tasks, weights = [], []
     for spec in specs:
         size = chunk_size
         if size is None:
             size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
-        n_b = spec.n_b
-        chunks = [
-            (spec.field.descriptor, spec.d, spec.s, spec.a, lo, min(lo + size, n_b),
-             spec.free_len)
-            for lo in range(0, n_b, size)
-        ]
-        tasks += chunks
-        counts.append(len(chunks))
+        cover = [(0, spec.n_b, 1)] if blocks is None else sorted(blocks(spec))
+        if sum(w * (hi - lo) for lo, hi, w in cover) != spec.n_b:
+            raise BrokenInvariant(
+                f"{spec.key}: the blocks do not cover {spec.n_b} vectors"
+            )
+        task = (spec.field.descriptor, spec.d, spec.s, spec.a)
+        spec_weights = []
+        for w in sorted({w for _, _, w in cover}):
+            ranges = [(lo, hi) for lo, hi, wb in cover if wb == w]
+            for chunk in _pack(ranges, size):
+                tasks.append(task + (chunk, spec.free_len))
+                spec_weights.append(w)
+        weights.append(spec_weights)
     with run_scope() as scope:
         results = scope.imap(_chunk_kernel, tasks, workers)
-        for spec, count in zip(specs, counts):
-            yield _assemble(spec, itertools.islice(results, count))
+        for spec, spec_weights in zip(specs, weights):
+            chunks = itertools.islice(results, len(spec_weights))
+            yield _assemble(spec, zip(spec_weights, chunks))
 
 
 def _assemble(spec, results):
-    """The FamilyStats of spec from the kernel results of its chunks."""
+    """The FamilyStats of spec from the (weight, kernel result) of its chunks."""
     d = spec.d
     sum_v = sum_v2 = 0
     hist = [0] * (d + 1)
     prod = [[0] * d for _ in range(d)]
     corr = [0] * d
-    for sv, sv2, h, pa, gc in results:
-        sum_v += sv
-        sum_v2 += sv2
+    for w, (sv, sv2, h, pa, gc) in results:
+        sum_v += w * sv
+        sum_v2 += w * sv2
         for i, x in enumerate(h):
-            hist[i] += x
+            hist[i] += w * x
         for i in range(d):
             for j in range(d):
-                prod[i][j] += pa[i][j]
+                prod[i][j] += w * pa[i][j]
         for i, x in enumerate(gc):
-            corr[i] += x
+            corr[i] += w * x
     gamma_closed = []
     for r in range(1, d + 1):
         base = sum(h * falling(n, r) for n, h in enumerate(hist))

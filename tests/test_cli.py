@@ -129,8 +129,9 @@ def pools(monkeypatch):
 
 
 def test_worker_count_invariance_multi_chunk(tmp_path, pools):
-    # 11^5 = 161051 b-vectors span several default chunks, so --workers 2
-    # really runs on a pool
+    # 11^5 = 161051 b-vectors, swept as three blocks of 11^4 (a = 0 after
+    # translation), span several default chunks, so --workers 2 really runs
+    # on a pool
     one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
     base = ["sweep", "--fields", "11^1", "--d", "7", "--s", "1"]
     assert run(base + ["--workers", "1", "--out", str(one)]) == 0
@@ -153,20 +154,38 @@ def _streams(monkeypatch):
     return streams
 
 
+def _chunk_count(monkeypatch):
+    """Wrap sweep._pack; the returned list gets one entry per packed chunk."""
+    chunks = []
+    real = sweep._pack
+
+    def counted(ranges, size):
+        for chunk in real(ranges, size):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(sweep, "_pack", counted)
+    return chunks
+
+
 def test_one_pool_per_run(tmp_path, monkeypatch, pools):
-    # with chunks of 300, the swept 7^1 d=5 s=1 families (343 b-vectors;
-    # a = 0 and 1 also serve d=5 s=0), d=6 s=1 (2401, likewise) and d=6
-    # s=2 (343) each take several chunks
+    # with chunks of 300, four of the five swept 7^1 families take two or
+    # more chunks: one for block 0 and one or more for their heavier blocks
+    # (d=6 s=1 at a = 0, which also serves d=6 s=0, sweeps 343 + 686
+    # b-vectors in 5 chunks); d=6 s=3 has one weight and 49 b-vectors
     monkeypatch.setattr(sweep, "MAX_CHUNK", 300)
     streams = _streams(monkeypatch)
+    chunks = _chunk_count(monkeypatch)
     base = ["verify-bounds", "--fields", "7^1", "--d", "5-6"]
     one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert run(base + ["--workers", "1", "--out", str(one)]) == 0
     assert pools == []
     streams.clear()
+    chunks.clear()
     assert run(base + ["--workers", "2", "--out", str(two)]) == 0
     (swept,) = streams  # one chunk stream for the whole grid
-    assert [spec.n_b > 300 for spec in swept].count(True) == 5
+    assert [(spec.d, spec.s) for spec in swept] == [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]
+    assert len(chunks) == 2 + 2 + 5 + 2 + 1
     assert pools == [2]
     assert one.read_bytes() == two.read_bytes()
     # the pool closed with the run: no worker is left to serve a later one
@@ -178,9 +197,11 @@ def test_broken_invariant_in_a_worker_exits_3(tmp_path, monkeypatch, pools, caps
     # holds a fiber of q > d roots: a bug, reported as such, not as bad input
     monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
     monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
+    chunks = _chunk_count(monkeypatch)
     assert run(["sweep", "--fields", "7^1", "--d", "5", "--s", "0", "--workers", "2",
                 "--out", str(tmp_path / "sweep.csv")]) == 3
     assert capsys.readouterr().err == "internal error: a fiber exceeded d roots\n"
+    assert len(chunks) > 1
     assert pools == [2]
     assert multiprocessing.active_children() == []
 
@@ -397,6 +418,10 @@ def test_usage_errors():
         ["mean", "--field", "7^1", "--d", "5", "--s", "1", "--a", "random:0"],
         ["verify-bounds", "--fields", "7^1", "--d", "5", "--a", "random:0"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "9"],
+        # s = 0 fixes no coefficient for an explicit --a to name
+        ["mean", "--field", "7^1", "--d", "5", "--s", "0", "--a", "3"],
+        ["second-moment", "--field", "7^1", "--d", "5", "--s", "0", "--a", "0"],
+        ["audit-linear", "--field", "7^1", "--d", "5", "--s", "0", "--a", "1,2"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "3", "--a", "1,2,3"],
         ["gamma", *family, "--r", "9"],
         ["gamma", *family, "--m", "7", "--n", "1"],
@@ -421,6 +446,8 @@ def test_usage_errors():
         ["audit-linear", *family, "--count", "0"],
         ["mean", *family, "--workers", "-3"],
         ["mean", *family, "--workers", "0"],
+        ["mean", *family, "--budget", "-5"],  # budgets below 0
+        ["chi", *family, "--subset-budget", "-1"],
     ):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -463,14 +490,15 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_one_sweep_per_scaling_orbit(tmp_path, monkeypatch):
+def test_one_sweep_per_affine_orbit(tmp_path, monkeypatch):
     streams = _streams(monkeypatch)
     out = tmp_path / "v2.json"
     assert run(["second-moment", "--field", "7^1", "--d", "5", "--s", "2",
                 "--a", "all", "--out", str(out)]) == 0
-    # F_7^2 splits into 10 orbits under a -> (a_4 / lam, a_3 / lam^2)
+    # F_7^2 splits into 10 orbits under a -> (a_4 / lam, a_3 / lam^2), and
+    # translation joins them into 3: a_4 cleared, a_3 zero, square or not
     (swept,) = streams
-    assert len(swept) == 10
+    assert [spec.a for spec in swept] == [(0, 0), (0, 1), (0, 3)]
     results = json.loads(out.read_text())["results"]
     assert [tuple(r["a"]) for r in results] == select_a_vectors(
         make_field(7), 5, 2, "all", 0
@@ -526,11 +554,18 @@ S0_POINTS = [
 @example(point=(parse_descriptor("3^2"), 6))  # p | d
 def test_s0_route_equals_the_full_sweep(point):
     # the s = 0 family is the disjoint union over a_{d-1} of the s = 1
-    # families, and lam^-d f(lam T) carries each nonzero a_{d-1} onto 1
+    # families; for p not dividing d the translation T -> T - a_{d-1}/d
+    # carries each onto a_{d-1} = 0, and for p | d lam^-d f(lam T) carries
+    # each nonzero a_{d-1} onto 1
     field, d = point
     args, plan = _planned(field, d, 0)
     ((_, routes),) = plan
-    assert [(sw.s, sw.a, w) for sw, w in routes] == [(1, (0,), 1), (1, (1,), field.q - 1)]
+    if d % field.p:
+        assert [(sw.s, sw.a, w) for sw, w in routes] == [(1, (0,), field.q)]
+    else:
+        assert [(sw.s, sw.a, w) for sw, w in routes] == [
+            (1, (0,), 1), (1, (1,), field.q - 1)
+        ]
     ((_, planned),) = cli._instances(args, plan)
     assert planned == sweep.collect_stats(FamilySpec(field, d, 0, ()))
 
@@ -566,3 +601,86 @@ def test_bad_vslab_workers_is_a_usage_error(workers, tmp_path, monkeypatch):
     assert run(["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
                 "--out", str(tmp_path / "mean.json")]) == 2
     assert run(["appendix", "--out", str(tmp_path / "appendix.json")]) == 2
+
+
+def test_s0_takes_all_and_random_a(tmp_path):
+    # "all" and "random:N" name no coefficient, so s = 0 takes them; a grid
+    # applies an explicit --a to its s >= 1 points only
+    for policy in ("all", "random:2"):
+        out = tmp_path / f"{policy[:3]}.json"
+        assert run(["mean", "--field", "11^1", "--d", "5", "--s", "0",
+                    "--a", policy, "--out", str(out)]) == 0
+        (res,) = json.loads(out.read_text())["results"]
+        assert res["spec"] == "q=11^1/0,1;d=5;s=0;a="
+    out = tmp_path / "bounds.csv"
+    assert run(["verify-bounds", "--fields", "7^1", "--d", "5", "--s", "0,1",
+                "--a", "3", "--out", str(out)]) == 0
+    assert {row.split(",")[3] for row in out.read_text().splitlines()[1:]} == {"0", "1"}
+
+
+def test_zero_budget_refuses_every_sweep(capsys):
+    assert run(["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
+                "--budget", "0"]) == 2
+    assert "49 free vectors exceed the budget 0" in capsys.readouterr().err
+
+
+# (field, d, s) of the block route: d = 1 and 2, p | d, extension fields,
+# every s from 0 to d-2, and at most 3^7 requested b-vectors
+ROUTE_POINTS = [
+    (parse_descriptor(text), d, s)
+    for text in ("3^1", "5^1", "7^1", "11^1", "3^2", "5^2")
+    for d in range(1, 8)
+    if parse_descriptor(text).q > d or d % parse_descriptor(text).p == 0
+    for s in range(max(d - 1, 1))
+    if parse_descriptor(text).q ** max(d - s - 1, 0) <= 3**7
+]
+
+
+@st_.composite
+def route_requests(draw):
+    field, d, s = draw(st_.sampled_from(ROUTE_POINTS))
+    return field, d, s, tuple(draw(st_.integers(0, field.q - 1)) for _ in range(s))
+
+
+def test_route_points_cover_the_edge_cases():
+    assert {d for _, d, _ in ROUTE_POINTS} == set(range(1, 8))
+    p_divides_d = {field.q for field, d, _ in ROUTE_POINTS if d % field.p == 0}
+    assert p_divides_d == {3, 5, 7, 9, 25}
+    assert {s for _, _, s in ROUTE_POINTS} == set(range(6))
+    tops = {d for _, d, s in ROUTE_POINTS if s == d - 2}
+    assert tops == set(range(2, 8))
+
+
+@pytest.mark.filterwarnings("ignore:q = ")  # q <= d where p | d
+@settings(max_examples=60, deadline=None)
+@given(request=route_requests())
+@example(request=(parse_descriptor("7^1"), 1, 0, ()))
+@example(request=(parse_descriptor("5^2"), 2, 0, ()))
+@example(request=(parse_descriptor("3^2"), 6, 2, (0, 0)))  # p | d, a = 0
+@example(request=(parse_descriptor("7^1"), 7, 5, (0, 0, 0, 0, 0)))  # p | d, q = d
+@example(request=(parse_descriptor("11^1"), 5, 1, (0,)))  # a = 0: 3 blocks of 11
+@example(request=(parse_descriptor("5^2"), 5, 2, (7, 0)))  # p | d
+def test_block_route_equals_the_full_sweep(request):
+    # the planned route (affine representative, s = 0 as weighted s = 1
+    # families, one block per stabiliser orbit) against a plain sweep of
+    # every b-vector of the requested family
+    field, d, s, a = request
+    args = argparse.Namespace(a=",".join(map(str, a)) or "all", seed=0,
+                              budget=10**6, workers=1)
+    ((spec, planned),) = cli._instances(args, cli._plan(args, field, d, s))
+    assert spec == FamilySpec(field, d, s, a)
+    assert planned == sweep.collect_stats(spec)
+
+
+@pytest.mark.filterwarnings("ignore:q = ")  # q = d = 5
+@pytest.mark.parametrize("text, d, s", [("5^1", 5, 2), ("3^2", 5, 1), ("7^1", 6, 2)])
+def test_every_a_sums_to_the_s0_family(text, d, s):
+    # F_q^(d-1) is the disjoint union over a in F_q^s of the families at a,
+    # so their routed stats sum, field by field, to a plain s = 0 sweep
+    field = parse_descriptor(text)
+    args = argparse.Namespace(a="all", seed=0, budget=10**6, workers=1)
+    plan = cli._plan(args, field, d, s)
+    parts = [(stats, 1) for _, stats in cli._instances(args, plan)]
+    assert len(parts) == field.q**s
+    whole = FamilySpec(field, d, 0)
+    assert sweep.weighted_sum(whole, parts) == sweep.collect_stats(whole)

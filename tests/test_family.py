@@ -117,17 +117,27 @@ ORBIT_POINTS = [
 ]
 
 
-def _scaled(gf, a, lam):
-    """(lam^-1 a_{d-1}, ..., lam^-s a_{d-s}) by scalar field arithmetic."""
-    return tuple(gf.mul(gf.pow(lam, -i), c) for i, c in enumerate(a, 1))
+def _image(gf, d, a, lam, t):
+    """The top s coefficients of lam^-d (f(lam T + t) - f(t)), f = T^d + a
+    with b = 0, by polynomial substitution; b and - f(t) only feed lower
+    degrees."""
+    f = [0] * (d + 1)
+    f[d] = 1
+    for i, c in enumerate(a, 1):
+        f[d - i] = c
+    moved = (0,)
+    for c in reversed(f):  # Horner in the polynomial lam T + t
+        moved = up.poly_add(gf, up.poly_mul(gf, moved, (t, lam)), (c,))
+    moved = up.poly_scale(gf, moved, gf.pow(lam, -d))
+    return tuple(moved[d - i] for i in range(1, len(a) + 1))
 
 
 @st_.composite
-def scaled_family(draw):
-    """(gf, d, s, a, lam): a family's a and a scaling lam in F_q^*."""
+def moved_family(draw):
+    """(gf, d, s, a, lam, t): a family's a and an affine map (lam, t)."""
     gf, d, s = draw(st_.sampled_from(ORBIT_POINTS))
     a = tuple(draw(st_.integers(0, gf.q - 1)) for _ in range(s))
-    return gf, d, s, a, draw(st_.integers(1, gf.q - 1))
+    return gf, d, s, a, draw(st_.integers(1, gf.q - 1)), draw(st_.integers(0, gf.q - 1))
 
 
 def test_orbit_points_cover_the_edge_cases():
@@ -138,19 +148,26 @@ def test_orbit_points_cover_the_edge_cases():
 
 @pytest.mark.filterwarnings("ignore:q = ")  # p | d with q = d
 @settings(max_examples=40, deadline=None)
-@given(case=scaled_family())
-@example(case=(parse_descriptor("3^2"), 6, 2, (4, 7), 5))  # p | d
-@example(case=(parse_descriptor("5^2"), 5, 2, (3, 11), 17))  # p | d
-@example(case=(parse_descriptor("7^1"), 7, 3, (2, 0, 5), 3))  # p | d, q = d
-def test_one_sweep_per_scaling_orbit(case):
-    # lam^-d f(lam T) carries the family at a onto the family at the scaled
-    # a, so the sweep of a's representative gives the scaled a's statistics
-    gf, d, s, a, lam = case
-    scaled = _scaled(gf, a, lam)
-    rep, rep_scaled = orbit_representatives(gf, s, [a, scaled])
-    assert rep == min(_scaled(gf, a, mu) for mu in range(1, gf.q))
-    assert rep_scaled == rep
+@given(case=moved_family())
+@example(case=(parse_descriptor("3^2"), 6, 2, (4, 7), 5, 2))  # p | d
+@example(case=(parse_descriptor("5^2"), 5, 2, (3, 11), 17, 9))  # p | d
+@example(case=(parse_descriptor("7^1"), 7, 3, (2, 0, 5), 3, 4))  # p | d, q = d
+@example(case=(parse_descriptor("7^1"), 7, 3, (0, 0, 5), 3, 4))  # p | d, a_{d-1} = 0
+@example(case=(parse_descriptor("11^1"), 6, 3, (7, 2, 9), 6, 10))
+def test_one_sweep_per_affine_orbit(case):
+    # lam^-d (f(lam T + t) - f(t)) carries the family at a onto the family
+    # at a's image, so the sweep of a's representative, the smallest image
+    # over all (lam, t), gives the image's statistics
+    gf, d, s, a, lam, t = case
+    image = _image(gf, d, a, lam, t)
+    rep, rep_image = orbit_representatives(gf, d, s, [a, image])
+    assert rep == min(
+        _image(gf, d, a, mu, u) for mu in range(1, gf.q) for u in range(gf.q)
+    )
+    assert rep_image == rep
+    if s and d % gf.p:
+        assert rep[0] == 0  # translation clears a_{d-1}
     key = FamilySpec(gf, d, s, a).key
     via_rep = collect_stats(FamilySpec(gf, d, s, rep))
-    full = collect_stats(FamilySpec(gf, d, s, scaled))
+    full = collect_stats(FamilySpec(gf, d, s, image))
     assert dataclasses.replace(via_rep, key=key) == dataclasses.replace(full, key=key)

@@ -135,3 +135,20 @@ def test_four_exception_classes():
         lambda node: isinstance(node, ast.ClassDef) and defines_exception(node)
     )
     assert all(site.startswith("errors.py:") for site in sites), sites
+
+
+def test_one_function_builds_the_blocks():
+    # the blocks a family is swept in come from family.stabiliser_blocks
+    # alone: it is defined once, and it is every blocks= argument there is
+    defined = _nodes(
+        lambda node: isinstance(node, ast.FunctionDef)
+        and node.name == "stabiliser_blocks"
+    )
+    assert len(defined) == 1 and defined[0].startswith("family.py:"), defined
+    passed = [
+        ast.unparse(node.value)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.keyword) and node.arg == "blocks"
+    ]
+    assert passed == ["stabiliser_blocks"]

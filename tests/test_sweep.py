@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st_
 
 from vslab import sweep
 from vslab.errors import BrokenInvariant, BudgetExceeded
-from vslab.family import FamilySpec, enumerate_b, family_poly, value_profile
+from vslab.family import (
+    FamilySpec,
+    enumerate_b,
+    family_poly,
+    stabiliser_blocks,
+    value_profile,
+)
 from vslab.gf import GF, make_field
 from vslab.sweep import (
     collect_many,
@@ -128,6 +134,51 @@ def test_weighted_sum_checks_the_cover():
     assert weighted_sum(spec, [(zero, 1), (one, 6)]) == collect_stats(spec)
     with pytest.raises(BrokenInvariant, match="cover 294 of 343"):
         weighted_sum(spec, [(zero, 1), (one, 5)])
+
+
+def test_stabiliser_blocks():
+    # a = 0 at s = 1: G = F_7^*, H = its squares {1, 2, 4}, so block 0 and
+    # the cosets of 1 and 3, each standing for 3 blocks of 7^2
+    assert stabiliser_blocks(FamilySpec(F7, 5, 1, (0,))) == [
+        (0, 49, 1), (49, 98, 3), (147, 196, 3)
+    ]
+    # a_{d-2} != 0 at s = 2: G = H = {1, -1}, about half of the blocks
+    assert stabiliser_blocks(FamilySpec(F7, 5, 2, (0, 3))) == [
+        (0, 7, 1), (7, 14, 2), (14, 21, 2), (21, 28, 2)
+    ]
+    # a_{d-1} != 0: G = {1}, every block its own orbit
+    assert stabiliser_blocks(FamilySpec(F5, 4, 1, (2,))) == [
+        (r * 5, r * 5 + 5, 1) for r in range(5)
+    ]
+    # d = 1 has no free coefficient: one block, the one member
+    assert stabiliser_blocks(FamilySpec(F5, 1, 0)) == [(0, 1, 1)]
+
+
+def test_blocks_must_cover_the_family():
+    spec = FamilySpec(F7, 5, 1, (0,))
+    short = lambda spec: [(0, 49, 1), (49, 98, 3)]  # noqa: E731
+    with pytest.raises(BrokenInvariant, match="do not cover 343"):
+        list(collect_many([spec], 1, blocks=short))
+
+
+def test_ranges_that_share_a_prefix():
+    # b-vectors 0..2 and 5..6 share the prefix block 0..6: the chunk of
+    # both ranges counts each b-vector, and each critical point, once
+    spec = FamilySpec(F7, 4, 1, (3,))
+    task = (spec.field.descriptor, spec.d, spec.s, spec.a)
+    both = sweep._chunk_kernel(task + (((0, 3), (5, 10)), spec.free_len))
+    apart = [
+        sweep._chunk_kernel(task + ((r,), spec.free_len)) for r in ((0, 3), (5, 10))
+    ]
+    assert both[4] != [0] * spec.d  # a class with a multiple root is among them
+    assert sweep._assemble(spec, [(1, both)]) == sweep._assemble(
+        spec, [(1, part) for part in apart]
+    )
+
+
+def test_pack_cuts_and_merges_ranges():
+    packed = list(sweep._pack([(0, 3), (3, 5), (7, 9), (12, 20)], 4))
+    assert packed == [((0, 4),), ((4, 5), (7, 9), (12, 13)), ((13, 17),), ((17, 20),)]
 
 
 def test_budget_guard():
@@ -292,6 +343,15 @@ def test_gram_prod_a_matches_value_profile_on_cut_blocks(spec, blocks, cut):
     assert (st.sum_v, st.sum_v2, st.hist_n, st.prod_a) == profile_stats(spec)
 
 
+@settings(max_examples=30, deadline=None)
+@given(spec=small_specs(), chunk_size=st_.integers(1, 60), workers=st_.integers(1, 2))
+def test_packed_blocks_equal_the_full_sweep(spec, chunk_size, workers):
+    # chunks of one weight hold several blocks, cut anywhere; the parent
+    # weights each chunk's sums
+    (packed,) = collect_many([spec], workers, chunk_size, blocks=stabiliser_blocks)
+    assert packed == collect_stats(spec)
+
+
 # -- explicit invariants --------------------------------------------------
 
 
@@ -351,7 +411,7 @@ def test_extreme_table_field_sweeps(monkeypatch):
     kernel = sweep._chunk_kernel
 
     def spy(task):
-        spans.append(task[5] - task[4])
+        spans.append(sum(hi - lo for lo, hi in task[4]))
         return kernel(task)
 
     monkeypatch.setattr(sweep, "_chunk_kernel", spy)
