@@ -19,7 +19,6 @@ import dataclasses
 import itertools
 import json
 import sys
-from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -29,15 +28,10 @@ from . import counting as ct
 from . import moments as mo
 from . import reports as rp
 from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
-from .family import FamilySpec, orbit_representatives, stabiliser_blocks
+from .family import FamilySpec, cover, orbit_representatives
 from .gf import parse_descriptor
 from .sweep import (
-    FamilyStats,
-    check_sweepable,
-    collect_many,
-    default_workers,
-    run_scope,
-    weighted_sum,
+    FamilyStats, check_sweepable, collect_many, default_workers, run_scope
 )
 
 CHECK_FAILED = 1
@@ -87,18 +81,18 @@ def nonnegative_int(text: str) -> int:
 
 
 def select_a_vectors(field, d, s, policy, seed):
-    """Fixed-coefficient choices per the --a policy.
+    """Fixed-coefficient choices per the --a policy, as an iterable.
 
-    "all" enumerates F_q^s; "random:N" draws N vectors from Philox
-    keyed by the seed with (q, d, s) in the counter; anything else is
-    an explicit comma list.  s = 0 yields the single empty a, from no
-    policy, "all" or "random:N"; an explicit vector, which names
-    coefficients that s = 0 does not fix, is refused.
+    "all" enumerates F_q^s lazily, from (0, ..., 0); "random:N" draws N
+    vectors from Philox keyed by the seed with (q, d, s) in the counter;
+    anything else is an explicit comma list.  s = 0 yields the single
+    empty a, from no policy, "all" or "random:N"; an explicit vector,
+    which names coefficients that s = 0 does not fix, is refused.
     """
     q = field.q
     policy = (policy or "").strip()
     if policy == "all":
-        return list(itertools.product(range(q), repeat=s))
+        return itertools.product(range(q), repeat=s)
     if not policy:
         if s == 0:
             return [()]
@@ -132,66 +126,43 @@ def _a_vectors(args, field, d, s, grid):
 
 
 def _plan(args, field=None, d=None, s=None):
-    """(spec, routes) for each --a vector at one (field, d, s), in --a order;
-    the single-field commands take all three from --field, --d and --s.
-
-    routes lists (swept spec, weight) pairs whose weighted stats sum to
-    spec's (sweep.weighted_sum).  The budget is judged on the requested
-    family, before anything is swept.  Two routes:
-      - one sweep serves every requested member of an affine orbit of a,
-        with weight 1: the members share all statistics;
-      - s = 0 with d >= 3 is the disjoint union over a_{d-1} of the s = 1
-        families, weighted by the sizes of their affine orbits: for p not
-        dividing d all q of them lie in the orbit of (0,), and for p | d
-        in the orbits of (0,) and (1,), of sizes 1 and q-1.  At d <= 2,
-        where s = 1 names no family, s = 0 is swept whole.
-    Each swept spec is then swept one block per stabiliser orbit of blocks
-    (family.stabiliser_blocks).
+    """(spec, swept spec) for each --a vector at one (field, d, s), in --a
+    order; the single-field commands take all three from --field, --d and
+    --s.  The swept spec is the canonical member of spec's affine orbit of
+    a, which shares all its statistics; family.cover reduces it to what is
+    swept.  The budget is judged on the requested family before anything is
+    swept, and on the first a alone, before F_q^s is built: n_b does not
+    depend on a.
     """
     grid = field is not None
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
 
-    def spec_at(s, a):  # one call site, so a q <= d warning prints once
+    def spec_at(a):  # one call site, so a q <= d warning prints once
         return FamilySpec(field, d, s, a)
 
-    specs = [spec_at(s, a) for a in _a_vectors(args, field, d, s, grid)]
-    check_sweepable(specs[0], args.budget)  # n_b does not depend on a
-    if s == 0 and d >= 3:
-        a_1 = [(c,) for c in range(field.q)]
-        orbits = Counter(orbit_representatives(field, d, 1, a_1))
-        return [(spec, [(spec_at(1, rep), size) for rep, size in orbits.items()])
-                for spec in specs]
+    a_vectors = iter(_a_vectors(args, field, d, s, grid))
+    specs = [spec_at(next(a_vectors))]
+    check_sweepable(specs[0], args.budget)
+    specs += map(spec_at, a_vectors)
     reps = orbit_representatives(field, d, s, [spec.a for spec in specs])
-    return [(spec, [(spec_at(s, rep), 1)]) for spec, rep in zip(specs, reps)]
+    return [(spec, spec_at(rep)) for spec, rep in zip(specs, reps)]
 
 
 def _instances(args, plan=None):
-    """(spec, stats) for each (spec, routes) of the plan, in plan order; the
-    default plan is the one of --field, --d and --s.
+    """(spec, stats) for each (spec, swept spec) of the plan, in plan order;
+    the default plan is the one of --field, --d and --s.
 
-    Every distinct swept spec of the plan is swept once, one block per
-    stabiliser orbit, and all of them through one collect_many stream, so
-    this loop works on one instance while the workers sweep the next ones.
-    Members with the same routes share their stats but the key, which are
-    summed once.
+    All swept specs go through one collect_many stream, each by its
+    family.cover, so this loop works on one instance while the workers
+    sweep the next ones; each member gets its swept spec's stats under its
+    own key.
     """
     plan = _plan(args) if plan is None else plan
-    swept = list(dict.fromkeys(sw for _, routes in plan for sw, _ in routes))
-    stream = zip(
-        swept, collect_many(swept, workers=args.workers, blocks=stabiliser_blocks)
-    )
-    done, summed = {}, {}
-    for spec, routes in plan:
-        shared = (spec.s, tuple(routes))
-        if shared not in summed:
-            for sw, _ in routes:
-                while sw not in done:
-                    key, stats = next(stream)
-                    done[key] = stats
-            summed[shared] = weighted_sum(spec, [(done[sw], w) for sw, w in routes])
-        yield spec, dataclasses.replace(summed[shared], key=spec.key)
+    stream = collect_many([sw for _, sw in plan], workers=args.workers, cover=cover)
+    for (spec, _), stats in zip(plan, stream):
+        yield spec, dataclasses.replace(stats, key=spec.key)
 
 
 def _moment_instances(args, plan=None):
@@ -408,7 +379,7 @@ def cmd_verify_bounds(args):
                 plan = _plan(args, field, d, s)
             except BudgetExceeded:
                 # n_b does not depend on a, so every a-vector is over budget
-                a_count = len(_a_vectors(args, field, d, s, grid=True))
+                a_count = sum(1 for _ in _a_vectors(args, field, d, s, grid=True))
                 markers = [bd.marker("sweep", field.q, d, s)] * a_count
         points.append((markers, plan))
     instances = _instances(args, [entry for _, plan in points for entry in plan])
@@ -488,12 +459,16 @@ def cmd_audit_linear(args):
     q = field.q
     rng = _philox(args.seed, q, d, s)
     a_vectors = _a_vectors(args, field, d, s, grid=False)
+    specs = [FamilySpec(field, d, s, a) for a in a_vectors]
+    total = d - s
+    if total < 2:  # past the family's own checks, only d = 1 gets here
+        raise InvalidParameter(
+            f"audit-linear needs two nonempty subsets with m + n <= d - s = {total}"
+        )
     checks = []
     failures = 0
-    for a in a_vectors:
-        spec = FamilySpec(field, d, s, a)
+    for spec in specs:
         for _ in range(args.count):
-            total = d - s
             m = int(rng.integers(1, total))
             n = int(rng.integers(1, total - m + 1))
             perm = rng.permutation(q)

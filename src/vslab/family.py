@@ -18,12 +18,14 @@ and keeps every value-set size and root multiplicity.  So all members of
 one affine orbit of a share their statistics, and one canonical member
 is swept for all of them (orbit_representatives).  The scalings that fix
 a permute the family's own members, a block of b-vectors at a time, so
-one block per orbit of blocks is swept (stabiliser_blocks).
+one block per orbit of blocks is swept (stabiliser_blocks).  cover(spec)
+alone reduces a family to the weighted index blocks swept for it.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
@@ -250,4 +252,28 @@ def stabiliser_blocks(spec: FamilySpec):
         if not seen[r]:
             seen[mul[r, h]] = True
             blocks.append((r * size, (r + 1) * size, len(h)))
+    return blocks
+
+
+def cover(spec: FamilySpec):
+    """(swept spec, lo, hi, weight) index blocks whose weighted stats sum to
+    spec's, so sum(weight * (hi - lo)) = spec.n_b.
+
+    At s >= 1, and at s = 0 with d <= 2 where s = 1 names no family, these
+    are spec's own stabiliser blocks.  At s = 0 with d >= 3 the family is
+    the disjoint union over a_{d-1} of the s = 1 families: each s = 1
+    representative is swept in its stabiliser blocks, weighted by the size
+    of its affine orbit (for p not dividing d all q lie in the orbit of
+    (0,); for p | d in those of (0,) and (1,), of sizes 1 and q-1).
+    """
+    if spec.s or spec.d <= 2:
+        return [(spec, *block) for block in stabiliser_blocks(spec)]
+    field, d = spec.field, spec.d
+    reps = orbit_representatives(field, d, 1, [(c,) for c in range(field.q)])
+    blocks = []
+    for rep, size in Counter(reps).items():
+        with warnings.catch_warnings():  # spec itself warned of q <= d
+            warnings.simplefilter("ignore")
+            part = FamilySpec(field, d, 1, rep)
+        blocks += [(part, lo, hi, size * w) for lo, hi, w in stabiliser_blocks(part)]
     return blocks

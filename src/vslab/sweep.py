@@ -14,11 +14,12 @@ chunks reduce by integer addition, so results are independent of the
 chunk partition and of the worker count.  A chunk is a tuple of
 ascending index ranges; a default chunk holds about CHUNK_CELLS = 2^18
 (b, t) cells, between 1024 and MAX_CHUNK b-vectors, so its value and
-count arrays stay near the size of a core's L2 cache.  A family may be
-swept in weighted blocks (collect_many's blocks): the blocks of one
-weight are packed into full chunks, and the parent multiplies each
-chunk's sums by its weight, so weights never reach the kernel or its
-float64 bound.
+count arrays stay near the size of a core's L2 cache.  A family is
+swept through its cover (collect_many's cover): weighted index blocks of
+swept families.  The blocks of one swept family and one weight are packed
+into full chunks, and the parent multiplies each chunk's sums by its
+weight (_assemble), so weights never reach the kernel or its float64
+bound.
 
 The per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the
 (d+1) x (d+1) Gram matrix of the chunk's root-count histograms, one
@@ -54,13 +55,14 @@ built once per process.  The sweeps of one run share a single fork pool
 builds a field's tables, and fills the single_root_table and
 multi_root_correction memos, once per run.  One worker never forks.
 
-collect_many puts every chunk of a list of families through one ordered
-imap of that pool and yields each family's stats as its last chunk
-arrives, so the caller checks and writes one family while the workers
-sweep the next, and no family waits at a barrier of its own; the CLI
-runs each command's whole plan as one such stream, each family in its
-stabiliser blocks (family.stabiliser_blocks), and collect_stats is the
-one-family, one-block case that the independent checks use.  Entering
+collect_many puts every distinct chunk of a list of families through one
+ordered imap of that pool and yields each family's stats as its last
+chunk arrives, so the caller checks and writes one family while the
+workers sweep the next, and no family waits at a barrier of its own.  A
+chunk that several families cover runs once.  The CLI runs each
+command's whole plan as one such stream, each family through
+family.cover, and collect_stats is the one-family, one-block case that
+the independent checks use.  Entering
 run_scope also fixes glibc's mmap and trim thresholds (_steady_heap), so
 the kernel's 1-2 MB temporaries stay in the heap between chunks instead
 of being unmapped and faulted in again by the next one.
@@ -69,7 +71,6 @@ of being unmapped and faulted in again by the next one.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import multiprocessing
 import os
 from contextlib import contextmanager
@@ -134,36 +135,6 @@ class FamilyStats:
         """sum_b [A_m A_n - sum_c C(N,m)C(N,n)]: the c1 != c2 incidences."""
         same_c = sum(h * comb(k, m) * comb(k, n) for k, h in enumerate(self.hist_n))
         return self.prod_a[m - 1][n - 1] - same_c
-
-
-def _weighted(values, weights):
-    """sum of weight * value, entry by entry through nested tuples."""
-    if isinstance(values[0], tuple):
-        return tuple(_weighted(column, weights) for column in zip(*values))
-    return sum(w * v for v, w in zip(values, weights))
-
-
-_ADDITIVE_FIELDS = ("n_b", "sum_v", "sum_v2", "hist_n", "prod_a", "gamma_closed")
-
-
-def weighted_sum(spec: FamilySpec, parts) -> FamilyStats:
-    """The stats of spec's family from (stats, weight) pairs that cover it.
-
-    Every field but the key is a sum over the family, so a family that is
-    the disjoint union of weight copies of each part's family (up to a
-    bijection that keeps every statistic) has the weighted sum of its
-    parts' fields.  The weights must account for spec.n_b exactly.
-    """
-    stats, weights = zip(*parts)
-    fields = {
-        name: _weighted([getattr(st, name) for st in stats], weights)
-        for name in _ADDITIVE_FIELDS
-    }
-    if fields["n_b"] != spec.n_b:
-        raise BrokenInvariant(
-            f"{spec.key}: the parts cover {fields['n_b']} of {spec.n_b} vectors"
-        )
-    return FamilyStats(key=spec.key, q=spec.q, d=spec.d, s=spec.s, **fields)
 
 
 def exact_tuple_counts(caps, n_simple: int, d: int):
@@ -503,47 +474,56 @@ def _pack(ranges, size):
 
 
 def collect_many(specs, workers: int | None = None, chunk_size: int | None = None,
-                 blocks=None):
+                 cover=None):
     """FamilyStats of each spec, in order, from one stream of chunks.
 
-    Every chunk of every spec goes through one imap of the run's pool, so
-    the caller consumes a spec's stats while the workers compute the next
-    ones, and no spec waits for the last chunk of another.  No budget is
-    applied here: the caller judges it (check_sweepable) beforehand.
-
-    blocks(spec) lists (lo, hi, weight) index blocks whose weighted stats
-    sum to the spec's; by default the whole family is one block of weight 1.
-    The blocks of one weight are packed, in index order, into chunks of the
-    chunk size, and the parent multiplies each chunk's result by its weight.
+    cover(spec) lists (swept spec, lo, hi, weight) index blocks whose
+    weighted stats sum to the spec's (family.cover); by default the whole
+    family is one block of weight 1.  The blocks of one swept spec and one
+    weight are packed, in index order, into chunks of the chunk size.  A
+    chunk is keyed by its task, so one that several specs need runs once,
+    and every distinct chunk goes through one imap of the run's pool: the
+    caller consumes a spec's stats while the workers compute the next ones,
+    and no spec waits for the last chunk of another.  Covers and stats are
+    built once per distinct spec.  No budget is applied here: the caller
+    judges it (check_sweepable) beforehand.
     """
     specs = list(specs)
-    for spec in specs:
-        check_sweepable(spec, budget=None)
     if workers is None:
         workers = default_workers()
-    tasks, weights = [], []
-    for spec in specs:
+    plans = {}  # distinct spec -> its (task, weight) pairs
+    for spec in dict.fromkeys(specs):
+        check_sweepable(spec, budget=None)
         size = chunk_size
         if size is None:
             size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
-        cover = [(0, spec.n_b, 1)] if blocks is None else sorted(blocks(spec))
-        if sum(w * (hi - lo) for lo, hi, w in cover) != spec.n_b:
+        blocks = [(spec, 0, spec.n_b, 1)] if cover is None else cover(spec)
+        if sum(w * (hi - lo) for _, lo, hi, w in blocks) != spec.n_b:
             raise BrokenInvariant(
                 f"{spec.key}: the blocks do not cover {spec.n_b} vectors"
             )
-        task = (spec.field.descriptor, spec.d, spec.s, spec.a)
-        spec_weights = []
-        for w in sorted({w for _, _, w in cover}):
-            ranges = [(lo, hi) for lo, hi, wb in cover if wb == w]
-            for chunk in _pack(ranges, size):
-                tasks.append(task + (chunk, spec.free_len))
-                spec_weights.append(w)
-        weights.append(spec_weights)
+        groups = {}
+        for swept, lo, hi, w in blocks:
+            groups.setdefault((swept, w), []).append((lo, hi))
+        plans[spec] = [
+            ((sw.field.descriptor, sw.d, sw.s, sw.a, chunk, sw.free_len), w)
+            for (sw, w), ranges in groups.items()
+            for chunk in _pack(sorted(ranges), size)
+        ]
+    tasks = list(dict.fromkeys(task for plan in plans.values() for task, _ in plan))
     with run_scope() as scope:
-        results = scope.imap(_chunk_kernel, tasks, workers)
-        for spec, spec_weights in zip(specs, weights):
-            chunks = itertools.islice(results, len(spec_weights))
-            yield _assemble(spec, zip(spec_weights, chunks))
+        stream = zip(tasks, scope.imap(_chunk_kernel, tasks, workers))
+        results, built = {}, {}
+        for spec in specs:
+            if spec not in built:
+                for task, _ in plans[spec]:
+                    while task not in results:  # it may have run for an earlier spec
+                        done, result = next(stream)
+                        results[done] = result
+                built[spec] = _assemble(
+                    spec, [(w, results[task]) for task, w in plans[spec]]
+                )
+            yield built[spec]
 
 
 def _assemble(spec, results):

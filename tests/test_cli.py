@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st_
 from vslab import cli, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
 from vslab.errors import InvalidParameter
-from vslab.family import FamilySpec
+from vslab.family import FamilySpec, cover, stabiliser_blocks
 from vslab.gf import GF, make_field, parse_descriptor
 
 
@@ -33,10 +33,10 @@ def test_parse_int_list():
 
 def test_select_a_vectors_policies():
     f5 = make_field(5)
-    assert select_a_vectors(f5, 4, 0, "all", 0) == [()]
+    assert list(select_a_vectors(f5, 4, 0, "all", 0)) == [()]
     assert select_a_vectors(f5, 4, 1, "3", 0) == [(3,)]
     assert select_a_vectors(f5, 4, 2, "1,2", 0) == [(1, 2)]
-    allv = select_a_vectors(f5, 4, 2, "all", 0)
+    allv = list(select_a_vectors(f5, 4, 2, "all", 0))
     assert len(allv) == 25 and allv[0] == (0, 0) and allv[-1] == (4, 4)
     r1 = select_a_vectors(f5, 4, 2, "random:3", 42)
     r2 = select_a_vectors(f5, 4, 2, "random:3", 42)
@@ -154,38 +154,40 @@ def _streams(monkeypatch):
     return streams
 
 
-def _chunk_count(monkeypatch):
-    """Wrap sweep._pack; the returned list gets one entry per packed chunk."""
-    chunks = []
-    real = sweep._pack
+def _stream_tasks(monkeypatch):
+    """Wrap the run scope's imap; the returned list gets the chunk tasks of
+    each stream, on any number of workers."""
+    streams = []
+    real = sweep._RunScope.imap
 
-    def counted(ranges, size):
-        for chunk in real(ranges, size):
-            chunks.append(chunk)
-            yield chunk
+    def spy(self, fn, tasks, workers):
+        streams.append(list(tasks))
+        return real(self, fn, tasks, workers)
 
-    monkeypatch.setattr(sweep, "_pack", counted)
-    return chunks
+    monkeypatch.setattr(sweep._RunScope, "imap", spy)
+    return streams
 
 
 def test_one_pool_per_run(tmp_path, monkeypatch, pools):
     # with chunks of 300, four of the five swept 7^1 families take two or
     # more chunks: one for block 0 and one or more for their heavier blocks
-    # (d=6 s=1 at a = 0, which also serves d=6 s=0, sweeps 343 + 686
+    # (d=6 s=1 at a = 0, whose chunks also serve d=6 s=0, sweeps 343 + 686
     # b-vectors in 5 chunks); d=6 s=3 has one weight and 49 b-vectors
     monkeypatch.setattr(sweep, "MAX_CHUNK", 300)
     streams = _streams(monkeypatch)
-    chunks = _chunk_count(monkeypatch)
+    tasks = _stream_tasks(monkeypatch)
     base = ["verify-bounds", "--fields", "7^1", "--d", "5-6"]
     one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert run(base + ["--workers", "1", "--out", str(one)]) == 0
     assert pools == []
     streams.clear()
-    chunks.clear()
+    tasks.clear()
     assert run(base + ["--workers", "2", "--out", str(two)]) == 0
-    (swept,) = streams  # one chunk stream for the whole grid
-    assert [(spec.d, spec.s) for spec in swept] == [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]
-    assert len(chunks) == 2 + 2 + 5 + 2 + 1
+    assert len(streams) == 1  # one chunk stream for the whole grid
+    (chunks,) = tasks  # each distinct chunk once
+    swept = [(d, s) for _, d, s, *_ in chunks]
+    assert list(dict.fromkeys(swept)) == [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]
+    assert len(chunks) == len(set(chunks)) == 2 + 2 + 5 + 2 + 1
     assert pools == [2]
     assert one.read_bytes() == two.read_bytes()
     # the pool closed with the run: no worker is left to serve a later one
@@ -197,10 +199,11 @@ def test_broken_invariant_in_a_worker_exits_3(tmp_path, monkeypatch, pools, caps
     # holds a fiber of q > d roots: a bug, reported as such, not as bad input
     monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
     monkeypatch.setattr(sweep, "MAX_CHUNK", 500)
-    chunks = _chunk_count(monkeypatch)
+    tasks = _stream_tasks(monkeypatch)
     assert run(["sweep", "--fields", "7^1", "--d", "5", "--s", "0", "--workers", "2",
                 "--out", str(tmp_path / "sweep.csv")]) == 3
     assert capsys.readouterr().err == "internal error: a fiber exceeded d roots\n"
+    (chunks,) = tasks
     assert len(chunks) > 1
     assert pools == [2]
     assert multiprocessing.active_children() == []
@@ -422,6 +425,8 @@ def test_usage_errors():
         ["mean", "--field", "7^1", "--d", "5", "--s", "0", "--a", "3"],
         ["second-moment", "--field", "7^1", "--d", "5", "--s", "0", "--a", "0"],
         ["audit-linear", "--field", "7^1", "--d", "5", "--s", "0", "--a", "1,2"],
+        # d - s = 1 leaves no room for two nonempty subsets
+        ["audit-linear", "--field", "7^1", "--d", "1", "--s", "0"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "3", "--a", "1,2,3"],
         ["gamma", *family, "--r", "9"],
         ["gamma", *family, "--m", "7", "--n", "1"],
@@ -497,11 +502,12 @@ def test_one_sweep_per_affine_orbit(tmp_path, monkeypatch):
                 "--a", "all", "--out", str(out)]) == 0
     # F_7^2 splits into 10 orbits under a -> (a_4 / lam, a_3 / lam^2), and
     # translation joins them into 3: a_4 cleared, a_3 zero, square or not
-    (swept,) = streams
-    assert [spec.a for spec in swept] == [(0, 0), (0, 1), (0, 3)]
+    (swept,) = streams  # one swept spec per member
+    assert len(swept) == 49
+    assert list(dict.fromkeys(spec.a for spec in swept)) == [(0, 0), (0, 1), (0, 3)]
     results = json.loads(out.read_text())["results"]
-    assert [tuple(r["a"]) for r in results] == select_a_vectors(
-        make_field(7), 5, 2, "all", 0
+    assert [tuple(r["a"]) for r in results] == list(
+        select_a_vectors(make_field(7), 5, 2, "all", 0)
     )
 
 
@@ -512,12 +518,37 @@ def test_two_members_of_one_orbit_sweep_once(tmp_path, monkeypatch):
     out = tmp_path / "mean.json"
     assert run(["mean", "--field", "7^1", "--d", "5", "--s", "1",
                 "--a", "random:2", "--seed", "1", "--out", str(out)]) == 0
-    assert [len(swept) for swept in streams] == [1]
+    assert [len(set(swept)) for swept in streams] == [1]
     results = json.loads(out.read_text())["results"]
     assert [r["spec"] for r in results] == [
         "q=7^1/0,1;d=5;s=1;a=5", "q=7^1/0,1;d=5;s=1;a=6"
     ]
     assert results[0]["mean"] == results[1]["mean"]
+
+
+def _kernel_runs(monkeypatch, argv):
+    """The number of kernel calls that argv makes on one worker."""
+    calls = _count_calls(monkeypatch, sweep, "_chunk_kernel")
+    assert run(argv + ["--workers", "1"]) == 0
+    return len(calls)
+
+
+def test_s0_points_share_the_chunks_of_s1(tmp_path, monkeypatch):
+    # at 11^1 d6 and 5^2 d6 (p not dividing d) the s = 0 family is swept as
+    # the s = 1 family at a = (0,), which is also the s = 1 point's
+    # representative: its chunks serve both points
+    base = ["verify-bounds", "--fields", "11^1,5^2", "--d", "6", "--a", "random:1",
+            "--seed", "4", "--out", str(tmp_path / "bounds.csv")]
+    assert _kernel_runs(monkeypatch, base + ["--s", "0,1"]) == 7
+    assert _kernel_runs(monkeypatch, base + ["--s", "1"]) == 7
+
+
+def test_members_of_one_orbit_add_no_chunks(tmp_path, monkeypatch):
+    # the 11 a-vectors of 11^1 d6 s1 form one affine orbit
+    base = ["mean", "--field", "11^1", "--d", "6", "--s", "1",
+            "--out", str(tmp_path / "mean.json")]
+    alone = _kernel_runs(monkeypatch, base + ["--a", "3"])
+    assert _kernel_runs(monkeypatch, base + ["--a", "all"]) == alone == 2
 
 
 def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):
@@ -559,13 +590,18 @@ def test_s0_route_equals_the_full_sweep(point):
     # each nonzero a_{d-1} onto 1
     field, d = point
     args, plan = _planned(field, d, 0)
-    ((_, routes),) = plan
+    ((spec, swept),) = plan
+    assert swept == spec
     if d % field.p:
-        assert [(sw.s, sw.a, w) for sw, w in routes] == [(1, (0,), field.q)]
+        orbits = [((0,), field.q)]
     else:
-        assert [(sw.s, sw.a, w) for sw, w in routes] == [
-            (1, (0,), 1), (1, (1,), field.q - 1)
-        ]
+        orbits = [((0,), 1), ((1,), field.q - 1)]
+    parts = [(FamilySpec(field, d, 1, a), size) for a, size in orbits]
+    assert cover(spec) == [
+        (part, lo, hi, size * w)
+        for part, size in parts
+        for lo, hi, w in stabiliser_blocks(part)
+    ]
     ((_, planned),) = cli._instances(args, plan)
     assert planned == sweep.collect_stats(FamilySpec(field, d, 0, ()))
 
@@ -579,8 +615,9 @@ def test_s0_points_cover_the_edge_cases():
 def test_s0_at_d2_takes_the_full_route():
     # s = 1 names no family at d = 2
     args, plan = _planned(make_field(7), 2, 0)
-    ((spec, routes),) = plan
-    assert routes == [(spec, 1)] and spec.s == 0
+    ((spec, swept),) = plan
+    assert swept == spec and spec.s == 0
+    assert {part for part, *_ in cover(spec)} == {spec}
     ((_, planned),) = cli._instances(args, plan)
     assert planned == sweep.collect_stats(spec)
 
@@ -622,6 +659,19 @@ def test_zero_budget_refuses_every_sweep(capsys):
     assert run(["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
                 "--budget", "0"]) == 2
     assert "49 free vectors exceed the budget 0" in capsys.readouterr().err
+
+
+def test_budget_is_judged_before_the_a_vectors_exist(monkeypatch, capsys):
+    # n_b does not depend on a, so the refusal builds the first of the
+    # 23^4 specs of --a all alone, and names it
+    built = _count_calls(monkeypatch, cli, "FamilySpec")
+    assert run(["mean", "--field", "23^1", "--d", "9", "--s", "4", "--a", "all",
+                "--budget", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "infeasible budget: q=23^1/0,1;d=9;s=4;a=0,0,0,0: "
+        "279841 free vectors exceed the budget 1\n"
+    )
+    assert len(built) == 1
 
 
 # (field, d, s) of the block route: d = 1 and 2, p | d, extension fields,
@@ -680,7 +730,9 @@ def test_every_a_sums_to_the_s0_family(text, d, s):
     field = parse_descriptor(text)
     args = argparse.Namespace(a="all", seed=0, budget=10**6, workers=1)
     plan = cli._plan(args, field, d, s)
-    parts = [(stats, 1) for _, stats in cli._instances(args, plan)]
+    parts = [stats for _, stats in cli._instances(args, plan)]
     assert len(parts) == field.q**s
-    whole = FamilySpec(field, d, 0)
-    assert sweep.weighted_sum(whole, parts) == sweep.collect_stats(whole)
+    whole = sweep.collect_stats(FamilySpec(field, d, 0))
+    for name in ("n_b", "sum_v", "sum_v2", "hist_n", "prod_a", "gamma_closed"):
+        total = sum(np.array(getattr(st, name), dtype=object) for st in parts)
+        assert np.array_equal(total, np.array(getattr(whole, name), dtype=object)), name

@@ -138,17 +138,18 @@ def test_four_exception_classes():
 
 
 def test_one_function_builds_the_blocks():
-    # the blocks a family is swept in come from family.stabiliser_blocks
-    # alone: it is defined once, and it is every blocks= argument there is
-    defined = _nodes(
-        lambda node: isinstance(node, ast.FunctionDef)
-        and node.name == "stabiliser_blocks"
-    )
-    assert len(defined) == 1 and defined[0].startswith("family.py:"), defined
+    # what a family is swept as comes from family.cover alone: it and the
+    # stabiliser_blocks it reads are defined once, and it is every cover=
+    # argument there is
+    for name in ("cover", "stabiliser_blocks"):
+        defined = _nodes(
+            lambda node: isinstance(node, ast.FunctionDef) and node.name == name
+        )
+        assert len(defined) == 1 and defined[0].startswith("family.py:"), defined
     passed = [
         ast.unparse(node.value)
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.keyword) and node.arg == "blocks"
+        if isinstance(node, ast.keyword) and node.arg == "cover"
     ]
-    assert passed == ["stabiliser_blocks"]
+    assert passed == ["cover"]

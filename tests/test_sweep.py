@@ -5,6 +5,7 @@ and per-(b,c) root multiplicities using only upoly primitives, so any
 vectorization bug in the engine shows up as a mismatch.
 """
 
+import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
@@ -17,6 +18,7 @@ from vslab import sweep
 from vslab.errors import BrokenInvariant, BudgetExceeded
 from vslab.family import (
     FamilySpec,
+    cover,
     enumerate_b,
     family_poly,
     stabiliser_blocks,
@@ -30,7 +32,6 @@ from vslab.sweep import (
     falling,
     multi_root_correction,
     single_root_table,
-    weighted_sum,
 )
 from vslab import upoly as up
 
@@ -128,12 +129,33 @@ def test_stream_yields_each_spec_in_order(chunk_size, workers):
     assert streamed == [collect_stats(spec) for spec in STREAM_SPECS]
 
 
-def test_weighted_sum_checks_the_cover():
-    spec = FamilySpec(F7, 4, 0)
-    zero, one = (collect_stats(FamilySpec(F7, 4, 1, (c,))) for c in (0, 1))
-    assert weighted_sum(spec, [(zero, 1), (one, 6)]) == collect_stats(spec)
-    with pytest.raises(BrokenInvariant, match="cover 294 of 343"):
-        weighted_sum(spec, [(zero, 1), (one, 5)])
+@pytest.mark.filterwarnings("ignore:q = ")  # q = d = 5
+def test_cover():
+    # s = 0, p not dividing d: every a_4 lies in the orbit of (0,), so its
+    # stabiliser blocks of weight 1, 3 and 3 each stand for 7 families
+    zero = FamilySpec(F7, 5, 1, (0,))
+    assert cover(FamilySpec(F7, 5, 0)) == [
+        (zero, 0, 49, 7), (zero, 49, 98, 21), (zero, 147, 196, 21)
+    ]
+    # s = 0, p | d: (0,) in its blocks of weight 1, 2 and 2, and the orbit
+    # of (1,), of size q - 1 = 4, in five blocks of weight 1 each
+    with pytest.warns(UserWarning):
+        spec = FamilySpec(F5, 5, 0)  # q = d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # spec warned once, its parts do not
+        blocks = cover(spec)
+    zero, one = FamilySpec(F5, 5, 1, (0,)), FamilySpec(F5, 5, 1, (1,))
+    assert blocks == [(zero, 0, 25, 1), (zero, 25, 50, 2), (zero, 50, 75, 2)] + [
+        (one, r * 25, r * 25 + 25, 4) for r in range(5)
+    ]
+    # s = 0 at d = 2, where s = 1 names no family, and every s >= 1: the
+    # spec's own stabiliser blocks
+    for spec in (FamilySpec(F7, 2, 0), FamilySpec(F7, 5, 1, (0,)),
+                 FamilySpec(F7, 5, 2, (0, 3)), FamilySpec(F5, 4, 1, (2,))):
+        assert cover(spec) == [(spec, *block) for block in stabiliser_blocks(spec)]
+    assert cover(FamilySpec(F7, 2, 0)) == [
+        (FamilySpec(F7, 2, 0), 0, 1, 1), (FamilySpec(F7, 2, 0), 1, 2, 6)
+    ]
 
 
 def test_stabiliser_blocks():
@@ -156,9 +178,9 @@ def test_stabiliser_blocks():
 
 def test_blocks_must_cover_the_family():
     spec = FamilySpec(F7, 5, 1, (0,))
-    short = lambda spec: [(0, 49, 1), (49, 98, 3)]  # noqa: E731
+    short = lambda spec: [(spec, 0, 49, 1), (spec, 49, 98, 3)]  # noqa: E731
     with pytest.raises(BrokenInvariant, match="do not cover 343"):
-        list(collect_many([spec], 1, blocks=short))
+        list(collect_many([spec], 1, cover=short))
 
 
 def test_ranges_that_share_a_prefix():
@@ -347,8 +369,9 @@ def test_gram_prod_a_matches_value_profile_on_cut_blocks(spec, blocks, cut):
 @given(spec=small_specs(), chunk_size=st_.integers(1, 60), workers=st_.integers(1, 2))
 def test_packed_blocks_equal_the_full_sweep(spec, chunk_size, workers):
     # chunks of one weight hold several blocks, cut anywhere; the parent
-    # weights each chunk's sums
-    (packed,) = collect_many([spec], workers, chunk_size, blocks=stabiliser_blocks)
+    # weights each chunk's sums.  At s = 0 and d >= 3 the blocks are those
+    # of the s = 1 families
+    (packed,) = collect_many([spec], workers, chunk_size, cover=cover)
     assert packed == collect_stats(spec)
 
 
