@@ -23,8 +23,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import bounds as bd
-from . import counting as ct
 from . import moments as mo
 from . import reports as rp
 from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
@@ -156,33 +154,30 @@ def _instances(args, plan=None):
 
     All swept specs go through one collect_many stream, each by its
     family.cover, so this loop works on one instance while the workers
-    sweep the next ones; each member gets its swept spec's stats under its
-    own key.
+    sweep the next ones; each member gets its swept spec's stats.
     """
     plan = _plan(args) if plan is None else plan
     stream = collect_many([sw for _, sw in plan], workers=args.workers, cover=cover)
     for (spec, _), stats in zip(plan, stream):
-        yield spec, dataclasses.replace(stats, key=spec.key)
+        yield spec, stats
 
 
 def _moment_instances(args, plan=None):
-    """(spec, stats, report, columns, JSON columns) for each instance.
+    """(spec, stats, report, columns) for each instance.
 
     A moment report and its columns depend on the spec only through q, d
-    and s, so they, and the columns' JSON form, are built once per
-    distinct stats; each member gets copies with its own spec and a.
+    and s, so they are built once per distinct stats; each member gets
+    copies with its own spec and a.  The copies share the columns' values,
+    so dump_json writes a shared chi or smn table once.
     """
     built = {}
     for spec, stats in _instances(args, plan):
-        shared = dataclasses.replace(stats, key="")
-        if shared not in built:
+        if stats not in built:
             rep = mo.build_moment_report(spec, stats)
-            cols = rp.moment_columns(rep)
-            built[shared] = rep, cols, rp.jsonable(cols)
-        rep, cols, json_cols = built[shared]
-        own = {"spec": spec.key, "a": spec.a}
-        yield (spec, stats, dataclasses.replace(rep, spec=spec), {**cols, **own},
-               {**json_cols, **rp.jsonable(own)})
+            built[stats] = rep, rp.moment_columns(rep)
+        rep, cols = built[stats]
+        yield (spec, stats, dataclasses.replace(rep, spec=spec),
+               {**cols, "spec": spec.key, "a": spec.a})
 
 
 def _grid(args, checked):
@@ -193,6 +188,8 @@ def _grid(args, checked):
     is one) gets an "instance" marker when --s named it and is skipped
     otherwise.  Other grids refuse an s > d-2, which names no family.
     """
+    from . import bounds as bd
+
     fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
     d_list = parse_int_list(args.d)
     s_list = None if args.s is None else parse_int_list(args.s)
@@ -238,9 +235,9 @@ def cmd_second_moment(args):
     reports = []
     rows = []
     failures = []
-    for spec, _, rep, cols, json_cols in _moment_instances(args):
+    for spec, _, rep, cols in _moment_instances(args):
         reports.append(
-            {k: v for k, v in json_cols.items() if k not in rp.ROW_ONLY_COLUMNS}
+            {k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS}
         )
         rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
         if not rep.identities_hold:
@@ -277,6 +274,9 @@ def _count_table(args, header, count, oracle, checks_of):
 
 
 def cmd_chi(args):
+    from . import bounds as bd
+    from . import counting as ct
+
     r_values = parse_int_list(args.r) if args.r else None
     return _count_table(
         args, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
@@ -285,12 +285,17 @@ def cmd_chi(args):
 
 
 def cmd_smn(args):
+    from . import bounds as bd
+    from . import counting as ct
+
     return _count_table(
         args, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
     )
 
 
 def cmd_gamma(args):
+    from . import counting as ct
+
     d, s = args.d, args.s
     r_list = parse_int_list(args.r) if args.r else range(1, d + 1)
     for r in r_list:
@@ -338,10 +343,12 @@ def cmd_gamma(args):
 
 
 def cmd_verify_identities(args):
+    from . import counting as ct
+
     d, s = args.d, args.s
     checks = []
-    for spec, stats, rep, _, json_cols in _moment_instances(args):
-        entry = {key: json_cols[key] for key in rp.IDENTITY_JSON_KEYS}
+    for spec, stats, rep, cols in _moment_instances(args):
+        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
         if rep.mean_reconstruction_exact is not None:
             entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
         if s >= 1:
@@ -368,6 +375,8 @@ def cmd_verify_identities(args):
 
 
 def cmd_verify_bounds(args):
+    from . import bounds as bd
+
     # the marker rows or the plan of every grid point, before the first sweep
     points = []
     for field, d, s, marker in _grid(args, checked=True):
@@ -398,6 +407,8 @@ def cmd_verify_bounds(args):
 
 
 def cmd_sweep(args):
+    from . import bounds as bd
+
     rows = []
     failed = False
     # the whole grid is planned, and so checked, before the first sweep
@@ -406,7 +417,7 @@ def cmd_sweep(args):
         for field, d, s, _ in _grid(args, checked=False)
         for entry in _plan(args, field, d, s)
     ]
-    for spec, stats, rep, cols, _ in _moment_instances(args, plan):
+    for spec, stats, rep, cols in _moment_instances(args, plan):
         checks = bd.bound_suite(spec, stats)
         failed |= not rep.identities_hold
         failed |= any(check.passed is False for check in checks)
@@ -454,6 +465,8 @@ def cmd_appendix(args):
 
 
 def cmd_audit_linear(args):
+    from . import counting as ct
+
     field = parse_descriptor(args.field)
     d, s = args.d, args.s
     q = field.q
@@ -538,8 +551,7 @@ def _emit_json(args, results, **extra):
         {"command": args.command, "config": config, "results": results, **extra}
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        rp.write_text(args.out, text)
     else:
         sys.stdout.write(text)
 

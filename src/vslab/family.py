@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .gf import GF
-from .upoly import eval_at, trim
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,15 @@ class FamilySpec:
 
 def family_poly(spec: FamilySpec, b, b0: int = 0):
     """The member f_b + b0 as a upoly coefficient tuple."""
+    from .upoly import trim  # the sweep never needs upoly
+
     return trim(spec.coeff_vector(b, b0))
 
 
 def value_profile(spec: FamilySpec, b):
     """counts[c] = N_b(c) = #{t : f_b(t) = c}, indexed by element order."""
+    from .upoly import eval_at
+
     f = spec.coeff_vector(b, 0)
     gf = spec.field
     counts = [0] * gf.q
@@ -244,7 +247,8 @@ def stabiliser_blocks(spec: FamilySpec):
     scale = _inverse_powers(field, s + 1)
     a = np.array(spec.a, dtype=np.int64)
     in_g = (mul[scale[:, :s], a] == a).all(axis=1)
-    h = np.unique(scale[in_g, s])  # H: {lambda^-(s+1)} is the same group
+    # H, sorted: {lambda^-(s+1)} is the same group; np.unique loads numpy.ma
+    h = np.flatnonzero(np.bincount(scale[in_g, s]))
     size = spec.n_b // field.q
     blocks = [(0, size, 1)]
     seen = np.zeros(field.q, dtype=bool)

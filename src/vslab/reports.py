@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidParameter
 
@@ -57,21 +57,65 @@ def fmt_opt(x) -> str:
     return str(x)
 
 
-def jsonable(obj):
-    """Recursively convert Fractions/tuples for deterministic JSON."""
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
-
-
 def dump_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """obj as JSON text with sorted keys, an indent of 2 and a trailing newline.
+
+    Fractions become "num/den" strings, floats the strings of their repr(),
+    tuples lists and keys their str(); keys with one str() keep the last
+    value.  The text is json.dumps(..., sort_keys=True, indent=2) of the
+    converted payload, written in the same walk as the conversions: json's
+    indenting encoder is pure Python, so a walk to convert and a walk to
+    encode would cost twice.  A container that several entries share, such
+    as the chi or smn table of one moment report, is written once per indent.
+    """
+    return _write_json(obj, "\n", {}) + "\n"
+
+
+# the JSON text of a leaf, by exact type; a subclass takes _leaf's path
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    Fraction: lambda x: f'"{x.numerator}/{x.denominator}"',
+    float: lambda x: f'"{fmt_float(x)}"',  # a float's repr needs no escapes
+}
+
+
+def _write_json(obj, newline, memo):
+    """obj's JSON text, whose lines start with newline; memo holds the text
+    of each container written so far, by its id and newline."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        return _leaf(obj)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    text = memo.get((id(obj), newline))
+    if text is None:
+        inner = newline + "  "
+        if is_dict:
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            parts = [
+                f"{encode_basestring_ascii(k)}: {_write_json(v, inner, memo)}"
+                for k, v in items
+            ]
+            text = "{" + inner + f",{inner}".join(parts) + newline + "}"
+        else:
+            parts = [_write_json(v, inner, memo) for v in obj]
+            text = "[" + inner + f",{inner}".join(parts) + newline + "]"
+        memo[id(obj), newline] = text
+    return text
+
+
+def _leaf(obj):
+    """The JSON text of a leaf whose type subclasses a leaf type."""
+    for kind in (str, int, Fraction, float):
+        if isinstance(obj, kind):
+            return _LEAVES[kind](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def csv_text(header, rows) -> str:
@@ -83,9 +127,17 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def write_text(path, text):
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(csv_text(header, rows))
+    write_text(path, csv_text(header, rows))
 
 
 def bound_check_row(check) -> list:
@@ -197,7 +249,11 @@ def merge_csv_files(paths):
     header = None
     rows = []
     for path in paths:
-        with open(path, newline="") as fh:
+        try:
+            fh = open(path, newline="")
+        except OSError as exc:
+            raise InvalidParameter(f"cannot read {path}: {exc.strerror}") from None
+        with fh:
             reader = csv.reader(fh)
             try:
                 this_header = next(reader)

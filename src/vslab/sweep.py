@@ -53,7 +53,8 @@ interned field object per descriptor, so the add and mul tables are
 built once per process.  The sweeps of one run share a single fork pool
 (run_scope, which the CLI opens around each command), so every worker
 builds a field's tables, and fills the single_root_table and
-multi_root_correction memos, once per run.  One worker never forks.
+multi_root_correction memos, once per run.  One worker never forks, nor
+imports multiprocessing.
 
 collect_many puts every distinct chunk of a list of families through one
 ordered imap of that pool and yields each family's stats as its last
@@ -71,7 +72,6 @@ of being unmapped and faulted in again by the next one.
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,7 +102,6 @@ def falling(n: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class FamilyStats:
-    key: str
     q: int
     d: int
     s: int
@@ -340,8 +339,9 @@ def _gamma_corrections(rows, cvals, nvals, mults, q, d):
     sizes = np.diff(np.append(starts, len(keys)))
 
     # classes with k >= 2 critical points: sort each class's caps, code
-    # (n, caps) in base d+1, then call the memo once per distinct code
-    for k in np.unique(sizes).tolist():
+    # (n, caps) in base d+1, then call the memo once per distinct code.
+    # The distinct k come from a bincount: np.unique(sizes) loads numpy.ma
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
         first = starts[sizes == k]
         caps = np.sort(mults[first[:, None] + np.arange(k)], axis=1)
         code = nvals[first]
@@ -390,6 +390,8 @@ class _RunScope:
         if self.workers != workers:
             self.close()
         if self.pool is None:
+            import multiprocessing  # a run on one worker never needs it
+
             self.pool = multiprocessing.get_context("fork").Pool(workers)
             self.workers = workers
         return self.pool.imap(fn, tasks, chunksize=1)
@@ -548,7 +550,6 @@ def _assemble(spec, results):
         base = sum(h * falling(n, r) for n, h in enumerate(hist))
         gamma_closed.append(base + corr[r - 1])
     return FamilyStats(
-        key=spec.key,
         q=spec.q,
         d=d,
         s=spec.s,

@@ -3,12 +3,17 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st_
 
-from vslab import cli, sweep
+import vslab
+from vslab import cli, counting, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
 from vslab.errors import InvalidParameter
 from vslab.family import FamilySpec, cover, stabiliser_blocks
@@ -399,7 +404,7 @@ def test_config_file(tmp_path, capsys):
         assert "config error: " in capsys.readouterr().err
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
     with pytest.raises(SystemExit) as err:
@@ -445,6 +450,18 @@ def test_usage_errors():
         ["chi", *family, "--r", "1-0"],
     ):
         assert run(argv) == 2, argv
+    # a file that cannot be opened is named, after a whole grid too
+    missing = tmp_path / "missing"
+    for argv, path in (
+        (["mean", *family, "--out"], missing / "x.json"),
+        (["second-moment", *family, "--out", str(tmp_path / "v2.json"), "--csv"],
+         missing / "v2.csv"),
+        (["verify-bounds", "--fields", "7^1", "--d", "5", "--out"], missing / "o.csv"),
+        (["report-merge", str(missing / "in.csv"), "--out"], tmp_path / "o.csv"),
+    ):
+        capsys.readouterr()
+        assert run([*argv, str(path)]) == 2, argv
+        assert f"{missing}" in capsys.readouterr().err, argv
     # counts below 1 are refused by the parser
     for argv in (
         ["audit-linear", *family, "--count", "-2"],
@@ -552,7 +569,7 @@ def test_members_of_one_orbit_add_no_chunks(tmp_path, monkeypatch):
 
 
 def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):
-    oracle = _count_calls(monkeypatch, cli.ct, "chi_r")
+    oracle = _count_calls(monkeypatch, counting, "chi_r")
     assert run(["chi", "--field", "7^1", "--d", "5", "--s", "2", "--a", "all",
                 "--method", "both", "--out", str(tmp_path / "chi.csv")]) == 0
     # r = 4, 5 for each of the 49 a-vectors
@@ -736,3 +753,42 @@ def test_every_a_sums_to_the_s0_family(text, d, s):
     for name in ("n_b", "sum_v", "sum_v2", "hist_n", "prod_a", "gamma_closed"):
         total = sum(np.array(getattr(st, name), dtype=object) for st in parts)
         assert np.array_equal(total, np.array(getattr(whole, name), dtype=object)), name
+
+
+# modules that only some commands need: np.unique(x) without return_counts
+# loads numpy.ma, only a pool of several workers needs multiprocessing, and
+# the sweep needs none of the oracle modules
+STARTUP_WATCHED = ("multiprocessing", "numpy.ma", "vslab.appendix", "vslab.bounds",
+                   "vslab.counting", "vslab.upoly")
+
+
+def _loaded_after(cwd, *argvs):
+    """The STARTUP_WATCHED modules that a fresh interpreter holds after
+    importing vslab.cli and running main() on each argv in turn."""
+    code = (
+        "import sys, vslab.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert vslab.cli.main(list(argv)) == 0, argv\n"
+        f"print(*(m for m in {STARTUP_WATCHED!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env.pop("VSLAB_WORKERS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(vslab.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_a_command_imports_only_what_it_uses(tmp_path):
+    assert _loaded_after(tmp_path) == set()
+    moments = [
+        [command, "--field", field, "--d", "5", "--s", s, "--a", "all",
+         "--workers", "1", "--out", f"{command}.json"]
+        for command, field, s in (("mean", "7^1", "1"), ("second-moment", "3^2", "2"))
+    ]
+    assert _loaded_after(tmp_path, *moments) == set()
+    grid = ["verify-bounds", "--fields", "7^1", "--d", "5", "--workers", "2",
+            "--out", "bounds.csv"]
+    assert _loaded_after(tmp_path, grid) == {"multiprocessing", "vslab.bounds"}

@@ -382,13 +382,13 @@ def test_hoisted_brute_equals_per_pair_set_check(case):
 
 def test_cmd_gamma_scans_once_per_a_vector(tmp_path, monkeypatch):
     calls = []
-    real = cli.ct.gamma_counts_mn
+    real = ct.gamma_counts_mn
 
     def counted(spec, pairs, **kw):
         calls.append((spec.a, list(pairs)))
         return real(spec, pairs, **kw)
 
-    monkeypatch.setattr(cli.ct, "gamma_counts_mn", counted)
+    monkeypatch.setattr(ct, "gamma_counts_mn", counted)
     code = cli.main(["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "all",
                      "--m", "1,2", "--n", "1,2", "--out", str(tmp_path / "g.json")])
     assert code == 0
