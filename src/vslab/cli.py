@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from math import comb, factorial
 
@@ -481,6 +482,7 @@ def cmd_audit_linear(args):
     checks = []
     failures = 0
     for spec in specs:
+        key = spec.key
         for _ in range(args.count):
             m = int(rng.integers(1, total))
             n = int(rng.integers(1, total - m + 1))
@@ -500,7 +502,7 @@ def cmd_audit_linear(args):
             failures += not ok
             checks.append(
                 {
-                    "spec": spec.key,
+                    "spec": key,
                     "gamma1": sorted(g1),
                     "gamma2": sorted(g2),
                     "rank": audit["rank"],
@@ -688,6 +690,12 @@ def main(argv=None):
     try:
         # the parser reads VSLAB_WORKERS for the --workers default
         args = build_parser().parse_args(argv)
+        # an output file that cannot be created is refused before any sweep;
+        # reports.write_text still maps every other failure to write
+        for path in (args.out, getattr(args, "csv", None)):
+            parent = path and (os.path.dirname(path) or ".")
+            if parent and not os.path.isdir(parent):
+                raise InvalidParameter(f"cannot write {path}: no directory {parent}")
         # every sweep of the run shares one worker pool, closed on return
         with run_scope():
             return args.func(args)

@@ -1,15 +1,18 @@
 """Independent oracles for the counts the sweep reads off `FamilyStats`,
 and the linear-system / Jacobian diagnostics.
 
-The subset route for chi_r, the brute route for S_mn and the Gamma_mn
-scan use scalar field arithmetic only, with explicit budget caps; they
-must agree exactly with the sweep they check.
+The subset route for chi_r, the brute route for S_mn, the Gamma_mn scan
+and the linear-system audit use scalar field arithmetic only, through
+`GF`'s scalar and row operations (horner_steps, scale_row,
+sub_scaled_row), never the engine's numpy tables, and they have explicit
+budget caps; they must agree exactly with the sweep they check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, perm
 
 from .errors import BudgetExceeded, InvalidParameter
@@ -36,6 +39,12 @@ class GammaCounts:
     closed: int
 
 
+@lru_cache(maxsize=None)
+def _base_poly(spec: FamilySpec):
+    """f_a, the member at b = 0 and b0 = 0, low-to-high."""
+    return family_poly(spec, (0,) * spec.free_len)
+
+
 def interpolating_b0(spec: FamilySpec, subset):
     """The unique (b, b0) whose member vanishes on the subset, if any.
 
@@ -52,7 +61,7 @@ def interpolating_b0(spec: FamilySpec, subset):
     prod = (1,)
     for alpha in subset:
         prod = poly_mul(gf, prod, (gf.neg(alpha), 1))
-    _, rem = poly_divmod(gf, family_poly(spec, (0,) * spec.free_len), prod)
+    _, rem = poly_divmod(gf, _base_poly(spec), prod)
     if rem and len(rem) - 1 > d - s - 1:
         return None
     dense = list(rem) + [0] * (d - s - len(rem))
@@ -76,18 +85,6 @@ def chi_r(spec: FamilySpec, r: int, budget: int = SUBSET_BUDGET) -> int:
     return _subset_walk(spec, r)
 
 
-def _horner_steps(gf, g, t):
-    """Horner's partial sums of g (high-to-low) at t.  The last is g(t);
-    the others are the quotient of g - g(t) by T - t, high-to-low."""
-    add, mul = gf.add, gf.mul
-    out = []
-    acc = 0
-    for c in g:
-        acc = add(mul(acc, t), c)
-        out.append(acc)
-    return out
-
-
 def _subset_walk(spec: FamilySpec, r: int) -> int:
     """The r-subsets on which f_a agrees with a polynomial of degree < d-s.
 
@@ -100,20 +97,20 @@ def _subset_walk(spec: FamilySpec, r: int) -> int:
     so a member exists iff c_j = 0 for every j >= d-s; a nonzero c_j at
     such a depth prunes every subset below the node.
     """
-    q, gf = spec.q, spec.field
+    q, horner_steps = spec.q, spec.field.horner_steps
     free = spec.d - spec.s
-    f_a = family_poly(spec, (0,) * spec.free_len)[::-1]  # high-to-low
+    f_a = _base_poly(spec)[::-1]  # high-to-low
 
     def walk(g, start, depth):
         count = 0
         for alpha in range(start, q - r + depth + 1):
-            steps = _horner_steps(gf, g, alpha)
-            if steps[-1] and depth >= free:
+            steps = horner_steps(g, alpha)
+            if steps.pop() and depth >= free:
                 continue
             if depth + 1 == r:
                 count += 1
             else:
-                count += walk(steps[:-1], alpha + 1, depth + 1)
+                count += walk(steps, alpha + 1, depth + 1)
         return count
 
     return walk(f_a, 0, 0)
@@ -204,18 +201,19 @@ def _root_scan(spec: FamilySpec):
     they are memoized per sorted tuple for the whole scan.
     """
     d, gf = spec.d, spec.field
+    horner_steps = gf.horner_steps
     memo = {}
     for b in enumerate_b(spec):
         f = spec.coeff_vector(b, 0)[::-1]  # high-to-low
         fibres = {}
         for t in gf.elements():
-            steps = _horner_steps(gf, f, t)
+            steps = horner_steps(f, t)
             value = steps.pop()
             # t is a root of f - value; it stays one of each quotient
             # while the quotient vanishes there (the last quotient is 1)
             e = 1
             while True:
-                steps = _horner_steps(gf, steps, t)
+                steps = horner_steps(steps, t)
                 if steps.pop():
                     break
                 e += 1
@@ -234,7 +232,8 @@ def _root_scan(spec: FamilySpec):
 
 
 def _row_reduce(gf, rows):
-    """Row echelon over F_q; returns (rank, pivot column list)."""
+    """Reduced row echelon over F_q; returns (rank, pivot column list,
+    reduced rows).  The reduced rows have the row space of the input."""
     rows = [list(r) for r in rows]
     n_cols = len(rows[0]) if rows else 0
     rank = 0
@@ -244,19 +243,16 @@ def _row_reduce(gf, rows):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = gf.inv(rows[rank][col])
-        rows[rank] = [gf.mul(inv, x) for x in rows[rank]]
+        pivot_row = gf.scale_row(gf.inv(rows[rank][col]), rows[rank])
+        rows[rank] = pivot_row
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [
-                    gf.sub(x, gf.mul(factor, y)) for x, y in zip(rows[i], rows[rank])
-                ]
+                rows[i] = gf.sub_scaled_row(rows[i], rows[i][col], pivot_row)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
-    return rank, pivots
+    return rank, pivots, rows
 
 
 def matrix_rank(gf, rows) -> int:
@@ -265,17 +261,33 @@ def matrix_rank(gf, rows) -> int:
     return _row_reduce(gf, rows)[0]
 
 
-def _solve_count(gf, rows, rhs, n_unknowns):
-    """(rank of rows, number of solutions of rows * x = rhs over F_q),
-    from one reduction of the augmented matrix: the rank counts the
-    pivots left of the rhs column, and a pivot in that column means no
+def _pivot_counts(q, pivots, n_unknowns):
+    """(rank, number of solutions over F_q) of a system whose reduced
+    augmented matrix [rows | rhs] has these pivot columns: the rank counts
+    the pivots left of the rhs column, and a pivot in that column means no
     solution."""
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    _, pivots = _row_reduce(gf, aug)
     rank = sum(col < n_unknowns for col in pivots)
     if rank < len(pivots):
         return rank, 0
-    return rank, gf.q ** (n_unknowns - rank)
+    return rank, q ** (n_unknowns - rank)
+
+
+def _solve_count(gf, rows, rhs, n_unknowns):
+    """(rank of rows, number of solutions of rows * x = rhs over F_q),
+    from one reduction of the augmented matrix."""
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    _, pivots, _ = _row_reduce(gf, aug)
+    return _pivot_counts(gf.q, pivots, n_unknowns)
+
+
+def _descending_powers(gf, alpha, top):
+    """[alpha^top, ..., alpha^1], by a running product."""
+    powers = []
+    x = 1
+    for _ in range(top):
+        x = gf.mul(x, alpha)
+        powers.append(x)
+    return powers[::-1]
 
 
 def vandermonde_rows(spec: FamilySpec, gamma1, gamma2):
@@ -285,11 +297,11 @@ def vandermonde_rows(spec: FamilySpec, gamma1, gamma2):
     side is -f_a at each node.
     """
     gf, d, s = spec.field, spec.d, spec.s
-    f_a = family_poly(spec, (0,) * spec.free_len)
+    f_a = _base_poly(spec)
     rows, rhs = [], []
     for kind, gamma in ((0, gamma1), (1, gamma2)):
         for alpha in gamma:
-            powers = [gf.pow(alpha, j) for j in range(d - s - 1, 0, -1)]
+            powers = _descending_powers(gf, alpha, d - s - 1)
             row = powers + ([1, 0] if kind == 0 else [0, 1])
             rows.append(row)
             rhs.append(gf.neg(eval_at(gf, f_a, alpha)))
@@ -310,10 +322,15 @@ def linear_system_audit(spec: FamilySpec, gamma1, gamma2) -> dict:
     gf = spec.field
     n_unknowns = d - s + 1
     rows, rhs = vandermonde_rows(spec, sorted(gamma1), sorted(gamma2))
-    rank, count_all = _solve_count(gf, rows, rhs, n_unknowns)
-    # the b01 = b02 hyperplane, as one extra equation
-    diag_row = [0] * (d - s - 1) + [1, gf.neg(1)]
-    _, count_diag = _solve_count(gf, rows + [diag_row], rhs + [0], n_unknowns)
+    aug = [row + [v] for row, v in zip(rows, rhs)]
+    _, pivots, reduced = _row_reduce(gf, aug)
+    rank, count_all = _pivot_counts(gf.q, pivots, n_unknowns)
+    # the b01 = b02 hyperplane, as one extra equation [0 .. 0 1 -1 | 0]; the
+    # reduced rows have the solutions of the system, and re-reducing them
+    # with one more row costs about one row operation per pivot
+    diag_row = [0] * (d - s - 1) + [1, gf.neg(1), 0]
+    _, diag_pivots, _ = _row_reduce(gf, reduced + [diag_row])
+    _, count_diag = _pivot_counts(gf.q, diag_pivots, n_unknowns)
     return {
         "rank": rank,
         "count_all": count_all,
@@ -341,7 +358,7 @@ def jacobian_rank(spec: FamilySpec, b0_full, alpha) -> int:
     fp = derivative(gf, f)
     rows = []
     for i, a_i in enumerate(alpha):
-        powers = [gf.pow(a_i, j) for j in range(d - s - 1, 0, -1)]
+        powers = _descending_powers(gf, a_i, d - s - 1)
         diag = [0] * r
         diag[i] = eval_at(gf, fp, a_i) if fp else 0
         rows.append(powers + [1] + diag)

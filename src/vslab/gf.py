@@ -10,6 +10,11 @@ Multiplication and inversion run off exp/log tables with respect to a
 fixed generator whenever q <= TABLE_LIMIT; above that every operation
 reduces on the fly.  Tables are immutable after construction, so a GF
 instance is safe to share across worker processes.
+
+The row operations (horner_steps, scale_row, sub_scaled_row) apply one
+scalar operation along a whole row and test the field type once per row:
+over a prime field they reduce plain ints mod p, over an extension they
+are the per-element add, mul and sub.
 """
 
 from __future__ import annotations
@@ -107,6 +112,9 @@ class GF:
             if not _is_irreducible(modulus, p):
                 raise InvalidParameter(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
+        # serialized form "p^k/modulus-coefficients", low-to-high; it is the
+        # field's identity, so hashing and equality read it on every call
+        self.descriptor = f"{p}^{k}/" + ",".join(str(c) for c in self.modulus)
         self._exp = None
         self._log = None
         if self.q <= TABLE_LIMIT:
@@ -258,6 +266,41 @@ class GF:
             n >>= 1
         return acc
 
+    # -- row operations ---------------------------------------------------
+
+    def horner_steps(self, g, t: int) -> list:
+        """Horner's partial sums of g (high-to-low) at t.  The last is g(t);
+        the others are the quotient of g - g(t) by T - t, high-to-low."""
+        out = []
+        acc = 0
+        if self.k == 1:
+            p = self.p
+            for c in g:
+                acc = (acc * t + c) % p
+                out.append(acc)
+            return out
+        add, mul = self.add, self.mul
+        for c in g:
+            acc = add(mul(acc, t), c)
+            out.append(acc)
+        return out
+
+    def scale_row(self, c: int, ys) -> list:
+        """[c*y for y in ys]."""
+        if self.k == 1:
+            p = self.p
+            return [c * y % p for y in ys]
+        mul = self.mul
+        return [mul(c, y) for y in ys]
+
+    def sub_scaled_row(self, xs, c: int, ys) -> list:
+        """[x - c*y for x, y in zip(xs, ys)]."""
+        if self.k == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(xs, ys)]
+        sub, mul = self.sub, self.mul
+        return [sub(x, mul(c, y)) for x, y in zip(xs, ys)]
+
     # -- numpy tables for the enumeration engine ---------------------------
 
     def add_table(self) -> np.ndarray:
@@ -306,12 +349,6 @@ class GF:
         return digits
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def descriptor(self) -> str:
-        """Serialized form "p^k/modulus-coefficients", low-to-high."""
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"{self.p}^{self.k}/{mod}"
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

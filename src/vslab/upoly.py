@@ -50,7 +50,7 @@ def poly_sub(gf: GF, f, g):
 def poly_scale(gf: GF, f, c):
     if c == 0:
         return ZERO
-    return tuple(gf.mul(a, c) for a in f)
+    return tuple(gf.scale_row(c, f))
 
 
 def poly_mul(gf: GF, f, g):
@@ -81,8 +81,7 @@ def poly_divmod(gf: GF, f, g):
         c = gf.mul(r[-1], lead_inv)
         off = len(r) - 1 - dg
         quot[off] = c
-        for j in range(dg + 1):
-            r[off + j] = gf.sub(r[off + j], gf.mul(c, g[j]))
+        r[off:] = gf.sub_scaled_row(r[off:], c, g)
     return trim(quot), trim(r)
 
 
@@ -101,10 +100,8 @@ def derivative(gf: GF, f):
 
 
 def eval_at(gf: GF, f, t: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = gf.add(gf.mul(acc, t), c)
-    return acc
+    steps = gf.horner_steps(reversed(f), t)
+    return steps[-1] if steps else 0
 
 
 def batch_eval(gf: GF, f):
@@ -123,12 +120,8 @@ class RootProfile:
 
 def synthetic_quotient(gf: GF, f, alpha: int):
     """Quotient of f by (T - alpha), assuming f(alpha) = 0."""
-    out = [0] * (len(f) - 1)
-    acc = 0
-    for i in range(len(f) - 1, 0, -1):
-        acc = gf.add(gf.mul(acc, alpha), f[i])
-        out[i - 1] = acc
-    return trim(out)
+    # Horner's partial sums of f's top len(f) - 1 coefficients, high-to-low
+    return trim(gf.horner_steps(f[:0:-1], alpha)[::-1])
 
 
 def root_multiplicity(gf: GF, f, alpha: int) -> int:
@@ -203,8 +196,7 @@ def _det_gauss(gf: GF, m) -> int:
         for r in range(col + 1, n):
             if m[r][col]:
                 factor = gf.mul(m[r][col], inv)
-                for c in range(col, n):
-                    m[r][c] = gf.sub(m[r][c], gf.mul(factor, m[col][c]))
+                m[r][col:] = gf.sub_scaled_row(m[r][col:], factor, m[col][col:])
     return det
 
 

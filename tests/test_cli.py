@@ -404,7 +404,7 @@ def test_config_file(tmp_path, capsys):
         assert "config error: " in capsys.readouterr().err
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
     with pytest.raises(SystemExit) as err:
@@ -450,18 +450,30 @@ def test_usage_errors(tmp_path, capsys):
         ["chi", *family, "--r", "1-0"],
     ):
         assert run(argv) == 2, argv
-    # a file that cannot be opened is named, after a whole grid too
+    # a file that cannot be opened is named; an output directory that does
+    # not exist is refused before the first sweep, even of a whole grid
+    swept, sweep_stream = [], cli.collect_many
+
+    def spy(*args, **kwargs):
+        swept.append(args)
+        return sweep_stream(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "collect_many", spy)
     missing = tmp_path / "missing"
     for argv, path in (
         (["mean", *family, "--out"], missing / "x.json"),
         (["second-moment", *family, "--out", str(tmp_path / "v2.json"), "--csv"],
          missing / "v2.csv"),
-        (["verify-bounds", "--fields", "7^1", "--d", "5", "--out"], missing / "o.csv"),
+        (["verify-bounds", "--fields", "7^1,11^1", "--d", "5-7", "--out"],
+         missing / "o.csv"),
+        (["sweep", "--fields", "7^1", "--d", "5", "--s", "1", "--out"],
+         missing / "sw.csv"),
         (["report-merge", str(missing / "in.csv"), "--out"], tmp_path / "o.csv"),
     ):
         capsys.readouterr()
         assert run([*argv, str(path)]) == 2, argv
         assert f"{missing}" in capsys.readouterr().err, argv
+    assert swept == []
     # counts below 1 are refused by the parser
     for argv in (
         ["audit-linear", *family, "--count", "-2"],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from math import comb, factorial
 
@@ -192,6 +193,53 @@ def test_linear_system_audit_exhaustive():
                         count_strict += 1
             assert audit["count_all"] == count_all
             assert audit["count_strict"] == count_strict
+
+
+def _random_row(rng, gf, rows, n):
+    """A zero row, a repeat of one of rows, or a random row of length n."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return [0] * n
+    if pick == 1 and rows:
+        return list(rng.choice(rows))
+    return [rng.randrange(gf.q) for _ in range(n)]
+
+
+def test_the_audit_reuses_one_reduction():
+    # linear_system_audit appends its b01 = b02 row to the reduced rows;
+    # reducing the original rows with that row from scratch is the reference
+    rng = random.Random(17)
+    for gf in (F5, F9):
+        for _ in range(400):
+            n = rng.randrange(1, 5)
+            rows, rhs = [], []
+            for _ in range(rng.randrange(0, 6)):
+                rows.append(_random_row(rng, gf, rows, n))
+                # half the rhs repeat an earlier one, so repeated rows are
+                # sometimes consistent and sometimes not
+                rhs.append(rng.choice(rhs) if rhs and rng.randrange(2)
+                           else rng.randrange(gf.q))
+            extra, e = _random_row(rng, gf, rows, n), rng.randrange(gf.q)
+            aug = [row + [v] for row, v in zip(rows, rhs)]
+            _, _, reduced = ct._row_reduce(gf, aug)
+            _, pivots, _ = ct._row_reduce(gf, reduced + [extra + [e]])
+            assert ct._pivot_counts(gf.q, pivots, n) == ct._solve_count(
+                gf, rows + [extra], rhs + [e], n
+            )
+
+
+def test_audit_linear_all_a_matches_brute(tmp_path):
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit-linear", "--field", "7^1", "--d", "5", "--s", "1",
+                     "--a", "all", "--count", "4", "--workers", "1",
+                     "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 7 * 4
+    for row in rows:
+        spec = FamilySpec(F7, 5, 1, (int(row["spec"].rsplit("=", 1)[1]),))
+        assert row["spec"] == spec.key
+        brute = cli._brute_linear_counts(spec, row["gamma1"], row["gamma2"])
+        assert (row["count_all"], row["count_strict"]) == brute, row
 
 
 def test_linear_system_audit_errors():

@@ -155,3 +155,35 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
+
+
+# the last two lie past TABLE_LIMIT: a prime field, and an extension that
+# multiplies without log tables
+ROW_FIELDS = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (4099, 1), (3, 8)]
+
+
+@st.composite
+def field_rows(draw):
+    """A field, two rows of one length (0 to 8), a scalar and a point."""
+    gf = make_field(*draw(st.sampled_from(ROW_FIELDS)))
+    element = st.integers(0, gf.q - 1)
+    n = draw(st.integers(0, 8))
+    xs = draw(st.lists(element, min_size=n, max_size=n))
+    ys = draw(st.lists(element, min_size=n, max_size=n))
+    return gf, xs, ys, draw(element), draw(element)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=field_rows())
+def test_row_operations_match_scalar_loops(case):
+    # the scalar per-element loops the row operations replace
+    gf, xs, ys, c, t = case
+    steps, acc = [], 0
+    for x in xs:
+        acc = gf.add(gf.mul(acc, t), x)
+        steps.append(acc)
+    assert gf.horner_steps(xs, t) == steps
+    assert gf.scale_row(c, ys) == [gf.mul(c, y) for y in ys]
+    assert gf.sub_scaled_row(xs, c, ys) == [
+        gf.sub(x, gf.mul(c, y)) for x, y in zip(xs, ys)
+    ]

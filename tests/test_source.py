@@ -68,6 +68,22 @@ def test_one_module_starts_sweeps():
     assert "FamilyStats" not in _names(SOURCE / "counting.py")
 
 
+def test_the_oracles_stay_scalar():
+    # the oracles are the second route the engine is checked against: their
+    # arithmetic is GF's scalar and row operations, so counting names neither
+    # numpy nor the engine's lookup tables
+    path = SOURCE / "counting.py"
+    modules = {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    engine = {"numpy", "np", "add_table", "mul_table"}
+    assert sorted(
+        name for name in _names(path) | modules if name.split(".")[0] in engine
+    ) == []
+
+
 def test_the_stream_is_the_clis_only_sweep_entry():
     # one collect_many stream per command: a collect_stats call in the CLI
     # would bring back a sweep that waits for its own last chunk
