@@ -79,6 +79,14 @@ def nonnegative_int(text: str) -> int:
     return _at_least(0, text)
 
 
+def seed_int(text: str) -> int:
+    """argparse type for --seed, a Philox key: 0 <= seed < 2^128."""
+    value = _at_least(0, text)
+    if value >= 1 << 128:
+        raise argparse.ArgumentTypeError(f"must be < 2^128, got {value}")
+    return value
+
+
 def select_a_vectors(field, d, s, policy, seed):
     """Fixed-coefficient choices per the --a policy, as an iterable.
 
@@ -580,7 +588,7 @@ def _add_command(subs, name, func, help_text, field_mode="single", a_default="")
         sub.add_argument("--fields", required=True, help="comma list of descriptors")
         sub.add_argument("--d", required=True, help="list or range, e.g. 5-9")
         sub.add_argument("--a", default="random:1")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed_int, default=0)
     sub.add_argument("--budget", type=nonnegative_int, default=10**6,
                      help="max b-vectors per requested instance")
     sub.add_argument("--subset-budget", type=nonnegative_int, default=10**6,
@@ -633,7 +641,7 @@ def build_parser():
     p = subs.add_parser("appendix", help="discriminant formula checks")
     p.add_argument("--cases", default=None, help='e.g. "7,4;5,5"')
     p.add_argument("--subres", default=None, help='e.g. "5,3;7,4"')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_appendix)
 

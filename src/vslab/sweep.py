@@ -28,22 +28,35 @@ exact while that is at most 2^53 (table fields and MAX_CHUNK keep it
 below 2^40); the kernel checks the bound and finishes in Python ints.
 
 b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
-g depends only on the outer prefix idx // q.  So g is evaluated once per
-prefix, and the value table of a chunk is one gather of g's values
-against the table b_1 * t.  Two chunks, or two ranges of one chunk,
-may each hold part of a prefix block; each then evaluates g for it.
-The d = 1 family has no free b_1 and runs the same route with a zero
-b_1 column.
+g depends only on the outer prefix idx // q, whose base-q digits are
+b_2, b_3, ...  So g is evaluated once per prefix, on the grid of the
+chunk's prefixes and every t, and the value table holds the chunk's own
+rows only: in each index range, a partial first or last prefix block
+gathers g's values against a slice of the table b_1 * t, and the whole
+blocks between them take one broadcast gather, all into one array.  Two
+chunks, or two ranges of one chunk, may each hold part of a prefix
+block; each then evaluates g for it.  The d = 1 family has no free b_1
+and runs the same route with a zero b_1 column.
+
+The j-th Hasse derivative of g is a fixed part, that of T^d and the a
+terms, cached as one q-vector per j (_hasse_tables), plus one term
+C(i,j) b_i t^(i-j) per free digit, with t^(i-j) read from a table of
+powers.  hasse_grid evaluates the prefix grid: consecutive prefixes
+share their upper digits, so it adds each digit's term once per distinct
+value of the prefix from that digit up, and only b_2's term costs a pass
+over every row.  hasse_points evaluates single (prefix, t) points.
 
 Root multiplicities enter only through critical points, where
 f_b'(t) = g'(t) + b_1 = 0: every (prefix, t) is critical for exactly
-one b_1, so they are read off g' without a scan.  The multiplicity of a
-critical point is the order of the first nonvanishing Hasse derivative
-there (characteristic-safe), and for j >= 2 the j-th derivative depends
-on the prefix only.  One Horner evaluator of the Hasse derivatives of g
-serves the whole kernel: j = 0, 1 and 2 on the prefix grid (values,
-critical points, the first multiplicity split), j >= 3 on the critical
-pairs still pending.  A (b, c) class with one critical point of
+one b_1, so they are read off g' without a scan, and f_b(t) = g(t) +
+b_1 t comes from the grid as well.  The multiplicity of a critical
+point is the order of the first nonvanishing Hasse derivative there
+(characteristic-safe), and for j >= 2 the j-th derivative depends on
+the prefix only: j = 0, 1 and 2 come from the grid (values, critical
+points, the first multiplicity split), and every j >= 3 from one
+hasse_points call on the critical pairs still pending.  A class (b, c)
+is one flat index into the chunk's (b, c) root counts, which gives its
+root count and is its key.  A class with one critical point of
 multiplicity m takes its gamma correction from the (m, n) table
 single_root_table; a class with several goes through the memo
 multi_root_correction.
@@ -196,6 +209,85 @@ def multi_root_correction(caps: tuple, n_distinct: int, d: int) -> tuple:
     return tuple(exact[r - 1] - falling(n_distinct, r) for r in range(1, d + 1))
 
 
+@lru_cache(maxsize=16)
+def _hasse_tables(gf, d, s, a):
+    """The parts of g's Hasse derivatives that no free digit changes.
+
+    fixed[j] holds, at every t, the j-th Hasse derivative of g's fixed
+    part T^d + sum_k a_k T^(d-1-k); power[e] holds t^e; emb[i, j] is
+    C(i, j) in the prime field.  All are read-only.
+    """
+    q = gf.q
+    add_t, mul_t = gf.add_table(), gf.mul_table()
+    power = np.ones((d + 1, q), dtype=np.int32)
+    for e in range(1, d + 1):
+        power[e] = mul_t[power[e - 1], np.arange(q)]
+    emb = np.array(
+        [[gf.embed_int(comb(i, j)) for j in range(d + 1)] for i in range(d + 1)],
+        dtype=np.int32,
+    )
+    coef = {d: 1, **{d - 1 - k: c for k, c in enumerate(a) if c}}
+    fixed = np.zeros((d + 1, q), dtype=np.int32)
+    for j in range(d + 1):
+        for i, c in coef.items():
+            if i >= j:
+                term = mul_t[gf.mul(int(emb[i, j]), c), power[i - j]]
+                fixed[j] = add_t[fixed[j], term]
+    for table in (fixed, power, emb):
+        table.setflags(write=False)
+    return fixed, power, emb
+
+
+# g = T^d + sum_k a_k T^(d-1-k) + sum_{2<=i<d-s} b_i T^i is f_b without its
+# b_1 and b_0 terms; its free digits b_i are the base-q digits of the
+# prefix idx // q, b_2 the lowest.  Its j-th Hasse derivative is
+# sum_{i>=j} C(i,j) g_i t^(i-j): _hasse_tables gives the fixed part, and
+# each free digit adds C(i,j) b_i t^(i-j).  Where i < j, C(i, j) = 0
+# zeroes that term, so the row that power[(i - j) % (d + 1)] picks does
+# no harm.
+
+
+def hasse_grid(gf, d, s, a, js, prefixes, i=2):
+    """The Hasse derivatives j in js of g at each prefix and every t.
+
+    Returns a (len(js), len(prefixes), q) array.  A call adds the terms
+    of the digits from b_i up (callers start at i = 2): a prefix splits
+    into b_i and its upper digits, whose terms the recursion evaluates
+    once for each run of rows with the same upper digits.
+    """
+    fixed, power, emb = _hasse_tables(gf, d, s, a)
+    q = gf.q
+    if i >= d - s:  # no free digit left
+        return np.broadcast_to(fixed[js, None], (len(js), len(prefixes), q))
+    add_f, mul_f = gf.add_table().ravel(), gf.mul_table().ravel()
+    upper, b = np.divmod(prefixes, q)
+    new = np.diff(upper, prepend=-1) != 0
+    acc = np.take(
+        hasse_grid(gf, d, s, a, js, upper[new], i + 1), np.cumsum(new) - 1, axis=1
+    )
+    c = np.take(mul_f, emb[i, js, None] * q + b)  # C(i, j) b_i, per row
+    term = np.take(mul_f, c[:, :, None] * q + power[(i - js) % (d + 1), None])
+    return np.take(add_f, acc * q + term)
+
+
+def hasse_points(gf, d, s, a, js, prefixes, ts):
+    """The Hasse derivatives j in js of g at the points (prefixes[k], ts[k]).
+
+    Returns a (len(js), len(ts)) array.
+    """
+    fixed, power, emb = _hasse_tables(gf, d, s, a)
+    q = gf.q
+    add_f, mul_f = gf.add_table().ravel(), gf.mul_table().ravel()
+    acc = np.take(fixed[js], ts, axis=1)
+    powers = np.take(power, ts, axis=1)
+    for i in range(2, d - s):
+        prefixes, b = np.divmod(prefixes, q)
+        c = np.take(mul_f, emb[i, js, None] * q + b)
+        term = np.take(mul_f, c * q + powers[(i - js) % (d + 1)])
+        acc = np.take(add_f, acc * q + term)
+    return acc
+
+
 def _chunk_kernel(task):
     (descriptor, d, s, a, ranges, L) = task
     gf = parse_descriptor(descriptor)  # interned: its tables are built once
@@ -206,66 +298,57 @@ def _chunk_kernel(task):
     # idx = prefix * qb + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
     # where g drops the b_1 term.  With no free b_1 (d = 1) qb = 1 makes
     # b_1 a zero column and g = f_b.  Each of the chunk's index ranges gets
-    # rows for its own prefixes (two ranges may both hold part of one), and
-    # each row keeps its range's bounds and the offset of its b-vectors.
+    # grid rows for its own prefixes (two ranges may both hold part of
+    # one); row r owns the b_1 in [lo_b1[r], hi_b1[r]), and the values of
+    # its b sit at rows base[r] + b_1 of the chunk's tables.
     qb = q if L else 1
-    pidx, pre_row, b1, own = [], [], [], []
-    n_pre = n_chunk = 0
+    pidx, lo_b1, hi_b1, base = [], [], [], []
+    n_chunk = 0
     for lo, hi in ranges:
-        first, stop = lo // qb, (hi - 1) // qb + 1
-        prefix, digit = np.divmod(np.arange(lo, hi, dtype=np.int64), qb)
-        pre_row.append(prefix - (first - n_pre))
-        b1.append(digit)
-        pidx.append(np.arange(first, stop, dtype=np.int64))
-        own.append((stop - first, lo, hi, lo - n_chunk))
-        n_pre += stop - first
+        prefix = np.arange(lo // qb, (hi - 1) // qb + 1, dtype=np.int64)
+        pidx.append(prefix)
+        lo_b1.append(np.maximum(lo - prefix * qb, 0))
+        hi_b1.append(np.minimum(hi - prefix * qb, qb))
+        base.append(prefix * qb - lo + n_chunk)
         n_chunk += hi - lo
-    pidx, pre_row, b1 = (np.concatenate(x) for x in (pidx, pre_row, b1))
-    n_rows, los, his, shifts = zip(*own)
-    row_lo, row_hi, row_shift = (
-        np.repeat(x, n_rows)[:, None] for x in (los, his, shifts)
-    )
-    pre_digits = np.zeros((n_pre, max(L - 1, 0)), dtype=np.int32)
-    rest = pidx
-    for j in range(L - 2, -1, -1):  # column j holds b_{d-s-1-j}
-        rest, rem = np.divmod(rest, q)
-        pre_digits[:, j] = rem
+    pidx, lo_b1, hi_b1, base = map(np.concatenate, (pidx, lo_b1, hi_b1, base))
 
-    # fixed coefficients of g: T^d and a; T^0 and T^1 are zero, and the
-    # free b_i with 2 <= i < d-s sit at digit column d-s-1-i
-    coef = [0] * (d + 1)
-    coef[d] = 1
-    coef[d - s:d] = reversed(a)
+    # g and its first two Hasse derivatives at every t on the prefix grid
+    grid = hasse_grid(gf, d, s, a, np.arange(min(d, 2) + 1), pidx)
+    g0 = grid[0]
 
-    def hasse(j, rows, ts):
-        """The j-th Hasse derivative sum_{i>=j} C(i,j) g_i t^(i-j) of g at
-        broadcast arrays of prefix rows and t values, by Horner."""
-        shape = np.broadcast_shapes(np.shape(rows), np.shape(ts))
-        acc = np.full(shape, comb(d, j) % p, dtype=np.int32)
-        for i in range(d - 1, j - 1, -1):
-            emb = comb(i, j) % p
-            if 2 <= i < d - s:
-                c = mul_t[emb, pre_digits[rows, d - s - 1 - i]]
+    # values of f_b = g + b_1 t on the chunk's own rows: in each range, a
+    # partial first or last prefix block takes a slice of the b_1 t table,
+    # and the whole blocks between them one broadcast gather
+    val = np.empty((n_chunk, q), dtype=add_t.dtype)
+    out = row = 0
+    for lo, hi in ranges:
+        idx = lo
+        while idx < hi:
+            b1 = idx % qb
+            whole = (hi - idx) // qb if b1 == 0 else 0
+            if whole:
+                step = whole * qb
+                index = g0[row:row + whole, None] * q + mul_t[:qb]
+                dest = val[out:out + step].reshape(whole, qb, q)
             else:
-                c = mul_t[emb, coef[i]]
-            acc = np.take(add_f, np.take(mul_f, acc * q + ts) * q + c)
-        return acc
-
-    grid = (np.arange(n_pre)[:, None], np.arange(q, dtype=np.int32)[None, :])
-
-    # values of f_b on all of F_q: g per prefix, then f_b = g + b_1 t
-    val = np.take(
-        add_f,
-        np.take(hasse(0, *grid) * q, pre_row, axis=0) + np.take(mul_t, b1, axis=0),
-    )
+                step = min(qb - b1, hi - idx)
+                index = g0[row] * q + mul_t[b1:b1 + step]
+                dest = val[out:out + step]
+            # the indices are in range; mode="raise" would copy through a buffer
+            np.take(add_f, index, out=dest, mode="clip")
+            row += whole or 1  # a partial block is one prefix row
+            idx, out = idx + step, out + step
 
     # per-b histogram of values, then per-b histogram of root counts N
-    flat = (np.arange(n_chunk, dtype=np.int64)[:, None] * q + val).ravel()
-    nmat = np.bincount(flat, minlength=n_chunk * q).reshape(n_chunk, q)
+    rows = np.arange(n_chunk, dtype=np.int64)[:, None]
+    nmat = np.bincount((rows * q + val).ravel(), minlength=n_chunk * q)
+    del val
     if nmat.max() > d:
         raise BrokenInvariant("a fiber exceeded d roots")
-    flat_h = (np.arange(n_chunk, dtype=np.int64)[:, None] * (d + 1) + nmat).ravel()
+    flat_h = (rows * (d + 1) + nmat.reshape(n_chunk, q)).ravel()
     h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1)).reshape(n_chunk, d + 1)
+    del flat_h
 
     # the Gram matrix G = H^T H of H = h_per_b, exact in float64 (see the
     # module docstring), then Python ints.  Each row of H sums to q, so
@@ -288,43 +371,45 @@ def _chunk_kernel(task):
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
-    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep the b inside the row's
-    # own range, so a prefix that two ranges share counts each b once.
-    # With d = 1, g' = 1 and no b_1 column: nothing is critical.
-    b1_crit = mul_t[p - 1][hasse(1, *grid)].astype(np.int64)
-    gidx = pidx[:, None] * qb + b1_crit
-    pre_c, ts = np.nonzero((b1_crit < qb) & (gidx >= row_lo) & (gidx < row_hi))
+    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep it where its row owns
+    # that b_1, so a prefix that two ranges share counts each b once.
+    # With d = 1, g' = 1 and qb = 1: nothing is critical.
+    b1_crit = np.take(mul_t[p - 1], grid[1])
+    crit = np.flatnonzero((b1_crit >= lo_b1[:, None]) & (b1_crit < hi_b1[:, None]))
     gamma_corr = [0] * d
-    if len(pre_c):
-        rows = gidx[pre_c, ts] - row_shift[pre_c, 0]
-        cvals = val[rows, ts]
+    if len(crit):
+        r, t = np.divmod(crit, q)
+        b1 = np.take(b1_crit, crit)
+        # f_b(t) = g(t) + b_1 t; the class (b, f_b(t)) is one flat cell
+        fval = np.take(add_f, np.take(g0, crit) * q + np.take(mul_f, b1 * q + t))
+        cells = (base[r] + b1) * q + fval
         # the multiplicity of t in f_b - f_b(t) is the smallest j with a
         # nonzero j-th Hasse derivative; j = 1 vanished by construction.
-        # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices.
-        # j = 2 runs on the prefix grid, higher j only on pending pairs.
-        # The loop ends because the d-th derivative of monic g is 1.
-        mults = np.full(len(pre_c), 2)
-        pending = np.flatnonzero(hasse(2, *grid)[pre_c, ts] == 0)
-        j = 2
-        while len(pending):
-            j += 1
-            mults[pending] = j
-            pending = pending[hasse(j, pre_c[pending], ts[pending]) == 0]
-        gamma_corr = _gamma_corrections(rows, cvals, nmat[rows, cvals], mults, q, d)
+        # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices:
+        # j = 2 comes from the grid, and every j >= 3 from one evaluation
+        # at the pairs still pending; the d-th derivative of monic g is 1.
+        mults = np.full(len(crit), 2)
+        pending = np.flatnonzero(np.take(grid[2], crit) == 0)
+        if len(pending):
+            higher = hasse_points(
+                gf, d, s, a, np.arange(3, d + 1), pidx[r[pending]], t[pending]
+            )
+            mults[pending] = 3 + np.argmax(higher != 0, axis=0)
+        gamma_corr = _gamma_corrections(cells, np.take(nmat, cells), mults, d)
 
     return sum_v, sum_v2, hist_n, prod_a.tolist(), gamma_corr
 
 
-def _gamma_corrections(rows, cvals, nvals, mults, q, d):
+def _gamma_corrections(keys, nvals, mults, d):
     """Replace the all-simple tuple counts on classes with multiple roots.
 
-    A class is one (b, c) holding critical points.  Classes with one
-    critical point, almost all of them, are found by a bincount of their
-    keys and take their correction from single_root_table, counted by one
-    more bincount; only the rest are sorted into runs, and go through
+    A class is one (b, c) holding critical points, keyed by its flat cell
+    index in the chunk's (b, c) table.  Classes with one critical point,
+    almost all of them, are found by a bincount of their keys and take
+    their correction from single_root_table, counted by one more
+    bincount; only the rest are sorted into runs, and go through
     multi_root_correction.
     """
-    keys = rows * q + cvals
     lone = np.bincount(keys)[keys] == 1
     counts = np.bincount(
         mults[lone] * (d + 1) + nvals[lone], minlength=(d + 1) * (d + 1)

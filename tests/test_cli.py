@@ -407,9 +407,19 @@ def test_config_file(tmp_path, capsys):
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
-    with pytest.raises(SystemExit) as err:
-        run(["mean", "--field", "5^1"])  # missing required flags
-    assert err.value.code == 2
+    # missing required flags, and a --seed outside Philox's keys [0, 2^128),
+    # which every subcommand refuses through one argparse type
+    for argv in (
+        ["mean", "--field", "5^1"],
+        ["verify-bounds", "--fields", "7^1", "--d", "5", "--seed", "-3"],
+        ["mean", "--field", "7^1", "--d", "5", "--s", "1", "--a", "random:2",
+         "--seed", str(2**128)],
+        ["appendix", "--cases", "7,4", "--seed", "-1"],
+        ["appendix", "--cases", "7,4", "--seed", str(2**128)],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
     # infeasible budget for a directly requested sweep
     assert run(["mean", "--field", "13^1", "--d", "9", "--s", "1",
                 "--a", "1", "--budget", "1000"]) == 2

@@ -5,6 +5,7 @@ and per-(b,c) root multiplicities using only upoly primitives, so any
 vectorization bug in the engine shows up as a mismatch.
 """
 
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -306,9 +307,73 @@ def test_multi_root_codes_past_int64():
     k, d = 14, 30
     zeros = np.zeros(k, dtype=np.int64)
     got = sweep._gamma_corrections(
-        zeros, zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), 31, d
+        zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), d
     )
     assert got == list(multi_root_correction((2,) * k, k, d))
+
+
+def hasse_oracle(gf, d, s, a, prefix, j, t):
+    """sum_{i>=j} C(i,j) g_i t^(i-j) in scalar GF arithmetic, where g has
+    the prefix's base-q digits as b_2, b_3, ... and no b_1 or b_0 term."""
+    g = [0] * (d + 1)
+    g[d] = 1
+    for k, c in enumerate(a):
+        g[d - 1 - k] = c
+    for i in range(2, d - s):
+        prefix, g[i] = divmod(prefix, gf.q)
+    acc = 0
+    for i in range(j, d + 1):
+        term = gf.mul(gf.embed_int(comb(i, j)), gf.mul(g[i], gf.pow(t, i - j)))
+        acc = gf.add(acc, term)
+    return acc
+
+
+# p divides C(i, j) for some 0 < j < i <= d whenever d >= p; d = 1 and
+# d = 2 leave g no free digit
+HASSE_FAMILIES = [
+    (make_field(3, 2), 6, 2, (1, 4)),
+    (make_field(3, 3), 5, 1, (7,)),
+    (F5, 7, 2, (0, 3)),
+    (F5, 1, 0, ()),
+    (F7, 8, 3, (1, 0, 5)),
+    (F7, 2, 0, ()),
+]
+
+
+@pytest.mark.parametrize("gf, d, s, a", HASSE_FAMILIES, ids=lambda x: repr(x))
+def test_hasse_evaluators_match_scalar_oracle(gf, d, s, a):
+    q = gf.q
+    n_prefix = q ** max(d - s - 2, 0)
+    picks = sorted({*range(0, n_prefix, max(1, n_prefix // 9)), n_prefix - 1})
+    # the first prefix twice, as when two ranges of a chunk share it
+    prefixes = np.array(picks[:1] + picks, dtype=np.int64)
+    js = np.arange(d + 1)
+    want = [
+        [[hasse_oracle(gf, d, s, a, int(pre), j, t) for t in range(q)] for pre in prefixes]
+        for j in range(d + 1)
+    ]
+    assert sweep.hasse_grid(gf, d, s, a, js, prefixes).tolist() == want
+    points = sweep.hasse_points(
+        gf, d, s, a, js, np.repeat(prefixes, q), np.tile(np.arange(q), len(prefixes))
+    )
+    assert points.reshape(d + 1, len(prefixes), q).tolist() == want
+
+
+def test_chunk_inside_one_prefix_block_memory():
+    # a chunk of 1024 b-vectors inside the one prefix block of q = 4093
+    # vectors builds its value table on its own rows: its peak stays near
+    # a few arrays of 1024 * q entries
+    gf = make_field(4093)
+    spec = FamilySpec(gf, 4, 2, (5, 11))
+    task = (gf.descriptor, spec.d, spec.s, spec.a, ((1000, 2024),), spec.free_len)
+    sweep._chunk_kernel(task)  # builds the field's tables and the caches
+    tracemalloc.start()
+    try:
+        sweep._chunk_kernel(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 1024 * gf.q * 8
 
 
 def profile_stats(spec):
@@ -392,8 +457,10 @@ def test_gram_exactness_guard_raises(monkeypatch):
 
 
 def test_fiber_invariant_raises(monkeypatch):
-    # a corrupt addition table makes f_b constant: one fiber of size q > d
+    # a corrupt addition table makes f_b constant: one fiber of size q > d.
+    # The Hasse tables built from it must not stay cached for later tests
     monkeypatch.setattr(GF, "add_table", lambda self: np.zeros((self.q, self.q), np.int32))
+    monkeypatch.setattr(sweep, "_hasse_tables", sweep._hasse_tables.__wrapped__)
     with pytest.raises(BrokenInvariant):
         collect_stats(FamilySpec(F7, 4, 1, (1,)))
 
