@@ -17,15 +17,18 @@ ascending index ranges; a default chunk holds about CHUNK_CELLS = 2^18
 count arrays stay near the size of a core's L2 cache.  A family is
 swept through its cover (collect_many's cover): weighted index blocks of
 swept families.  The blocks of one swept family and one weight are packed
-into full chunks, and the parent multiplies each chunk's sums by its
+into full chunks, and the parent multiplies each chunk's counts by its
 weight (_assemble), so weights never reach the kernel or its float64
 bound.
 
-The per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the
-(d+1) x (d+1) Gram matrix of the chunk's root-count histograms, one
-float64 BLAS product.  Its entries are integers of at most chunk * q^2,
-exact while that is at most 2^53 (table fields and MAX_CHUNK keep it
-below 2^40); the kernel checks the bound and finishes in Python ints.
+The kernel returns counts, not statistics.  The
+per-b sums (sum_v, sum_v2, hist_n, prod_a) all come from the (d+1) x
+(d+1) Gram matrix of the chunk's root-count histograms, one float64 BLAS
+product.  Its entries are integers of at most chunk * q^2, exact while
+that is at most 2^53 (table fields and MAX_CHUNK keep it below 2^40); the
+kernel checks the bound and returns the matrix as int64.  _assemble is
+the one exact step: once per family it sums the weighted Gram matrices
+and class counts in Python ints and reads every field off the sums.
 
 b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
 g depends only on the outer prefix idx // q, whose base-q digits are
@@ -56,18 +59,18 @@ the prefix only: j = 0, 1 and 2 come from the grid (values, critical
 points, the first multiplicity split), and every j >= 3 from one
 hasse_points call on the critical pairs still pending.  A class (b, c)
 is one flat index into the chunk's (b, c) root counts, which gives its
-root count and is its key.  A class with one critical point of
-multiplicity m takes its gamma correction from the (m, n) table
-single_root_table; a class with several goes through the memo
-multi_root_correction.
+root count and is its key.  The kernel counts the classes by shape
+(caps, n): the sorted multiplicities of its critical points and its
+number of distinct roots.  _assemble adds each shape's gamma correction,
+from the memo multi_root_correction, to the all-simple tuple counts.
 
 Each chunk takes its field from parse_descriptor, which returns the one
 interned field object per descriptor, so the add and mul tables are
 built once per process.  The sweeps of one run share a single fork pool
 (run_scope, which the CLI opens around each command), so every worker
-builds a field's tables, and fills the single_root_table and
-multi_root_correction memos, once per run.  One worker never forks, nor
-imports multiprocessing.
+builds a field's tables once per run; the multi_root_correction memo
+fills in the parent, the one process that applies it.  One worker never
+forks, nor imports multiprocessing.
 
 collect_many puts every distinct chunk of a list of families through one
 ordered imap of that pool and yields each family's stats as its last
@@ -86,11 +89,12 @@ from __future__ import annotations
 
 import ctypes
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -104,13 +108,6 @@ DEFAULT_BUDGET = 10**6
 INT64_MAX = 2**63 - 1
 FLOAT64_EXACT = 2**53  # every integer up to this is a float64
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
-
-
-def falling(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= n - i
-    return out if r <= n else 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class FamilyStats:
 
     def gamma_open(self, r: int) -> int:
         """|Gamma_r(F_q)|: ordered r-tuples of distinct roots."""
-        return sum(h * falling(n, r) for n, h in enumerate(self.hist_n))
+        return sum(h * perm(n, r) for n, h in enumerate(self.hist_n))
 
     def s_mn(self, m: int, n: int) -> int:
         """sum_b [A_m A_n - sum_c C(N,m)C(N,n)]: the c1 != c2 incidences."""
@@ -172,41 +169,22 @@ def exact_tuple_counts(caps, n_simple: int, d: int):
         acc = 0
         for m in range(0, j + 1):
             if w[j - m]:
-                acc += comb(j, m) * falling(n_simple, m) * w[j - m]
+                acc += comb(j, m) * perm(n_simple, m) * w[j - m]
         out[j] = acc
     return out[1:]
 
 
 @lru_cache(maxsize=None)
-def single_root_table(d: int):
-    """Gamma correction per class with one critical point, keyed by (m, n).
-
-    Row m*(d+1) + n holds, for r = 1..d, the correction of a value class
-    with n distinct roots of which exactly one is multiple, with
-    multiplicity m: its ordered-tuple count less the all-simple
-    falling(n, r).  Impossible pairs (m < 2, n < 1, m + n - 1 > d) stay
-    zero.  Entries are Python ints, so accumulating them cannot overflow.
-    """
-    table = np.zeros(((d + 1) * (d + 1), d), dtype=object)
-    for m in range(2, d + 1):
-        for n in range(1, d - m + 2):
-            exact = exact_tuple_counts([m], n - 1, d)
-            table[m * (d + 1) + n] = [
-                exact[r - 1] - falling(n, r) for r in range(1, d + 1)
-            ]
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def multi_root_correction(caps: tuple, n_distinct: int, d: int) -> tuple:
-    """Gamma correction of a class with several critical points.
+    """Gamma correction of a class with multiple roots, for r = 1..d.
 
-    caps holds their multiplicities, sorted: the count is symmetric in
-    their order.  n_distinct counts all roots of the class.
+    caps holds the multiplicities of its critical points, sorted: the
+    count is symmetric in their order.  n_distinct counts all roots of the
+    class.  The correction is its ordered-tuple count less the all-simple
+    perm(n_distinct, r).
     """
     exact = exact_tuple_counts(list(caps), n_distinct - len(caps), d)
-    return tuple(exact[r - 1] - falling(n_distinct, r) for r in range(1, d + 1))
+    return tuple(exact[r - 1] - perm(n_distinct, r) for r in range(1, d + 1))
 
 
 @lru_cache(maxsize=16)
@@ -351,23 +329,13 @@ def _chunk_kernel(task):
     del flat_h
 
     # the Gram matrix G = H^T H of H = h_per_b, exact in float64 (see the
-    # module docstring), then Python ints.  Each row of H sums to q, so
-    # row n of G sums to q * hist_n[n]; V_b = q - H[b, 0]; and
-    # prod_a = B^T G B with B[n][k-1] = C(n, k), as A_k(b) = (H B)[b, k-1].
+    # module docstring); _assemble reads the per-b sums off it
     if n_chunk * q * q > FLOAT64_EXACT:
         raise BrokenInvariant(
             f"a chunk of {n_chunk} at q = {q} leaves float64's exact integers"
         )
     h_float = h_per_b.astype(np.float64)
-    gram = (h_float.T @ h_float).astype(np.int64).astype(object)
-    hist_n = [row_sum // q for row_sum in gram.sum(axis=1)]
-    sum_v = n_chunk * q - hist_n[0]
-    sum_v2 = n_chunk * q * q - 2 * q * hist_n[0] + gram[0, 0]
-    binom = np.array(
-        [[comb(n, k) for k in range(1, d + 1)] for n in range(d + 1)],
-        dtype=object,
-    )
-    prod_a = binom.T @ gram @ binom
+    gram = (h_float.T @ h_float).astype(np.int64)
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
@@ -376,7 +344,7 @@ def _chunk_kernel(task):
     # With d = 1, g' = 1 and qb = 1: nothing is critical.
     b1_crit = np.take(mul_t[p - 1], grid[1])
     crit = np.flatnonzero((b1_crit >= lo_b1[:, None]) & (b1_crit < hi_b1[:, None]))
-    gamma_corr = [0] * d
+    shapes = {}
     if len(crit):
         r, t = np.divmod(crit, q)
         b1 = np.take(b1_crit, crit)
@@ -395,37 +363,36 @@ def _chunk_kernel(task):
                 gf, d, s, a, np.arange(3, d + 1), pidx[r[pending]], t[pending]
             )
             mults[pending] = 3 + np.argmax(higher != 0, axis=0)
-        gamma_corr = _gamma_corrections(cells, np.take(nmat, cells), mults, d)
+        shapes = _class_shapes(cells, np.take(nmat, cells), mults, d)
 
-    return sum_v, sum_v2, hist_n, prod_a.tolist(), gamma_corr
+    return gram, shapes
 
 
-def _gamma_corrections(keys, nvals, mults, d):
-    """Replace the all-simple tuple counts on classes with multiple roots.
+def _class_shapes(keys, nvals, mults, d):
+    """Count the classes with multiple roots by their shape (caps, n).
 
     A class is one (b, c) holding critical points, keyed by its flat cell
-    index in the chunk's (b, c) table.  Classes with one critical point,
-    almost all of them, are found by a bincount of their keys and take
-    their correction from single_root_table, counted by one more
-    bincount; only the rest are sorted into runs, and go through
-    multi_root_correction.
+    index in the chunk's (b, c) table; caps lists the multiplicities of
+    its critical points, sorted, and n counts its distinct roots.  Classes
+    with one critical point, almost all of them, are found by a bincount
+    of their keys and counted by one more bincount of n (d+1) + m; only
+    the rest are sorted into runs.
     """
     lone = np.bincount(keys)[keys] == 1
-    counts = np.bincount(
-        mults[lone] * (d + 1) + nvals[lone], minlength=(d + 1) * (d + 1)
-    )
-    gamma_corr = counts.astype(object) @ single_root_table(d)
-    gamma_corr = [int(x) for x in gamma_corr]
+    per_code = np.bincount(nvals[lone] * (d + 1) + mults[lone])
+    codes = np.flatnonzero(per_code)
+    runs = [(1, codes, per_code[codes])]  # (k, distinct codes, their counts)
 
     keys, nvals, mults = keys[~lone], nvals[~lone], mults[~lone]
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys, nvals, mults = keys[order], nvals[order], mults[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     sizes = np.diff(np.append(starts, len(keys)))
 
-    # classes with k >= 2 critical points: sort each class's caps, code
-    # (n, caps) in base d+1, then call the memo once per distinct code.
-    # The distinct k come from a bincount: np.unique(sizes) loads numpy.ma
+    # classes with k >= 2 critical points: sort each class's caps and code
+    # (n, caps) in base d+1, as the bincount codes (n, m); a 1-d np.unique
+    # of the codes is faster than one over rows.  The distinct k come from
+    # a bincount: np.unique(sizes) loads numpy.ma
     for k in np.flatnonzero(np.bincount(sizes)).tolist():
         first = starts[sizes == k]
         caps = np.sort(mults[first[:, None] + np.arange(k)], axis=1)
@@ -434,16 +401,17 @@ def _gamma_corrections(keys, nvals, mults, d):
             caps, code = caps.astype(object), code.astype(object)
         for col in caps.T:
             code = code * (d + 1) + col
-        codes, n_classes = np.unique(code, return_counts=True)
-        for key, n_cls in zip(codes.tolist(), n_classes.tolist()):
+        runs.append((k, *np.unique(code, return_counts=True)))
+
+    shapes = {}
+    for k, codes, counts in runs:
+        for code, count in zip(codes.tolist(), counts.tolist()):
             caps = []
             for _ in range(k):
-                key, cap = divmod(key, d + 1)
+                code, cap = divmod(code, d + 1)
                 caps.append(cap)
-            corr = multi_root_correction(tuple(reversed(caps)), key, d)
-            for r in range(d):
-                gamma_corr[r] += n_cls * corr[r]
-    return gamma_corr
+            shapes[tuple(reversed(caps)), code] = count
+    return shapes
 
 
 def default_workers() -> int:
@@ -614,35 +582,42 @@ def collect_many(specs, workers: int | None = None, chunk_size: int | None = Non
 
 
 def _assemble(spec, results):
-    """The FamilyStats of spec from the (weight, kernel result) of its chunks."""
-    d = spec.d
-    sum_v = sum_v2 = 0
-    hist = [0] * (d + 1)
-    prod = [[0] * d for _ in range(d)]
-    corr = [0] * d
-    for w, (sv, sv2, h, pa, gc) in results:
-        sum_v += w * sv
-        sum_v2 += w * sv2
-        for i, x in enumerate(h):
-            hist[i] += w * x
-        for i in range(d):
-            for j in range(d):
-                prod[i][j] += w * pa[i][j]
-        for i, x in enumerate(gc):
-            corr[i] += w * x
-    gamma_closed = []
-    for r in range(1, d + 1):
-        base = sum(h * falling(n, r) for n, h in enumerate(hist))
-        gamma_closed.append(base + corr[r - 1])
+    """The FamilyStats of spec from the (weight, kernel result) of its chunks.
+
+    The one exact step: the weighted Gram matrices and class-shape counts
+    are summed in Python ints, and every field is read off the sums.  Each
+    row of H sums to q, so row n of G sums to q * hist_n[n]; V_b = q -
+    H[b, 0]; and prod_a = B^T G B with B[n][k-1] = C(n, k), as A_k(b) =
+    (H B)[b, k-1].  gamma_closed counts every class's tuples as if its
+    roots were simple, then corrects each class shape with a multiple root.
+    """
+    q, d = spec.q, spec.d
+    gram, shapes = 0, Counter()
+    for w, (chunk_gram, chunk_shapes) in results:
+        gram = gram + w * chunk_gram.astype(object)
+        for shape, count in chunk_shapes.items():
+            shapes[shape] += w * count
+    hist = [row_sum // q for row_sum in gram.sum(axis=1).tolist()]
+    n_vectors = sum(hist) // q
+    binom = np.array(
+        [[comb(n, k) for k in range(1, d + 1)] for n in range(d + 1)],
+        dtype=object,
+    )
+    gamma_closed = [
+        sum(h * perm(n, r) for n, h in enumerate(hist)) for r in range(1, d + 1)
+    ]
+    for (caps, n), count in shapes.items():
+        for r, corr in enumerate(multi_root_correction(caps, n, d)):
+            gamma_closed[r] += count * corr
     return FamilyStats(
-        q=spec.q,
+        q=q,
         d=d,
         s=spec.s,
         n_b=spec.n_b,
-        sum_v=sum_v,
-        sum_v2=sum_v2,
+        sum_v=n_vectors * q - hist[0],
+        sum_v2=n_vectors * q * q - 2 * q * hist[0] + gram[0, 0],
         hist_n=tuple(hist),
-        prod_a=tuple(tuple(row) for row in prod),
+        prod_a=tuple(map(tuple, (binom.T @ gram @ binom).tolist())),
         gamma_closed=tuple(gamma_closed),
     )
 

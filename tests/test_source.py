@@ -104,6 +104,31 @@ def test_one_mallopt_site():
     assert len(sites) == 1 and sites[0].startswith("sweep.py:"), sites
 
 
+def test_one_exact_correction_site():
+    # the kernel only counts class shapes; the gamma correction is exact
+    # arithmetic done once per family, so the package names the memo where
+    # it is defined and in _assemble, and nowhere else
+    name = "multi_root_correction"
+    tree = ast.parse((SOURCE / "sweep.py").read_text())
+    (assemble,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_assemble"
+    ]
+    inside = range(assemble.lineno, assemble.end_lineno + 1)
+    defined = _nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == name)
+    named = _nodes(
+        lambda node: name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, ast.alias) else None,
+        )
+    )
+    assert len(defined) == 1 and defined[0].startswith("sweep.py:"), defined
+    assert named and all(
+        site.startswith("sweep.py:") and int(site.split(":")[1]) in inside
+        for site in named
+    ), named
+
+
 def test_one_module_forms_main_terms():
     # every main term comes from moments.main_term, which alone reads mu
     named = sorted(

@@ -8,8 +8,8 @@ vectorization bug in the engine shows up as a mismatch.
 import tracemalloc
 import warnings
 from collections import Counter
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, perm
 
 import numpy as np
 import pytest
@@ -30,9 +30,7 @@ from vslab.sweep import (
     collect_many,
     collect_stats,
     exact_tuple_counts,
-    falling,
     multi_root_correction,
-    single_root_table,
 )
 from vslab import upoly as up
 
@@ -192,7 +190,7 @@ def test_ranges_that_share_a_prefix():
     apart = [
         sweep._chunk_kernel(task + ((r,), spec.free_len)) for r in ((0, 3), (5, 10))
     ]
-    assert both[4] != [0] * spec.d  # a class with a multiple root is among them
+    assert both[1]  # a class with a multiple root is among them
     assert sweep._assemble(spec, [(1, both)]) == sweep._assemble(
         spec, [(1, part) for part in apart]
     )
@@ -211,11 +209,32 @@ def test_budget_guard():
 
 def test_exact_tuple_counts_basics():
     # all simple roots: falling factorials
-    assert exact_tuple_counts([], 4, 5) == [falling(4, r) for r in range(1, 6)]
+    assert exact_tuple_counts([], 4, 5) == [perm(4, r) for r in range(1, 6)]
     # one double root alone: tuples (a), (a,a)
     assert exact_tuple_counts([2], 0, 3) == [1, 1, 0]
     # double + simple: r=2 gives (a,a),(a,b),(b,a); r=3 gives 3!/2! = 3
     assert exact_tuple_counts([2], 1, 3) == [2, 3, 3]
+
+
+def test_exact_tuple_counts_match_brute_force():
+    # every multiset of at most d roots: label the roots, enumerate every
+    # r-tuple of labels, and keep those that use each root at most its
+    # multiplicity
+    d, cases = 6, 0
+    for k in range(d // 2 + 1):
+        for caps in combinations_with_replacement(range(2, d + 1), k):
+            for n_simple in range(d - sum(caps) + 1):
+                mult = list(caps) + [1] * n_simple
+                want = [
+                    sum(
+                        all(used <= mult[root] for root, used in Counter(t).items())
+                        for t in product(range(len(mult)), repeat=r)
+                    )
+                    for r in range(1, d + 1)
+                ]
+                assert exact_tuple_counts(list(caps), n_simple, d) == want, caps
+                cases += 1
+    assert cases == 30
 
 
 def test_gamma_one_closed_is_q_power():
@@ -283,33 +302,35 @@ def test_engine_matches_oracle_p_divides_d(monkeypatch):
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_correction_table_and_memo_match_tuple_counts(d):
-    table = single_root_table(d)
-    for m in range(d + 1):
-        for n in range(d + 1):
-            row = list(table[m * (d + 1) + n])
-            if m >= 2 and 1 <= n and m + n - 1 <= d:
-                exact = exact_tuple_counts([m], n - 1, d)
-                assert row == [exact[r] - falling(n, r + 1) for r in range(d)]
-            else:
-                assert row == [0] * d
+    # one-cap shapes: a class of n distinct roots, one of multiplicity m
+    for m in range(2, d + 1):
+        for n in range(1, d - m + 2):
+            exact = exact_tuple_counts([m], n - 1, d)
+            want = tuple(exact[r] - perm(n, r + 1) for r in range(d))
+            assert multi_root_correction((m,), n, d) == want
     for k in range(2, d // 2 + 1):
         for caps in combinations_with_replacement(range(2, d + 1), k):
             for n in range(k, d - sum(caps) + k + 1):
                 exact = exact_tuple_counts(list(caps), n - k, d)
-                want = tuple(exact[r] - falling(n, r + 1) for r in range(d))
+                want = tuple(exact[r] - perm(n, r + 1) for r in range(d))
                 assert multi_root_correction(caps, n, d) == want
                 assert exact_tuple_counts(list(reversed(caps)), n - k, d) == exact
 
 
 def test_multi_root_codes_past_int64():
     # one class with 14 double roots at d = 30: its code (n, caps) in
-    # base 31 needs more than 63 bits
+    # base 31 needs more than 63 bits, and the counter still returns its
+    # shape, whose memo correction is that of 14 double roots
     k, d = 14, 30
     zeros = np.zeros(k, dtype=np.int64)
-    got = sweep._gamma_corrections(
+    shapes = sweep._class_shapes(
         zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), d
     )
-    assert got == list(multi_root_correction((2,) * k, k, d))
+    assert shapes == {((2,) * k, k): 1}
+    exact = exact_tuple_counts([2] * k, 0, d)
+    assert multi_root_correction((2,) * k, k, d) == tuple(
+        exact[r] - perm(k, r + 1) for r in range(d)
+    )
 
 
 def hasse_oracle(gf, d, s, a, prefix, j, t):
