@@ -1,10 +1,12 @@
 """vslab: config-driven experiment runner.
 
-Exit codes: 0 = all requested checks passed, 1 = a verification failed
-(failing instances are listed on stdout), 2 = usage/config error or an
-infeasible budget for a directly requested computation, 3 = internal
-error: a computed result broke a property the mathematics guarantees
-(BrokenInvariant), which is a bug, not bad input.
+Exit codes: 0 = all requested checks passed, 1 = a verification failed,
+2 = usage/config error or an infeasible budget for a directly requested
+computation, 3 = internal error: a computed result broke a property the
+mathematics guarantees (BrokenInvariant), which is a bug, not bad input.
+Each check is a named verdict in its command's ledger; `_conclude` alone
+chooses between 0 and 1, and names each failing instance on one stderr
+FAIL line.  A verdict of None means the check could not run: it never fails.
 
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
@@ -236,28 +238,22 @@ def cmd_mean(args):
                 "residual": stats.mean - mu_q,
             }
         )
-    _emit_json(args, results)
-    return 0
+    return _conclude(args, [], results)
 
 
 def cmd_second_moment(args):
     reports = []
     rows = []
-    failures = []
+    ledger = []
     for spec, _, rep, cols in _moment_instances(args):
         reports.append(
             {k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS}
         )
         rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
-        if not rep.identities_hold:
-            failures.append(spec.key)
-    _emit_json(args, reports, failures=failures)
+        ledger.append((spec.key, rep.checks))
     if args.csv:
         rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
-    if failures:
-        print("FAIL:", *failures, file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+    return _conclude(args, ledger, reports, failures="instances")
 
 
 def _count_table(args, header, count, oracle, checks_of):
@@ -265,21 +261,18 @@ def _count_table(args, header, count, oracle, checks_of):
     main term, rhs and verdict.  Unless --method is "profile", the oracle
     must agree exactly."""
     rows = []
-    mismatches = []
+    ledger = []
     for spec, stats in _instances(args):
-        for check in checks_of(spec, stats):
-            cell = (check.r,) if check.m is None else (check.m, check.n)
+        checks = []
+        for bound in checks_of(spec, stats):
+            cell = (bound.r,) if bound.m is None else (bound.m, bound.n)
             value = count(stats, *cell)
             if args.method != "profile":
                 other = oracle(spec, *cell, budget=args.subset_budget)
-                if other != value:
-                    mismatches.append((spec.key, *cell, value, other))
-            rows.append([spec.key, *cell, value, check.main, check.rhs, check.passed])
-    _emit_csv(args, header, rows)
-    if mismatches:
-        print(f"FAIL dual-method {args.command}:", mismatches, file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+                checks.append((cell, other == value))
+            rows.append([spec.key, *cell, value, bound.main, bound.rhs, bound.passed])
+        ledger.append((spec.key, checks))
+    return _conclude(args, ledger, rows, header)
 
 
 def cmd_chi(args):
@@ -302,6 +295,11 @@ def cmd_smn(args):
     )
 
 
+def _gamma_1_closed_exact(spec, stats):
+    """Gamma_1^* holds q^(d-s) points: each (b, t) has the one b0 = -f_b(t)."""
+    return stats.gamma_closed[0] == spec.q ** (spec.d - spec.s)
+
+
 def cmd_gamma(args):
     from . import counting as ct
 
@@ -319,68 +317,62 @@ def cmd_gamma(args):
     for m, n in mn_pairs:
         if not (1 <= m <= d and 1 <= n <= d):
             raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
+    open_r = [r for r in r_list if r >= d - s + 1]
     results = []
-    failures = []
+    ledger = []
     for spec, stats in _instances(args):
+        # the oracle's open Gamma_r counts ride on the (m, n) scan; past
+        # --subset-budget they are not counted, and their checks read None
+        fits = spec.n_b * spec.q <= args.subset_budget
+        scan = ct.gamma_counts_mn(spec, mn_pairs, budget=args.subset_budget,
+                                  r_values=open_r if fits else ())
         entry = {"spec": spec.key, "r": {}, "mn": {}}
+        checks = []
         for r in r_list:
-            affine_open, closed = stats.gamma_open(r), stats.gamma_closed[r - 1]
-            item = {"affine_open": affine_open, "closed": closed}
-            if r >= d - s + 1:
-                ok = affine_open == factorial(r) * stats.chi(r)
-                item["open_equals_r_factorial_chi"] = ok
-                if not ok:
-                    failures.append((spec.key, "gamma_r", r))
+            item = entry["r"][str(r)] = {
+                "affine_open": stats.gamma_open(r), "closed": stats.gamma_closed[r - 1]
+            }
+            if r in open_r:
+                ok = item["open_equals_r_factorial_chi"] = None if not fits else (
+                    scan[r].affine_open == factorial(r) * stats.chi(r)
+                )
+                checks.append((("gamma_r", r), ok))
             if r == 1:
-                ok = closed == spec.q ** (d - s)
-                item["closed_equals_q_power"] = ok
-                if not ok:
-                    failures.append((spec.key, "gamma_1_closed", 1))
-            entry["r"][str(r)] = item
-        for (m, n), g in ct.gamma_counts_mn(spec, mn_pairs).items():
+                ok = item["closed_equals_q_power"] = _gamma_1_closed_exact(spec, stats)
+                checks.append((("gamma_1_closed", 1), ok))
+        for m, n in mn_pairs:
+            g = scan[m, n]
             ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(m, n)
             entry["mn"][f"{m},{n}"] = {
-                "affine_open": g.affine_open,
-                "closed": g.closed,
-                "open_equals_mn_factorial_smn": ok,
+                **dataclasses.asdict(g), "open_equals_mn_factorial_smn": ok
             }
-            if not ok:
-                failures.append((spec.key, "gamma_mn", (m, n)))
+            checks.append((("gamma_mn", (m, n)), ok))
         results.append(entry)
-    _emit_json(args, results, failures=[list(f) for f in failures])
-    return CHECK_FAILED if failures else 0
+        ledger.append((spec.key, checks))
+    return _conclude(args, ledger, results, failures="checks")
 
 
 def cmd_verify_identities(args):
     from . import counting as ct
 
     d, s = args.d, args.s
-    checks = []
+    results = []
+    ledger = []
     for spec, stats, rep, cols in _moment_instances(args):
-        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
-        if rep.mean_reconstruction_exact is not None:
-            entry["mean_reconstruction_exact"] = rep.mean_reconstruction_exact
+        checks = rep.checks
         if s >= 1:
             dual = [
                 stats.chi(r) == ct.chi_r(spec, r, budget=args.subset_budget)
                 for r in range(d - s + 1, d + 1)
                 if comb(spec.q, r) <= args.subset_budget
             ]
-            entry["chi_dual_method"] = all(dual) if dual else None
-        entry["gamma_1_closed_exact"] = stats.gamma_closed[0] == spec.q ** (d - s)
-        # a check that could not run (None, or absent) does not fail the instance
-        entry["ok"] = (
-            rep.identities_hold
-            and entry.get("chi_dual_method") is not False
-            and entry["gamma_1_closed_exact"]
-        )
-        checks.append(entry)
-    _emit_json(args, checks)
-    bad = [c["spec"] for c in checks if not c["ok"]]
-    if bad:
-        print("FAIL:", *bad, file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+            checks.append(("chi_dual_method", all(dual) if dual else None))
+        checks.append(("gamma_1_closed_exact", _gamma_1_closed_exact(spec, stats)))
+        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
+        entry.update(checks, ok=not _failing(checks))
+        results.append(entry)
+        ledger.append((spec.key, checks))
+    return _conclude(args, ledger, results)
 
 
 def cmd_verify_bounds(args):
@@ -402,24 +394,22 @@ def cmd_verify_bounds(args):
         points.append((markers, plan))
     instances = _instances(args, [entry for _, plan in points for entry in plan])
     rows = []
-    any_fail = False
+    ledger = []
     for markers, plan in points:
-        checks = markers + [
-            check
-            for spec, stats in itertools.islice(instances, len(plan))
-            for check in bd.bound_suite(spec, stats)
-        ]
-        any_fail |= any(check.passed is False for check in checks)
-        rows.extend(rp.bound_check_row(check) + [args.seed] for check in checks)
-    _emit_csv(args, rp.BOUND_CSV_HEADER + ["seed"], rows)
-    return CHECK_FAILED if any_fail else 0
+        bounds = list(markers)
+        for spec, stats in itertools.islice(instances, len(plan)):
+            suite = bd.bound_suite(spec, stats)
+            ledger.append((spec.key, [(b.kind, b.passed) for b in suite]))
+            bounds += suite
+        rows.extend(rp.bound_check_row(b) + [args.seed] for b in bounds)
+    return _conclude(args, ledger, rows, rp.BOUND_CSV_HEADER + ["seed"])
 
 
 def cmd_sweep(args):
     from . import bounds as bd
 
     rows = []
-    failed = False
+    ledger = []
     # the whole grid is planned, and so checked, before the first sweep
     plan = [
         entry
@@ -427,13 +417,11 @@ def cmd_sweep(args):
         for entry in _plan(args, field, d, s)
     ]
     for spec, stats, rep, cols in _moment_instances(args, plan):
-        checks = bd.bound_suite(spec, stats)
-        failed |= not rep.identities_hold
-        failed |= any(check.passed is False for check in checks)
-        cols.update(seed=args.seed, bounds=bd.suite_summary(checks))
+        suite = bd.bound_suite(spec, stats)
+        ledger.append((spec.key, rep.checks + [(b.kind, b.passed) for b in suite]))
+        cols.update(seed=args.seed, bounds=bd.suite_summary(suite))
         rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
-    _emit_csv(args, rp.SWEEP_CSV_HEADER, rows)
-    return CHECK_FAILED if failed else 0
+    return _conclude(args, ledger, rows, rp.SWEEP_CSV_HEADER)
 
 
 APPENDIX_CASES = [(7, 4), (5, 5), (3, 6), (3, 4), (5, 6), (3, 7)]
@@ -456,7 +444,7 @@ def cmd_appendix(args):
     case_list = _pairs(args.cases, APPENDIX_CASES)
     subres_list = _pairs(args.subres, SUBRES_CASES)
     results = {"cases": [], "subres1_terms": []}
-    any_fail = False
+    ledger = []
     for p, d in case_list:
         rep = ap.appendix_case_check(p, d)
         entry = rep.to_dict()
@@ -464,13 +452,12 @@ def cmd_appendix(args):
             p, d, {0, 1} if rep.case == "generic" else {0, 1, 2}
         )
         results["cases"].append(entry)
-        any_fail |= rep.matched == "failed"
+        ledger.append((f"cases:{p},{d}", [("matched", rep.matched != "failed")]))
     for p, d in subres_list:
         rep = ap.subres1_terms_check(p, d)
         results["subres1_terms"].append(rep.to_dict())
-        any_fail |= rep.matched == "failed"
-    _emit_json(args, results)
-    return CHECK_FAILED if any_fail else 0
+        ledger.append((f"subres:{p},{d}", [("matched", rep.matched != "failed")]))
+    return _conclude(args, ledger, results)
 
 
 def cmd_audit_linear(args):
@@ -480,17 +467,16 @@ def cmd_audit_linear(args):
     d, s = args.d, args.s
     q = field.q
     rng = _philox(args.seed, q, d, s)
-    a_vectors = _a_vectors(args, field, d, s, grid=False)
-    specs = [FamilySpec(field, d, s, a) for a in a_vectors]
+    specs = [FamilySpec(field, d, s, a) for a in _a_vectors(args, field, d, s, False)]
     total = d - s
     if total < 2:  # past the family's own checks, only d = 1 gets here
         raise InvalidParameter(
             f"audit-linear needs two nonempty subsets with m + n <= d - s = {total}"
         )
-    checks = []
-    failures = 0
+    results = []
+    ledger = []
     for spec in specs:
-        key = spec.key
+        checks = []
         for _ in range(args.count):
             m = int(rng.integers(1, total))
             n = int(rng.integers(1, total - m + 1))
@@ -498,29 +484,18 @@ def cmd_audit_linear(args):
             g1 = {int(x) for x in perm[:m]}
             g2 = {int(x) for x in perm[m : m + n]}
             audit = ct.linear_system_audit(spec, g1, g2)
-            ok = audit["rank"] == m + n and audit["count_all"] == q ** (
-                d - s + 1 - m - n
-            )
+            full = q ** (d - s + 1 - m - n)
+            ok = audit["rank"] == m + n and audit["count_all"] == full
             if ok and q ** (d - s + 1) <= args.subset_budget:
-                brute_all, brute_strict = _brute_linear_counts(spec, g1, g2)
-                ok = (
-                    audit["count_all"] == brute_all
-                    and audit["count_strict"] == brute_strict
-                )
-            failures += not ok
-            checks.append(
-                {
-                    "spec": key,
-                    "gamma1": sorted(g1),
-                    "gamma2": sorted(g2),
-                    "rank": audit["rank"],
-                    "count_all": audit["count_all"],
-                    "count_strict": audit["count_strict"],
-                    "ok": ok,
-                }
+                counts = audit["count_all"], audit["count_strict"]
+                ok = counts == _brute_linear_counts(spec, g1, g2)
+            checks.append(("linear_system", ok))
+            results.append(
+                {"spec": spec.key, "gamma1": sorted(g1), "gamma2": sorted(g2),
+                 **audit, "ok": ok}
             )
-    _emit_json(args, checks, failures=failures)
-    return CHECK_FAILED if failures else 0
+        ledger.append((spec.key, checks))
+    return _conclude(args, ledger, results, failures="count")
 
 
 def _brute_linear_counts(spec, g1, g2):
@@ -548,6 +523,38 @@ def cmd_report_merge(args):
 # -- wiring --------------------------------------------------------------------
 
 
+def _failing(checks):
+    """The names of the failing checks among (name, verdict) pairs; a
+    verdict of None means the check could not run, and it never fails."""
+    return [name for name, ok in checks if ok is False]
+
+
+def _conclude(args, ledger, results, header=None, failures=None):
+    """Write the results, as CSV rows under a header or else as JSON, and
+    return the exit code.  The ledger holds (instance, checks) entries, each
+    check a (name, verdict) pair.  `failures` names the shape of the JSON
+    failures field: the failing "instances", [instance, *name] for each
+    failing check ("checks"), or their "count".  One stderr FAIL line names
+    each failing instance once."""
+    failed = [(inst, names) for inst, checks in ledger if (names := _failing(checks))]
+    shapes = {
+        "instances": [inst for inst, _ in failed],
+        "checks": [[inst, *name] for inst, names in failed for name in names],
+        "count": sum(len(names) for _, names in failed),
+    }
+    if header is None:
+        extra = {"failures": shapes[failures]} if failures else {}
+        _emit_json(args, results, **extra)
+    elif args.out:
+        rp.write_csv(args.out, header, results)
+    else:
+        sys.stdout.write(rp.csv_text(header, results))
+    if not failed:
+        return 0
+    print("FAIL:", *(inst for inst, _ in failed), file=sys.stderr)
+    return CHECK_FAILED
+
+
 def _emit_json(args, results, **extra):
     """Write {command, config, results, **extra} to --out, else stdout."""
     # output paths and the worker count are not semantic config: identical
@@ -564,14 +571,6 @@ def _emit_json(args, results, **extra):
         rp.write_text(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_csv(args, header, rows):
-    """Write the CSV to --out, else stdout."""
-    if args.out:
-        rp.write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(rp.csv_text(header, rows))
 
 
 def _add_command(subs, name, func, help_text, field_mode="single", a_default=""):

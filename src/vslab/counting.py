@@ -154,38 +154,44 @@ def _constant_values(vals, subsets):
     return out
 
 
-def gamma_counts_mn(spec: FamilySpec, pairs, budget: int = DEFAULT_BUDGET) -> dict:
+def gamma_counts_mn(
+    spec: FamilySpec, pairs, budget: int = DEFAULT_BUDGET, r_values=()
+) -> dict:
     """Point counts of Gamma_mn (pairwise-distinct coordinates, b01 != b02)
     and Gamma_mn^* (diagonal included), keyed by (m, n) for each requested
-    pair, from one scan over b shared by all pairs (`_root_scan`).
+    pair, and of Gamma_r and Gamma_r^*, keyed by r for each r in r_values,
+    from one scan over b shared by all of them (`_root_scan`).
 
     Per member, with F_k(c) = N_b(c)! / (N_b(c) - k)! the ordered k-tuples
-    of distinct roots of f_b - c, the open count is sum_{c1 != c2}
-    F_m(c1) F_n(c2) = (sum_c F_m)(sum_c F_n) - sum_c F_m F_n.
+    of distinct roots of f_b - c, the open Gamma_r count is sum_c F_r(c),
+    and the open Gamma_mn count is sum_{c1 != c2} F_m(c1) F_n(c2) =
+    (sum_c F_m)(sum_c F_n) - sum_c F_m F_n.
     """
     d, q = spec.d, spec.q
-    pairs = list(pairs)
-    if not pairs:
+    pairs, r_values = list(pairs), list(r_values)
+    if not pairs and not r_values:
         return {}
-    for m, n in pairs:
-        if not (1 <= m <= d and 1 <= n <= d):
-            raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
+    orders = {k for pair in pairs for k in pair}.union(r_values)
+    if not orders <= set(range(1, d + 1)):
+        raise InvalidParameter(f"need every r, m and n in 1..{d}, got {sorted(orders)}")
     if spec.n_b * q > budget:
         raise BudgetExceeded(
             f"closed Gamma_mn scan needs {spec.n_b * q} root profiles"
         )
-    orders = {k for pair in pairs for k in pair}
-    open_ = dict.fromkeys(pairs, 0)
-    closed = dict.fromkeys(pairs, 0)
+    open_ = dict.fromkeys(pairs + r_values, 0)
+    closed = dict.fromkeys(pairs + r_values, 0)
     for w, sizes in _root_scan(spec):
         f = {r: [perm(k, r) for k in sizes] for r in orders}
+        for r in r_values:
+            open_[r] += sum(f[r])
+            closed[r] += w[r - 1]
         for m, n in pairs:
             same_c = sum(x * y for x, y in zip(f[m], f[n]))
             open_[m, n] += sum(f[m]) * sum(f[n]) - same_c
             closed[m, n] += w[m - 1] * w[n - 1]
     return {
-        pair: GammaCounts(affine_open=open_[pair], closed=closed[pair])
-        for pair in pairs
+        key: GammaCounts(affine_open=open_[key], closed=closed[key])
+        for key in open_
     }
 
 

@@ -142,7 +142,7 @@ def reconstruct_second_moment(
 @dataclass(frozen=True)
 class MomentReport:
     """Everything one family sweep establishes, exactly: the two moments,
-    their main terms and their reconstructions."""
+    their main terms, their reconstructions and the checks between them."""
 
     spec: FamilySpec
     mean: Fraction
@@ -156,23 +156,15 @@ class MomentReport:
     v2_paper_mode: Fraction
 
     @property
-    def mean_reconstruction_exact(self) -> bool | None:
-        """Whether the chi_r reconstruction gives the mean exactly; None
-        outside 1 <= s <= d-2, where it is not defined."""
-        if self.mean_reconstructed is None:
-            return None
-        return self.mean_reconstructed == self.mean
-
-    @property
-    def v2_exact_mode_matches(self) -> bool:
-        return self.v2_exact_mode == self.second_moment
-
-    @property
-    def identities_hold(self) -> bool:
-        """The report's verdict: every reconstruction that is defined here
-        gives its moment exactly."""
-        exact_mean = self.mean_reconstruction_exact is not False
-        return self.v2_exact_mode_matches and exact_mean
+    def checks(self) -> list:
+        """The report's named verdicts, (name, bool) pairs: each
+        reconstruction defined at this s against its moment.  The mean's
+        is defined for 1 <= s <= d-2 only."""
+        checks = [("v2_exact_mode_matches", self.v2_exact_mode == self.second_moment)]
+        if self.mean_reconstructed is not None:
+            exact = self.mean_reconstructed == self.mean
+            checks.append(("mean_reconstruction_exact", exact))
+        return checks
 
 
 def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:

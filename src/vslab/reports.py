@@ -181,8 +181,8 @@ def moment_columns(report) -> dict:
         "v2_exact_mode": report.v2_exact_mode,
         "v2_paper_mode": report.v2_paper_mode,
         "paper_mode_residual": report.v2_paper_mode - report.v2_exact_mode,
-        "mean_reconstruction_exact": report.mean_reconstruction_exact,
-        "v2_exact_mode_matches": report.v2_exact_mode_matches,
+        "mean_reconstruction_exact": None,  # unless defined at this s
+        **dict(report.checks),
     }
 
 
@@ -211,7 +211,6 @@ IDENTITY_JSON_KEYS = [
     "mean",
     "second_moment",
     "paper_mode_residual",
-    "v2_exact_mode_matches",
 ]
 
 # seed and bounds (the bound-suite summary) are not moment columns

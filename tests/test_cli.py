@@ -247,7 +247,9 @@ def test_gamma_command(tmp_path):
     assert entry["r"]["1"]["closed_equals_q_power"] is True
 
 
-def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch):
+def test_gamma_mn_open_count_is_checked_against_the_sweep(
+    tmp_path, monkeypatch, capsys
+):
     # the open Gamma_mn count comes from the oracle's own scan, so a sweep
     # whose S_11 is off by one must fail the check
     real = cli.collect_many
@@ -268,6 +270,35 @@ def test_gamma_mn_open_count_is_checked_against_the_sweep(tmp_path, monkeypatch)
     data = json.loads(out.read_text())
     assert data["results"][0]["mn"]["1,1"]["open_equals_mn_factorial_smn"] is False
     assert data["failures"] == [["q=5^1/0,1;d=3;s=1;a=2", "gamma_mn", [1, 1]]]
+    assert capsys.readouterr().err == "FAIL: q=5^1/0,1;d=3;s=1;a=2\n"
+
+
+def test_gamma_r_open_count_is_checked_against_the_oracle_scan(
+    tmp_path, monkeypatch, capsys
+):
+    # one fibre moved from d-1 distinct roots to d shifts chi_d and the
+    # swept open Gamma_d alike, so only the oracle's scan can catch it
+    real = cli.collect_many
+
+    def shifted(specs, **kw):
+        for st in real(specs, **kw):
+            hist = list(st.hist_n)
+            hist[-2] -= 1
+            hist[-1] += 1
+            yield dataclasses.replace(st, hist_n=tuple(hist))
+
+    monkeypatch.setattr(cli, "collect_many", shifted)
+    out = tmp_path / "gamma.json"
+    code = run(
+        ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "2",
+         "--out", str(out)]
+    )
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["results"][0]["r"]["3"]["open_equals_r_factorial_chi"] is False
+    key = "q=5^1/0,1;d=3;s=1;a=2"
+    assert data["failures"] == [[key, "gamma_r", 3]]
+    assert capsys.readouterr().err == f"FAIL: {key}\n"
 
 
 def _corrupt_stats(monkeypatch, field, by=1):
@@ -286,7 +317,7 @@ def _corrupt_stats(monkeypatch, field, by=1):
     [("sum_v2", "v2_exact_mode_matches"), ("sum_v", "mean_reconstruction_exact")],
 )
 def test_sweep_fails_on_a_false_reconstruction_verdict(
-    tmp_path, monkeypatch, field, column
+    tmp_path, monkeypatch, capsys, field, column
 ):
     # one more value set in the sum moves a moment off its reconstruction,
     # but by far too little to fail a bound: the row's verdict alone must
@@ -302,6 +333,7 @@ def test_sweep_fails_on_a_false_reconstruction_verdict(
         (row,) = csv.DictReader(fh)
     assert row[column] == "false"
     assert row["bounds"] == "pass"
+    assert capsys.readouterr().err == f"FAIL: {row['spec']}\n"
 
 
 def test_second_moment_lists_a_failing_spec_once(tmp_path, monkeypatch, capsys):
@@ -321,6 +353,96 @@ def test_second_moment_lists_a_failing_spec_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"FAIL: {key}\n"
 
 
+def test_verify_identities_fails_on_a_false_check(tmp_path, monkeypatch, capsys):
+    _corrupt_stats(monkeypatch, "sum_v")
+    out = tmp_path / "vi.json"
+    code = run(
+        ["verify-identities", "--field", "5^1", "--d", "4", "--s", "1",
+         "--a", "1", "--out", str(out)]
+    )
+    assert code == 1
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["mean_reconstruction_exact"] is entry["v2_exact_mode_matches"] is False
+    assert entry["chi_dual_method"] is entry["gamma_1_closed_exact"] is True
+    assert entry["ok"] is False
+    assert capsys.readouterr().err == f"FAIL: {entry['spec']}\n"
+
+
+def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys):
+    # C(5, 4) = 5 and n_b q = 25 are over a subset budget of 4: neither
+    # oracle runs, and its verdict is None, not a failure
+    out = tmp_path / "out.json"
+    base = ["--field", "5^1", "--d", "4", "--s", "1", "--a", "1",
+            "--subset-budget", "4", "--out", str(out)]
+    assert run(["verify-identities", *base]) == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["chi_dual_method"] is None and entry["ok"] is True
+    assert run(["gamma", *base]) == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["r"]["4"]["open_equals_r_factorial_chi"] is None
+    assert json.loads(out.read_text())["failures"] == []
+    assert capsys.readouterr().err == ""
+    # the (m, n) counts need the scan, which the budget refuses
+    assert run(["gamma", *base, "--m", "1", "--n", "1"]) == 2
+    assert "25 root profiles" in capsys.readouterr().err
+
+
+def test_verify_bounds_fails_on_a_broken_bound(tmp_path, monkeypatch, capsys):
+    # a second moment 10^30 too large breaks the v2 bound, and only it
+    _corrupt_stats(monkeypatch, "sum_v2", by=49 * 10**30)
+    out = tmp_path / "bounds.csv"
+    code = run(
+        ["verify-bounds", "--fields", "7^1", "--d", "5", "--s", "1", "--a", "2",
+         "--out", str(out)]
+    )
+    assert code == 1
+    with open(out, newline="") as fh:
+        failed = [row["kind"] for row in csv.DictReader(fh) if row["pass"] == "false"]
+    assert failed == ["v2"]
+    assert capsys.readouterr().err == "FAIL: q=7^1/0,1;d=5;s=1;a=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, oracle",
+    [
+        (["chi", "--field", "7^1", "--d", "4", "--s", "2", "--a", "1,2",
+          "--method", "both"], "chi_r"),
+        (["smn", "--field", "5^1", "--d", "3", "--s", "1", "--a", "1",
+          "--method", "both"], "s_mn"),
+    ],
+)
+def test_dual_method_counts_fail_on_a_mismatch(
+    tmp_path, monkeypatch, capsys, argv, oracle
+):
+    real = getattr(counting, oracle)
+    monkeypatch.setattr(counting, oracle, lambda *a, **kw: real(*a, **kw) + 1)
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    with open(out, newline="") as fh:
+        (key,) = {row["spec"] for row in csv.DictReader(fh)}
+    assert capsys.readouterr().err == f"FAIL: {key}\n"
+
+
+def test_audit_linear_fails_on_a_wrong_count(tmp_path, monkeypatch, capsys):
+    real = counting.linear_system_audit
+
+    def miscounted(*args):
+        audit = real(*args)
+        return {**audit, "count_all": audit["count_all"] + 1}
+
+    monkeypatch.setattr(counting, "linear_system_audit", miscounted)
+    out = tmp_path / "audit.json"
+    code = run(
+        ["audit-linear", "--field", "5^1", "--d", "4", "--s", "1",
+         "--a", "1", "--count", "3", "--out", str(out)]
+    )
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["failures"] == 3
+    assert [entry["ok"] for entry in data["results"]] == [False] * 3
+    assert capsys.readouterr().err == "FAIL: q=5^1/0,1;d=4;s=1;a=1\n"
+
+
 def test_audit_linear(tmp_path):
     out = tmp_path / "audit.json"
     code = run(
@@ -333,7 +455,7 @@ def test_audit_linear(tmp_path):
     assert len(data["results"]) == 10
 
 
-def test_appendix_command_reports_odd_case_failure(tmp_path):
+def test_appendix_command_reports_odd_case_failure(tmp_path, capsys):
     out = tmp_path / "appendix.json"
     code = run(["appendix", "--cases", "3,4;3,7", "--subres", "5,3",
                 "--out", str(out)])
@@ -344,6 +466,7 @@ def test_appendix_command_reports_odd_case_failure(tmp_path):
     assert by_case["3,7"]["matched"] == "failed"
     assert by_case["3,7"]["derived_matched"] in ("exact", "up_to_scalar")
     assert code == 1
+    assert capsys.readouterr().err == "FAIL: cases:3,7\n"
 
 
 def test_verify_bounds_small_grid(tmp_path):

@@ -132,12 +132,17 @@ def test_gamma_counts_mn_identities():
     spec = FamilySpec(F5, 3, 1, (1,))
     st = collect_stats(spec)
     pairs = [(m, n) for m in range(1, 4) for n in range(1, 4)]
-    counts = gamma_counts_mn(spec, pairs)
+    counts = gamma_counts_mn(spec, pairs, r_values=[1, 2, 3])
+    assert list(counts) == pairs + [1, 2, 3]
     for m, n in pairs:
         g = counts[m, n]
         expected = factorial(m) * factorial(n) * st.s_mn(m, n)
         assert g.affine_open == expected
         assert g.closed >= g.affine_open
+    # the same scan counts Gamma_r and Gamma_r^*
+    for r in range(1, 4):
+        assert counts[r].affine_open == factorial(r) * st.chi(r)
+        assert counts[r].closed == st.gamma_closed[r - 1]
     # (1,1) closed includes the diagonal c1 = c2
     g11 = gamma_counts_mn(spec, [(1, 1)])[1, 1]
     assert g11.closed > g11.affine_open

@@ -1,6 +1,7 @@
 """Golden outputs: every README CLI example, plus a few non-README cases,
 must reproduce the stored bytes of each written file and of stdout, and
-the stored exit code.
+the stored exit code.  Stderr holds a `FAIL:` line exactly when a case
+exits 1.
 
 Each case runs in-process through `vslab.cli.main` in an empty working
 directory, so the README commands run as written.  The expected bytes
@@ -84,14 +85,15 @@ CASES = README_CASES + EXTRA_CASES
 
 
 def run_case(argv, inputs, workdir):
-    """Run one case in workdir; return (exit code, stdout, {file: bytes})."""
+    """Run one case in workdir; return (exit code, stdout, stderr,
+    {file: bytes})."""
     for name, source in inputs.items():
         shutil.copyfile(GOLDEN / source, workdir / name)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv.split())
     finally:
         os.chdir(cwd)
@@ -100,7 +102,7 @@ def run_case(argv, inputs, workdir):
         for p in sorted(workdir.iterdir())
         if p.name not in inputs
     }
-    return code, out.getvalue().encode(), files
+    return code, out.getvalue().encode(), err.getvalue(), files
 
 
 def expected_files(case):
@@ -116,8 +118,10 @@ def expected_files(case):
 )
 def test_golden(case, argv, code, inputs, tmp_path, monkeypatch):
     monkeypatch.delenv("VSLAB_WORKERS", raising=False)
-    got_code, stdout, files = run_case(argv, inputs, tmp_path)
+    got_code, stdout, stderr, files = run_case(argv, inputs, tmp_path)
     assert got_code == code
+    fail_lines = [line for line in stderr.splitlines() if line.startswith("FAIL:")]
+    assert len(fail_lines) == (code == 1), stderr
     stdout_path = GOLDEN / case / "stdout"
     assert stdout == (stdout_path.read_bytes() if stdout_path.exists() else b"")
     assert files.keys() == expected_files(case).keys()
@@ -132,7 +136,7 @@ def regenerate():
     # cases that read other cases' golden files run last
     for case, argv, code, inputs in sorted(CASES, key=lambda c: bool(c[3])):
         with tempfile.TemporaryDirectory() as tmp:
-            got_code, stdout, files = run_case(argv, inputs, Path(tmp))
+            got_code, stdout, _, files = run_case(argv, inputs, Path(tmp))
         if got_code != code:
             raise SystemExit(f"{case}: exit {got_code}, expected {code}")
         target = GOLDEN / case

@@ -104,6 +104,17 @@ def test_one_mallopt_site():
     assert len(sites) == 1 and sites[0].startswith("sweep.py:"), sites
 
 
+def test_one_exit_code_decision_site():
+    # every command's checks go through one ledger helper, which alone
+    # decides that a run failed: outside its definition, CHECK_FAILED is
+    # named at that one site
+    sites = _nodes(
+        lambda node: isinstance(node, ast.Name) and node.id == "CHECK_FAILED"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert len(sites) == 1 and sites[0].startswith("cli.py:"), sites
+
+
 def test_one_exact_correction_site():
     # the kernel only counts class shapes; the gamma correction is exact
     # arithmetic done once per family, so the package names the memo where
