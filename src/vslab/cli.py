@@ -31,9 +31,7 @@ from . import reports as rp
 from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
 from .family import FamilySpec, cover, orbit_representatives
 from .gf import parse_descriptor
-from .sweep import (
-    FamilyStats, check_sweepable, collect_many, default_workers, run_scope
-)
+from .sweep import FamilyStats, check_sweepable, collect_many, default_workers
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -174,12 +172,13 @@ def _instances(args, plan=None):
 
 
 def _moment_instances(args, plan=None):
-    """(spec, stats, report, columns) for each instance.
+    """(spec, stats, checks, columns) for each instance.
 
     A moment report and its columns depend on the spec only through q, d
-    and s, so they are built once per distinct stats; each member gets
-    copies with its own spec and a.  The copies share the columns' values,
-    so dump_json writes a shared chi or smn table once.
+    and s, so they are built once per distinct stats; each member gets a
+    fresh list of the report's checks (verify-identities appends to it) and
+    columns with its own spec and a.  The columns share their values, so
+    dump_json writes a shared chi or smn table once.
     """
     built = {}
     for spec, stats in _instances(args, plan):
@@ -187,8 +186,7 @@ def _moment_instances(args, plan=None):
             rep = mo.build_moment_report(spec, stats)
             built[stats] = rep, rp.moment_columns(rep)
         rep, cols = built[stats]
-        yield (spec, stats, dataclasses.replace(rep, spec=spec),
-               {**cols, "spec": spec.key, "a": spec.a})
+        yield spec, stats, rep.checks, {**cols, "spec": spec.key, "a": spec.a}
 
 
 def _grid(args, checked):
@@ -245,12 +243,12 @@ def cmd_second_moment(args):
     reports = []
     rows = []
     ledger = []
-    for spec, _, rep, cols in _moment_instances(args):
+    for spec, _, checks, cols in _moment_instances(args):
         reports.append(
             {k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS}
         )
         rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
-        ledger.append((spec.key, rep.checks))
+        ledger.append((spec.key, checks))
     if args.csv:
         rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
     return _conclude(args, ledger, reports, failures="instances")
@@ -358,8 +356,7 @@ def cmd_verify_identities(args):
     d, s = args.d, args.s
     results = []
     ledger = []
-    for spec, stats, rep, cols in _moment_instances(args):
-        checks = rep.checks
+    for spec, stats, checks, cols in _moment_instances(args):
         if s >= 1:
             dual = [
                 stats.chi(r) == ct.chi_r(spec, r, budget=args.subset_budget)
@@ -416,9 +413,9 @@ def cmd_sweep(args):
         for field, d, s, _ in _grid(args, checked=False)
         for entry in _plan(args, field, d, s)
     ]
-    for spec, stats, rep, cols in _moment_instances(args, plan):
+    for spec, stats, checks, cols in _moment_instances(args, plan):
         suite = bd.bound_suite(spec, stats)
-        ledger.append((spec.key, rep.checks + [(b.kind, b.passed) for b in suite]))
+        ledger.append((spec.key, checks + [(b.kind, b.passed) for b in suite]))
         cols.update(seed=args.seed, bounds=bd.suite_summary(suite))
         rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
     return _conclude(args, ledger, rows, rp.SWEEP_CSV_HEADER)
@@ -615,11 +612,15 @@ def build_parser():
     p = _add_command(subs, "chi", cmd_chi, "interpolating-subset counts")
     p.add_argument("--r", default=None, help="r values; default full high range")
     p.add_argument("--method", choices=["profile", "subsets", "both"],
-                   default="profile")
+                   default="profile",
+                   help="subsets and both write the same bytes: the swept "
+                   "counts, each checked against the subsets oracle")
 
     p = _add_command(subs, "smn", cmd_smn, "two-subset interpolation counts")
     p.add_argument("--method", choices=["profile", "brute", "both"],
-                   default="profile")
+                   default="profile",
+                   help="brute and both write the same bytes: the swept "
+                   "counts, each checked against the brute-force oracle")
 
     p = _add_command(subs, "gamma", cmd_gamma, "incidence-variety point counts")
     p.add_argument("--r", default=None)
@@ -703,9 +704,7 @@ def main(argv=None):
             parent = path and (os.path.dirname(path) or ".")
             if parent and not os.path.isdir(parent):
                 raise InvalidParameter(f"cannot write {path}: no directory {parent}")
-        # every sweep of the run shares one worker pool, closed on return
-        with run_scope():
-            return args.func(args)
+        return args.func(args)
     except BudgetExceeded as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -176,7 +176,8 @@ def gamma_counts_mn(
         raise InvalidParameter(f"need every r, m and n in 1..{d}, got {sorted(orders)}")
     if spec.n_b * q > budget:
         raise BudgetExceeded(
-            f"closed Gamma_mn scan needs {spec.n_b * q} root profiles"
+            f"closed Gamma_mn scan needs {spec.n_b * q} root profiles, "
+            f"over the subset budget {budget}"
         )
     open_ = dict.fromkeys(pairs + r_values, 0)
     closed = dict.fromkeys(pairs + r_values, 0)

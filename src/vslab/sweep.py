@@ -66,21 +66,21 @@ from the memo multi_root_correction, to the all-simple tuple counts.
 
 Each chunk takes its field from parse_descriptor, which returns the one
 interned field object per descriptor, so the add and mul tables are
-built once per process.  The sweeps of one run share a single fork pool
-(run_scope, which the CLI opens around each command), so every worker
-builds a field's tables once per run; the multi_root_correction memo
-fills in the parent, the one process that applies it.  One worker never
-forks, nor imports multiprocessing.
+built once per process.  The multi_root_correction memo fills in the
+parent, the one process that applies it.
 
 collect_many puts every distinct chunk of a list of families through one
-ordered imap of that pool and yields each family's stats as its last
-chunk arrives, so the caller checks and writes one family while the
-workers sweep the next, and no family waits at a barrier of its own.  A
-chunk that several families cover runs once.  The CLI runs each
-command's whole plan as one such stream, each family through
-family.cover, and collect_stats is the one-family, one-block case that
-the independent checks use.  Entering
-run_scope also fixes glibc's mmap and trim thresholds (_steady_heap), so
+ordered imap and yields each family's stats as its last chunk arrives,
+so the caller checks and writes one family while the workers sweep the
+next, and no family waits at a barrier of its own.  A chunk that several
+families cover runs once.  The stream owns its fork pool (_imap): forked
+at its first chunk, closed when the stream ends, fails or is dropped.
+One worker, or one chunk, never forks, nor imports multiprocessing.  The
+CLI runs each command's whole plan as one such stream, each family
+through family.cover, so a run forks at most one pool and every worker
+builds a field's tables once per run; collect_stats is the one-family,
+one-block case that the independent checks use.  A stream also fixes
+glibc's mmap and trim thresholds (_steady_heap, once per process), so
 the kernel's 1-2 MB temporaries stay in the heap between chunks instead
 of being unmapped and faulted in again by the next one.
 """
@@ -90,7 +90,6 @@ from __future__ import annotations
 import ctypes
 import os
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -428,37 +427,6 @@ def default_workers() -> int:
     return workers
 
 
-class _RunScope:
-    """The fork pool of one run, opened by the first stream that needs it."""
-
-    def __init__(self):
-        self.pool = None
-        self.workers = 1
-
-    def imap(self, fn, tasks, workers):
-        """fn over tasks, lazily and in order; more than one task on more
-        than one worker runs on the run's pool."""
-        if workers == 1 or len(tasks) <= 1:
-            return map(fn, tasks)
-        if self.workers != workers:
-            self.close()
-        if self.pool is None:
-            import multiprocessing  # a run on one worker never needs it
-
-            self.pool = multiprocessing.get_context("fork").Pool(workers)
-            self.workers = workers
-        return self.pool.imap(fn, tasks, chunksize=1)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-        self.pool, self.workers = None, 1
-
-
-_active_scope = None
-
-
 @lru_cache(maxsize=None)
 def _steady_heap():
     """Keep freed kernel temporaries in glibc's heap instead of the OS.
@@ -478,25 +446,25 @@ def _steady_heap():
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
 
 
-@contextmanager
-def run_scope():
-    """Share one fork pool among every sweep inside; close it on the way out.
-
-    A scope opened inside another is the outer one, so the CLI's scope
-    around a whole run serves each stream of that run, and a stream
-    outside any scope gets a scope, and at most a pool, of its own.
-    """
-    global _active_scope
+def _imap(fn, tasks, workers):
+    """fn over tasks, lazily and in order.  More than one task on more than
+    one worker runs on a fork pool of this stream's own, which closes when
+    the stream ends, fails or is dropped: it cancels the tasks not yet
+    started and waits for those running.  No worker is killed, since
+    multiprocessing.Pool.terminate hangs when it kills one that holds the
+    result queue's lock."""
     _steady_heap()
-    if _active_scope is not None:
-        yield _active_scope
+    if workers == 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
         return
-    scope = _active_scope = _RunScope()
+    import multiprocessing  # a run on one worker never needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
-        yield scope
+        yield from pool.map(fn, tasks)
     finally:
-        _active_scope = None
-        scope.close()
+        pool.shutdown(cancel_futures=True)
 
 
 def check_sweepable(spec: FamilySpec, budget: int | None = DEFAULT_BUDGET):
@@ -537,11 +505,11 @@ def collect_many(specs, workers: int | None = None, chunk_size: int | None = Non
     family is one block of weight 1.  The blocks of one swept spec and one
     weight are packed, in index order, into chunks of the chunk size.  A
     chunk is keyed by its task, so one that several specs need runs once,
-    and every distinct chunk goes through one imap of the run's pool: the
-    caller consumes a spec's stats while the workers compute the next ones,
-    and no spec waits for the last chunk of another.  Covers and stats are
-    built once per distinct spec.  No budget is applied here: the caller
-    judges it (check_sweepable) beforehand.
+    and every distinct chunk goes through one imap (_imap), on a pool of
+    the stream's own: the caller consumes a spec's stats while the workers
+    compute the next ones, and no spec waits for the last chunk of another.
+    Covers and stats are built once per distinct spec.  No budget is
+    applied here: the caller judges it (check_sweepable) beforehand.
     """
     specs = list(specs)
     if workers is None:
@@ -566,19 +534,18 @@ def collect_many(specs, workers: int | None = None, chunk_size: int | None = Non
             for chunk in _pack(sorted(ranges), size)
         ]
     tasks = list(dict.fromkeys(task for plan in plans.values() for task, _ in plan))
-    with run_scope() as scope:
-        stream = zip(tasks, scope.imap(_chunk_kernel, tasks, workers))
-        results, built = {}, {}
-        for spec in specs:
-            if spec not in built:
-                for task, _ in plans[spec]:
-                    while task not in results:  # it may have run for an earlier spec
-                        done, result = next(stream)
-                        results[done] = result
-                built[spec] = _assemble(
-                    spec, [(w, results[task]) for task, w in plans[spec]]
-                )
-            yield built[spec]
+    stream = zip(tasks, _imap(_chunk_kernel, tasks, workers))
+    results, built = {}, {}
+    for spec in specs:
+        if spec not in built:
+            for task, _ in plans[spec]:
+                while task not in results:  # it may have run for an earlier spec
+                    done, result = next(stream)
+                    results[done] = result
+            built[spec] = _assemble(
+                spec, [(w, results[task]) for task, w in plans[spec]]
+            )
+        yield built[spec]
 
 
 def _assemble(spec, results):

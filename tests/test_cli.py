@@ -120,16 +120,17 @@ def test_worker_count_invariance_json(tmp_path):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of every fork pool opened while the test runs."""
+    """The worker count of every process pool opened while the test runs."""
+    from concurrent.futures import ProcessPoolExecutor
+
     opened = []
-    fork = type(multiprocessing.get_context("fork"))
-    real = fork.Pool
+    real = ProcessPoolExecutor.__init__
 
-    def spy(self, processes=None, *args, **kwargs):
-        opened.append(processes)
-        return real(self, processes, *args, **kwargs)
+    def spy(self, max_workers=None, *args, **kwargs):
+        opened.append(max_workers)
+        real(self, max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(fork, "Pool", spy)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
     return opened
 
 
@@ -160,16 +161,16 @@ def _streams(monkeypatch):
 
 
 def _stream_tasks(monkeypatch):
-    """Wrap the run scope's imap; the returned list gets the chunk tasks of
+    """Wrap the stream's imap; the returned list gets the chunk tasks of
     each stream, on any number of workers."""
     streams = []
-    real = sweep._RunScope.imap
+    real = sweep._imap
 
-    def spy(self, fn, tasks, workers):
+    def spy(fn, tasks, workers):
         streams.append(list(tasks))
-        return real(self, fn, tasks, workers)
+        return real(fn, tasks, workers)
 
-    monkeypatch.setattr(sweep._RunScope, "imap", spy)
+    monkeypatch.setattr(sweep, "_imap", spy)
     return streams
 
 
@@ -210,6 +211,55 @@ def test_broken_invariant_in_a_worker_exits_3(tmp_path, monkeypatch, pools, caps
     assert capsys.readouterr().err == "internal error: a fiber exceeded d roots\n"
     (chunks,) = tasks
     assert len(chunks) > 1
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "all"],
+        ["second-moment", "--field", "7^1", "--d", "4", "--s", "1", "--a", "all"],
+        ["chi", "--field", "7^1", "--d", "4", "--s", "2", "--a", "random:3",
+         "--method", "both"],
+        ["smn", "--field", "5^1", "--d", "3", "--s", "1", "--a", "all",
+         "--method", "both"],
+        ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "all",
+         "--m", "1", "--n", "1"],
+        ["verify-identities", "--field", "5^1", "--d", "4", "--s", "1"],
+        ["verify-bounds", "--fields", "7^1", "--d", "5-6"],
+        ["sweep", "--fields", "5^1,7^1", "--d", "4", "--s", "1,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_sweeping_command_opens_one_stream(tmp_path, monkeypatch, argv):
+    # the stream owns its pool, so one stream per command is one pool per run
+    streams = _streams(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    (swept,) = streams
+    assert len(swept) > 1
+
+
+@pytest.mark.parametrize("broken, code", [("check", 1), ("input", 2)])
+def test_no_worker_outlives_a_failure(tmp_path, monkeypatch, pools, broken, code):
+    # the second instance fails while chunks of later ones are in flight
+    from vslab import bounds
+
+    monkeypatch.setattr(sweep, "MAX_CHUNK", 300)
+    real, calls = bounds.bound_suite, []
+
+    def second_fails(spec, stats):
+        calls.append(spec)
+        suite = real(spec, stats)
+        if len(calls) == 2 and broken == "input":
+            raise InvalidParameter("refused mid-stream")
+        if len(calls) == 2:
+            suite[0] = dataclasses.replace(suite[0], passed=False)
+        return suite
+
+    monkeypatch.setattr(bounds, "bound_suite", second_fails)
+    assert run(["verify-bounds", "--fields", "7^1", "--d", "5-6", "--workers", "2",
+                "--out", str(tmp_path / "bounds.csv")]) == code
     assert pools == [2]
     assert multiprocessing.active_children() == []
 
@@ -384,7 +434,7 @@ def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     # the (m, n) counts need the scan, which the budget refuses
     assert run(["gamma", *base, "--m", "1", "--n", "1"]) == 2
-    assert "25 root profiles" in capsys.readouterr().err
+    assert "25 root profiles, over the subset budget 4" in capsys.readouterr().err
 
 
 def test_verify_bounds_fails_on_a_broken_bound(tmp_path, monkeypatch, capsys):

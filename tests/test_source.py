@@ -97,7 +97,7 @@ def test_the_stream_is_the_clis_only_sweep_entry():
 
 
 def test_one_mallopt_site():
-    # the heap setting is made once, where a run scope is entered
+    # the heap setting is made in one place, where a stream starts its chunks
     sites = _nodes(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "mallopt"
     )
@@ -151,7 +151,8 @@ def test_one_module_forms_main_terms():
 
 
 def test_one_pool_construction_site():
-    # one fork pool serves a whole run; a second construction site would
+    # a stream forks its pool in one place, and a command runs one stream,
+    # so one pool serves a whole run; a second construction site would
     # bring back a pool per sweep
     pools = ("Pool", "ThreadPool", "ProcessPoolExecutor")
 

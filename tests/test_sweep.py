@@ -5,6 +5,7 @@ and per-(b,c) root multiplicities using only upoly primitives, so any
 vectorization bug in the engine shows up as a mismatch.
 """
 
+import multiprocessing
 import tracemalloc
 import warnings
 from collections import Counter
@@ -125,6 +126,16 @@ def test_stream_yields_each_spec_in_order(chunk_size, workers):
     # 5-vector family into several
     streamed = list(collect_many(STREAM_SPECS, workers, chunk_size))
     assert streamed == [collect_stats(spec) for spec in STREAM_SPECS]
+
+
+def test_a_dropped_stream_leaves_no_worker():
+    # the stream owns its pool: closed after its first spec, with chunks of
+    # the others still to come, it leaves no worker behind
+    stream = collect_many(STREAM_SPECS, workers=2, chunk_size=6)
+    assert next(stream) == collect_stats(STREAM_SPECS[0])
+    assert multiprocessing.active_children()
+    stream.close()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.filterwarnings("ignore:q = ")  # q = d = 5
