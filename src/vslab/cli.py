@@ -11,27 +11,26 @@ FAIL line.  A verdict of None means the check could not run: it never fails.
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
 sweep is replayable and identical configs give byte-identical outputs.
-VSLAB_WORKERS sets the default worker count.
+VSLAB_WORKERS sets the default worker count; this module alone reads it.
+
+Importing the module loads only what parsing and writing need: argparse,
+json, reports and errors.  numpy and the engine (family, gf's tables,
+moments, sweep) are imported by the functions that use them, so a command
+that never sweeps, such as appendix or report-merge, never loads numpy,
+and neither does --help or a command refused before its plan.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
 import sys
 from math import comb, factorial
 
-import numpy as np
-
-from . import moments as mo
 from . import reports as rp
 from .errors import BrokenInvariant, BudgetExceeded, InvalidParameter, VslabError
-from .family import FamilySpec, cover, orbit_representatives
-from .gf import parse_descriptor
-from .sweep import FamilyStats, check_sweepable, collect_many, default_workers
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -39,6 +38,8 @@ INTERNAL_ERROR = 3
 
 
 def _philox(seed: int, *counters: int):
+    import numpy as np
+
     counter = np.zeros(4, dtype=np.uint64)
     for i, c in enumerate(counters[:3]):
         counter[i + 1] = c % (1 << 64)
@@ -77,6 +78,24 @@ def positive_int(text: str) -> int:
 def nonnegative_int(text: str) -> int:
     """argparse type for budgets, which may be 0 but not negative."""
     return _at_least(0, text)
+
+
+def default_workers() -> int:
+    """VSLAB_WORKERS, else 1; refused, as --workers is, unless an integer >= 1.
+
+    The one reader of VSLAB_WORKERS: the parser calls it for every command's
+    --workers default, and the library's sweeps default to one worker.
+    """
+    env = os.environ.get("VSLAB_WORKERS")
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameter(f"VSLAB_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def seed_int(text: str) -> int:
@@ -141,6 +160,10 @@ def _plan(args, field=None, d=None, s=None):
     swept, and on the first a alone, before F_q^s is built: n_b does not
     depend on a.
     """
+    from .family import FamilySpec, orbit_representatives
+    from .gf import parse_descriptor
+    from .sweep import check_sweepable
+
     grid = field is not None
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
@@ -165,6 +188,9 @@ def _instances(args, plan=None):
     family.cover, so this loop works on one instance while the workers
     sweep the next ones; each member gets its swept spec's stats.
     """
+    from .family import cover
+    from .sweep import collect_many
+
     plan = _plan(args) if plan is None else plan
     stream = collect_many([sw for _, sw in plan], workers=args.workers, cover=cover)
     for (spec, _), stats in zip(plan, stream):
@@ -180,6 +206,8 @@ def _moment_instances(args, plan=None):
     columns with its own spec and a.  The columns share their values, so
     dump_json writes a shared chi or smn table once.
     """
+    from . import moments as mo
+
     built = {}
     for spec, stats in _instances(args, plan):
         if stats not in built:
@@ -198,6 +226,7 @@ def _grid(args, checked):
     otherwise.  Other grids refuse an s > d-2, which names no family.
     """
     from . import bounds as bd
+    from .gf import parse_descriptor
 
     fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
     d_list = parse_int_list(args.d)
@@ -223,6 +252,8 @@ def _grid(args, checked):
 
 
 def cmd_mean(args):
+    from . import moments as mo
+
     results = []
     for spec, stats in _instances(args):
         mu_q = mo.main_term("mean_main", spec)
@@ -276,6 +307,7 @@ def _count_table(args, header, count, oracle, checks_of):
 def cmd_chi(args):
     from . import bounds as bd
     from . import counting as ct
+    from .sweep import FamilyStats
 
     r_values = parse_int_list(args.r) if args.r else None
     return _count_table(
@@ -287,6 +319,7 @@ def cmd_chi(args):
 def cmd_smn(args):
     from . import bounds as bd
     from . import counting as ct
+    from .sweep import FamilyStats
 
     return _count_table(
         args, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
@@ -299,6 +332,8 @@ def _gamma_1_closed_exact(spec, stats):
 
 
 def cmd_gamma(args):
+    import dataclasses
+
     from . import counting as ct
 
     d, s = args.d, args.s
@@ -459,6 +494,8 @@ def cmd_appendix(args):
 
 def cmd_audit_linear(args):
     from . import counting as ct
+    from .family import FamilySpec
+    from .gf import parse_descriptor
 
     field = parse_descriptor(args.field)
     d, s = args.d, args.s

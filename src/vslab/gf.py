@@ -11,6 +11,10 @@ fixed generator whenever q <= TABLE_LIMIT; above that every operation
 reduces on the fly.  Tables are immutable after construction, so a GF
 instance is safe to share across worker processes.
 
+The q x q numpy tables of the enumeration engine (add_table, mul_table)
+are built on first use, and numpy is imported there: the scalar
+arithmetic, which the oracles and the appendix checks use, loads no numpy.
+
 The row operations (horner_steps, scale_row, sub_scaled_row) apply one
 scalar operation along a whole row and test the field type once per row:
 over a prime field they reduce plain ints mod p, over an extension they
@@ -20,8 +24,6 @@ are the per-element add, mul and sub.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
 
 from .errors import BrokenInvariant, InvalidParameter
 
@@ -303,9 +305,12 @@ class GF:
 
     # -- numpy tables for the enumeration engine ---------------------------
 
-    def add_table(self) -> np.ndarray:
-        """Full q*q addition table (int32); built lazily, q <= TABLE_LIMIT."""
+    def add_table(self):
+        """Full q*q addition table, an int32 numpy array; built lazily,
+        q <= TABLE_LIMIT."""
         if self._np_add is None:
+            import numpy as np
+
             if self.q > TABLE_LIMIT:
                 raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q, p = self.q, self.p
@@ -322,8 +327,12 @@ class GF:
                 self._np_add = out
         return self._np_add
 
-    def mul_table(self) -> np.ndarray:
+    def mul_table(self):
+        """Full q*q multiplication table, an int32 numpy array; built lazily,
+        q <= TABLE_LIMIT."""
         if self._np_mul is None:
+            import numpy as np
+
             if self.q > TABLE_LIMIT:
                 raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q = self.q
@@ -341,6 +350,8 @@ class GF:
         return self._np_mul
 
     def _digit_matrix(self):
+        import numpy as np
+
         idx = np.arange(self.q, dtype=np.int64)
         digits = np.empty((self.q, self.k), dtype=np.int64)
         for j in range(self.k):

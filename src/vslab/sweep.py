@@ -74,21 +74,25 @@ ordered imap and yields each family's stats as its last chunk arrives,
 so the caller checks and writes one family while the workers sweep the
 next, and no family waits at a barrier of its own.  A chunk that several
 families cover runs once.  The stream owns its fork pool (_imap): forked
-at its first chunk, closed when the stream ends, fails or is dropped.
-One worker, or one chunk, never forks, nor imports multiprocessing.  The
-CLI runs each command's whole plan as one such stream, each family
-through family.cover, so a run forks at most one pool and every worker
-builds a field's tables once per run; collect_stats is the one-family,
-one-block case that the independent checks use.  A stream also fixes
-glibc's mmap and trim thresholds (_steady_heap, once per process), so
-the kernel's 1-2 MB temporaries stay in the heap between chunks instead
-of being unmapped and faulted in again by the next one.
+at its first chunk, closed when the stream ends, fails or is dropped,
+and each worker dies with the process that forked it (_die_with_parent).
+A stream runs on one worker unless given more; only the CLI reads
+VSLAB_WORKERS.  One worker, or one chunk, never forks, nor imports
+multiprocessing.  The CLI runs each command's whole plan as one such
+stream, each family through family.cover, so a run forks at most one
+pool and every worker builds a field's tables once per run;
+collect_stats is the one-family, one-block case that the independent
+checks use.  A stream also fixes glibc's mmap and trim thresholds
+(_steady_heap, once per process), so the kernel's 1-2 MB temporaries
+stay in the heap between chunks instead of being unmapped and faulted
+in again by the next one.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import signal
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,6 +111,7 @@ DEFAULT_BUDGET = 10**6
 INT64_MAX = 2**63 - 1
 FLOAT64_EXACT = 2**53  # every integer up to this is a float64
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent dies
 
 
 @dataclass(frozen=True)
@@ -413,20 +418,6 @@ def _class_shapes(keys, nvals, mults, d):
     return shapes
 
 
-def default_workers() -> int:
-    """VSLAB_WORKERS, else 1; refused, as --workers is, unless an integer >= 1."""
-    env = os.environ.get("VSLAB_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InvalidParameter(f"VSLAB_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
-
-
 @lru_cache(maxsize=None)
 def _steady_heap():
     """Keep freed kernel temporaries in glibc's heap instead of the OS.
@@ -446,13 +437,37 @@ def _steady_heap():
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _die_with_parent(parent: int):
+    """Pool initializer: end this worker when the process that forked it dies.
+
+    A parent killed by a signal it does not handle (SIGKILL, or SIGTERM
+    from `timeout`) runs no shutdown, and its workers would wait on the call
+    queue forever, holding its pipes open.  PR_SET_PDEATHSIG has the kernel
+    send SIGKILL when the forking thread exits; the executor forks from the
+    thread that takes the stream's first result, the main thread in the CLI.
+    A parent that died before the call has left the worker to another
+    process already, so then the worker exits at once.  The signal is
+    skipped where libc has no prctl.
+    """
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        pass
+    else:
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _imap(fn, tasks, workers):
     """fn over tasks, lazily and in order.  More than one task on more than
     one worker runs on a fork pool of this stream's own, which closes when
     the stream ends, fails or is dropped: it cancels the tasks not yet
     started and waits for those running.  No worker is killed, since
     multiprocessing.Pool.terminate hangs when it kills one that holds the
-    result queue's lock."""
+    result queue's lock; a worker dies with its parent (_die_with_parent)."""
     _steady_heap()
     if workers == 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
@@ -460,7 +475,10 @@ def _imap(fn, tasks, workers):
     import multiprocessing  # a run on one worker never needs it
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"),
+        initializer=_die_with_parent, initargs=(os.getpid(),),
+    )
     try:
         yield from pool.map(fn, tasks)
     finally:
@@ -496,8 +514,7 @@ def _pack(ranges, size):
         yield tuple(chunk)
 
 
-def collect_many(specs, workers: int | None = None, chunk_size: int | None = None,
-                 cover=None):
+def collect_many(specs, workers: int = 1, chunk_size: int | None = None, cover=None):
     """FamilyStats of each spec, in order, from one stream of chunks.
 
     cover(spec) lists (swept spec, lo, hi, weight) index blocks whose
@@ -508,12 +525,11 @@ def collect_many(specs, workers: int | None = None, chunk_size: int | None = Non
     and every distinct chunk goes through one imap (_imap), on a pool of
     the stream's own: the caller consumes a spec's stats while the workers
     compute the next ones, and no spec waits for the last chunk of another.
+    The pool has `workers` processes; one worker sweeps in this process.
     Covers and stats are built once per distinct spec.  No budget is
     applied here: the caller judges it (check_sweepable) beforehand.
     """
     specs = list(specs)
-    if workers is None:
-        workers = default_workers()
     plans = {}  # distinct spec -> its (task, weight) pairs
     for spec in dict.fromkeys(specs):
         check_sweepable(spec, budget=None)
@@ -591,7 +607,7 @@ def _assemble(spec, results):
 
 def collect_stats(
     spec: FamilySpec,
-    workers: int | None = None,
+    workers: int = 1,
     budget: int | None = DEFAULT_BUDGET,
     chunk_size: int | None = None,
 ) -> FamilyStats:

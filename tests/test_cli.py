@@ -148,15 +148,16 @@ def test_worker_count_invariance_multi_chunk(tmp_path, pools):
 
 
 def _streams(monkeypatch):
-    """Wrap cli.collect_many; the returned list gets the specs of each call."""
+    """Wrap the collect_many the CLI calls; the returned list gets the specs
+    of each call."""
     streams = []
-    real = cli.collect_many
+    real = sweep.collect_many
 
     def spy(specs, **kwargs):
         streams.append(list(specs))
         return real(streams[-1], **kwargs)
 
-    monkeypatch.setattr(cli, "collect_many", spy)
+    monkeypatch.setattr(sweep, "collect_many", spy)
     return streams
 
 
@@ -302,7 +303,7 @@ def test_gamma_mn_open_count_is_checked_against_the_sweep(
 ):
     # the open Gamma_mn count comes from the oracle's own scan, so a sweep
     # whose S_11 is off by one must fail the check
-    real = cli.collect_many
+    real = sweep.collect_many
 
     def corrupted(specs, **kw):
         for st in real(specs, **kw):
@@ -310,7 +311,7 @@ def test_gamma_mn_open_count_is_checked_against_the_sweep(
             prod[0][0] += 1
             yield dataclasses.replace(st, prod_a=tuple(tuple(row) for row in prod))
 
-    monkeypatch.setattr(cli, "collect_many", corrupted)
+    monkeypatch.setattr(sweep, "collect_many", corrupted)
     out = tmp_path / "gamma.json"
     code = run(
         ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "2",
@@ -328,7 +329,7 @@ def test_gamma_r_open_count_is_checked_against_the_oracle_scan(
 ):
     # one fibre moved from d-1 distinct roots to d shifts chi_d and the
     # swept open Gamma_d alike, so only the oracle's scan can catch it
-    real = cli.collect_many
+    real = sweep.collect_many
 
     def shifted(specs, **kw):
         for st in real(specs, **kw):
@@ -337,7 +338,7 @@ def test_gamma_r_open_count_is_checked_against_the_oracle_scan(
             hist[-1] += 1
             yield dataclasses.replace(st, hist_n=tuple(hist))
 
-    monkeypatch.setattr(cli, "collect_many", shifted)
+    monkeypatch.setattr(sweep, "collect_many", shifted)
     out = tmp_path / "gamma.json"
     code = run(
         ["gamma", "--field", "5^1", "--d", "3", "--s", "1", "--a", "2",
@@ -353,13 +354,13 @@ def test_gamma_r_open_count_is_checked_against_the_oracle_scan(
 
 def _corrupt_stats(monkeypatch, field, by=1):
     """Make every sweep the CLI collects return `field` larger by `by`."""
-    real = cli.collect_many
+    real = sweep.collect_many
 
     def corrupted(specs, **kw):
         for st in real(specs, **kw):
             yield dataclasses.replace(st, **{field: getattr(st, field) + by})
 
-    monkeypatch.setattr(cli, "collect_many", corrupted)
+    monkeypatch.setattr(sweep, "collect_many", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -635,13 +636,13 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert run(argv) == 2, argv
     # a file that cannot be opened is named; an output directory that does
     # not exist is refused before the first sweep, even of a whole grid
-    swept, sweep_stream = [], cli.collect_many
+    swept, sweep_stream = [], sweep.collect_many
 
     def spy(*args, **kwargs):
         swept.append(args)
         return sweep_stream(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "collect_many", spy)
+    monkeypatch.setattr(sweep, "collect_many", spy)
     missing = tmp_path / "missing"
     for argv, path in (
         (["mean", *family, "--out"], missing / "x.json"),
@@ -675,7 +676,7 @@ def test_gamma_checks_m_and_n_before_the_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("gamma swept before checking --m/--n")
 
-    monkeypatch.setattr(cli, "collect_many", no_sweep)
+    monkeypatch.setattr(sweep, "collect_many", no_sweep)
     family = ["--field", "13^1", "--d", "7", "--s", "1", "--a", "1"]
     for mn in (["--m", "9", "--n", "1"], ["--m", "1", "--n", "0"],
                ["--m", "1,8", "--n", "2"], ["--m", "1"], ["--n", "2"]):
@@ -876,7 +877,7 @@ def test_zero_budget_refuses_every_sweep(capsys):
 def test_budget_is_judged_before_the_a_vectors_exist(monkeypatch, capsys):
     # n_b does not depend on a, so the refusal builds the first of the
     # 23^4 specs of --a all alone, and names it
-    built = _count_calls(monkeypatch, cli, "FamilySpec")
+    built = _count_calls(monkeypatch, vslab.family, "FamilySpec")
     assert run(["mean", "--field", "23^1", "--d", "9", "--s", "4", "--a", "all",
                 "--budget", "1"]) == 2
     assert capsys.readouterr().err == (
@@ -950,11 +951,12 @@ def test_every_a_sums_to_the_s0_family(text, d, s):
         assert np.array_equal(total, np.array(getattr(whole, name), dtype=object)), name
 
 
-# modules that only some commands need: np.unique(x) without return_counts
-# loads numpy.ma, only a pool of several workers needs multiprocessing, and
-# the sweep needs none of the oracle modules
-STARTUP_WATCHED = ("multiprocessing", "numpy.ma", "vslab.appendix", "vslab.bounds",
-                   "vslab.counting", "vslab.upoly")
+# modules that only some commands need: only a command that builds a
+# family needs numpy, np.unique(x) without return_counts loads numpy.ma,
+# only a pool of several workers needs multiprocessing, and the sweep needs
+# none of the oracle modules
+STARTUP_WATCHED = ("multiprocessing", "numpy", "numpy.ma", "vslab.appendix",
+                   "vslab.bounds", "vslab.counting", "vslab.upoly")
 
 
 def _loaded_after(cwd, *argvs):
@@ -978,12 +980,20 @@ def _loaded_after(cwd, *argvs):
 
 def test_a_command_imports_only_what_it_uses(tmp_path):
     assert _loaded_after(tmp_path) == set()
+    # the appendix checks and a merge never sweep, so they load no numpy;
+    # the appendix loads its own module alone
+    appendix = ["appendix", "--cases", "7,4", "--subres", "5,3", "--out", "ap.json"]
+    assert _loaded_after(tmp_path, appendix) == {"vslab.appendix"}
+    for name, row in (("one.csv", "1,2"), ("two.csv", "3,4")):
+        (tmp_path / name).write_text(f"x,y\n{row}\n")
+    merge = ["report-merge", "one.csv", "two.csv", "--out", "merged.csv"]
+    assert _loaded_after(tmp_path, merge) == set()
     moments = [
         [command, "--field", field, "--d", "5", "--s", s, "--a", "all",
          "--workers", "1", "--out", f"{command}.json"]
         for command, field, s in (("mean", "7^1", "1"), ("second-moment", "3^2", "2"))
     ]
-    assert _loaded_after(tmp_path, *moments) == set()
+    assert _loaded_after(tmp_path, *moments) == {"numpy"}
     grid = ["verify-bounds", "--fields", "7^1", "--d", "5", "--workers", "2",
             "--out", "bounds.csv"]
-    assert _loaded_after(tmp_path, grid) == {"multiprocessing", "vslab.bounds"}
+    assert _loaded_after(tmp_path, grid) == {"multiprocessing", "vslab.bounds", "numpy"}

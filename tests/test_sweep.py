@@ -6,11 +6,17 @@ vectorization bug in the engine shows up as a mismatch.
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb, perm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +142,53 @@ def test_a_dropped_stream_leaves_no_worker():
     assert multiprocessing.active_children()
     stream.close()
     assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether pid names a process that has not died: gone or a zombie is dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's prctl")
+def test_no_pool_worker_outlives_a_killed_parent(tmp_path):
+    # a parent killed by SIGKILL closes no pool: its workers, idle on the
+    # call queue, must die with it and not hold its pipes open
+    code = (
+        "import multiprocessing, os, signal\n"
+        "from vslab.family import FamilySpec\n"
+        "from vslab.gf import make_field\n"
+        "from vslab.sweep import collect_many\n"
+        "f7 = make_field(7)\n"
+        "specs = [FamilySpec(f7, 4, 1, (1,)), FamilySpec(f7, 5, 1, (2,))]\n"
+        "stream = collect_many(specs, workers=2, chunk_size=6)\n"
+        "next(stream)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sweep.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    out = tmp_path / "pids.txt"
+    with open(out, "w") as fh:  # a file, not a pipe the workers could hold open
+        done = subprocess.run([sys.executable, "-c", code], env=env, stdout=fh,
+                              stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL,
+                              timeout=120)
+    assert done.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.filterwarnings("ignore:q = ")  # q = d = 5
