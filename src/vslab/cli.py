@@ -160,14 +160,15 @@ def _plan(args, field=None, d=None, s=None):
     swept, and on the first a alone, before F_q^s is built: n_b does not
     depend on a.
     """
-    from .family import FamilySpec, orbit_representatives
     from .gf import parse_descriptor
-    from .sweep import check_sweepable
 
     grid = field is not None
     field = parse_descriptor(args.field) if field is None else field
     d = args.d if d is None else d
     s = args.s if s is None else s
+    # a malformed --field is refused above, before numpy is loaded
+    from .family import FamilySpec, orbit_representatives
+    from .sweep import check_sweepable
 
     def spec_at(a):  # one call site, so a q <= d warning prints once
         return FamilySpec(field, d, s, a)
@@ -188,10 +189,10 @@ def _instances(args, plan=None):
     family.cover, so this loop works on one instance while the workers
     sweep the next ones; each member gets its swept spec's stats.
     """
+    plan = _plan(args) if plan is None else plan
     from .family import cover
     from .sweep import collect_many
 
-    plan = _plan(args) if plan is None else plan
     stream = collect_many([sw for _, sw in plan], workers=args.workers, cover=cover)
     for (spec, _), stats in zip(plan, stream):
         yield spec, stats
@@ -200,21 +201,20 @@ def _instances(args, plan=None):
 def _moment_instances(args, plan=None):
     """(spec, stats, checks, columns) for each instance.
 
-    A moment report and its columns depend on the spec only through q, d
-    and s, so they are built once per distinct stats; each member gets a
-    fresh list of the report's checks (verify-identities appends to it) and
-    columns with its own spec and a.  The columns share their values, so
-    dump_json writes a shared chi or smn table once.
+    moments.build_moment_report's columns and checks depend on the spec
+    only through q, d and s, so they are built once per distinct stats;
+    each member gets a fresh list of the checks (verify-identities appends
+    to it) and the columns with its own spec and a.  The columns share
+    their values, so dump_json writes a shared chi or smn table once.
     """
     from . import moments as mo
 
     built = {}
     for spec, stats in _instances(args, plan):
         if stats not in built:
-            rep = mo.build_moment_report(spec, stats)
-            built[stats] = rep, rp.moment_columns(rep)
-        rep, cols = built[stats]
-        yield spec, stats, rep.checks, {**cols, "spec": spec.key, "a": spec.a}
+            built[stats] = mo.build_moment_report(spec, stats)
+        cols, checks = built[stats]
+        yield spec, stats, list(checks), {**cols, "spec": spec.key, "a": spec.a}
 
 
 def _grid(args, checked):
@@ -225,12 +225,12 @@ def _grid(args, checked):
     is one) gets an "instance" marker when --s named it and is skipped
     otherwise.  Other grids refuse an s > d-2, which names no family.
     """
-    from . import bounds as bd
     from .gf import parse_descriptor
 
     fields = [parse_descriptor(f) for f in str(args.fields).split(",")]
     d_list = parse_int_list(args.d)
     s_list = None if args.s is None else parse_int_list(args.s)
+    from . import bounds as bd
     for field in fields:
         for d in d_list:
             if field.q <= d:
@@ -408,11 +408,12 @@ def cmd_verify_identities(args):
 
 
 def cmd_verify_bounds(args):
+    grid = list(_grid(args, checked=True))  # refuses a bad grid before bounds loads
     from . import bounds as bd
 
     # the marker rows or the plan of every grid point, before the first sweep
     points = []
-    for field, d, s, marker in _grid(args, checked=True):
+    for field, d, s, marker in grid:
         markers, plan = [], []
         if marker is not None:
             markers = [marker]
@@ -438,8 +439,6 @@ def cmd_verify_bounds(args):
 
 
 def cmd_sweep(args):
-    from . import bounds as bd
-
     rows = []
     ledger = []
     # the whole grid is planned, and so checked, before the first sweep
@@ -448,6 +447,8 @@ def cmd_sweep(args):
         for field, d, s, _ in _grid(args, checked=False)
         for entry in _plan(args, field, d, s)
     ]
+    from . import bounds as bd
+
     for spec, stats, checks, cols in _moment_instances(args, plan):
         suite = bd.bound_suite(spec, stats)
         ledger.append((spec.key, checks + [(b.kind, b.passed) for b in suite]))
@@ -699,6 +700,8 @@ def _apply_config_file(argv):
     as --flag value or --flag=value, still win."""
     for idx, arg in enumerate(argv):
         if arg == "--config":
+            if idx + 1 == len(argv):
+                raise InvalidParameter("--config is missing its file path")
             path = argv[idx + 1]
             rest = argv[:idx] + argv[idx + 2 :]
             break
@@ -729,7 +732,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-    except (OSError, json.JSONDecodeError, IndexError, InvalidParameter) as exc:
+    except (OSError, json.JSONDecodeError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

@@ -17,15 +17,15 @@ from math import comb, perm
 
 from .errors import BudgetExceeded, InvalidParameter
 from .family import FamilySpec, enumerate_b, family_poly
-from .sweep import DEFAULT_BUDGET, exact_tuple_counts
+from .sweep import exact_tuple_counts
 from .upoly import (
     ZERO,
+    batch_eval,
     derivative,
     eval_at,
     poly_divmod,
     poly_mul,
     root_profile,
-    trim,
 )
 
 SUBSET_BUDGET = 10**6
@@ -132,8 +132,7 @@ def s_mn(spec: FamilySpec, m: int, n: int, budget: int = SUBSET_BUDGET) -> int:
     n_sets = m_sets if n == m else list(itertools.combinations(range(q), n))
     total = 0
     for b in enumerate_b(spec):
-        f = trim(spec.coeff_vector(b, 0))
-        vals = [eval_at(gf, f, t) for t in gf.elements()]
+        vals = batch_eval(gf, family_poly(spec, b, 0))
         consts_m = _constant_values(vals, m_sets)
         consts_n = consts_m if n == m else _constant_values(vals, n_sets)
         # subsets with different constant values are disjoint
@@ -155,7 +154,7 @@ def _constant_values(vals, subsets):
 
 
 def gamma_counts_mn(
-    spec: FamilySpec, pairs, budget: int = DEFAULT_BUDGET, r_values=()
+    spec: FamilySpec, pairs, budget: int = SUBSET_BUDGET, r_values=()
 ) -> dict:
     """Point counts of Gamma_mn (pairwise-distinct coordinates, b01 != b02)
     and Gamma_mn^* (diagonal included), keyed by (m, n) for each requested

@@ -17,18 +17,24 @@ reconstruction identities are:
 
 Whether the two modes agree is a finding the reports surface, never an
 assumption baked in.
+
+build_moment_report computes every moment column that the second-moment,
+sweep and verify-identities outputs select from, once; reports only formats
+them.  Nothing here needs family or sweep at run time, nor numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter
-from .family import FamilySpec
-from .sweep import FamilyStats
+
+if TYPE_CHECKING:
+    from .family import FamilySpec
+    from .sweep import FamilyStats
 
 
 @lru_cache(maxsize=None)
@@ -98,15 +104,8 @@ def reconstruct_mean(spec: FamilySpec, chi) -> Fraction:
     missing = [r for r in range(d - s + 1, d + 1) if r not in chi]
     if missing:
         raise InvalidParameter(f"chi vector is missing r in {missing}")
-    low = sum(
-        (
-            Fraction((-1) ** (r - 1) * comb(q, r), q ** (r - 1))
-            for r in range(1, d - s + 1)
-        ),
-        Fraction(0),
-    )
     high = sum((-1) ** (r - 1) * chi[r] for r in range(d - s + 1, d + 1))
-    return low + Fraction(high, q ** (d - s - 1))
+    return cohen_exact_mean(q, d - s) + Fraction(high, q ** (d - s - 1))
 
 
 def reconstruct_second_moment(
@@ -139,54 +138,47 @@ def reconstruct_second_moment(
     return total + Fraction(signed, q ** (d - s - 1))
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Everything one family sweep establishes, exactly: the two moments,
-    their main terms, their reconstructions and the checks between them."""
+def build_moment_report(spec: FamilySpec, stats: FamilyStats):
+    """(columns, checks) of one family sweep, exactly.
 
-    spec: FamilySpec
-    mean: Fraction
-    second_moment: Fraction
-    mu_d_q: Fraction
-    mu_d2_q2: Fraction
-    chi: dict
-    smn: dict
-    mean_reconstructed: Fraction | None
-    v2_exact_mode: Fraction
-    v2_paper_mode: Fraction
-
-    @property
-    def checks(self) -> list:
-        """The report's named verdicts, (name, bool) pairs: each
-        reconstruction defined at this s against its moment.  The mean's
-        is defined for 1 <= s <= d-2 only."""
-        checks = [("v2_exact_mode_matches", self.v2_exact_mode == self.second_moment)]
-        if self.mean_reconstructed is not None:
-            exact = self.mean_reconstructed == self.mean
-            checks.append(("mean_reconstruction_exact", exact))
-        return checks
-
-
-def build_moment_report(spec: FamilySpec, stats: FamilyStats) -> MomentReport:
-    """Assemble the full exact report from one family sweep."""
+    columns names every moment value, each computed once: the two moments,
+    their main terms, residuals and reconstructions, chi_r and S_mn (keyed
+    "m,n"), and the verdicts of checks.  checks are (name, bool) pairs, each
+    reconstruction defined at this s against its moment; the mean's is
+    defined for 1 <= s <= d-2 only, and elsewhere its column reads None.
+    """
     d, s = spec.d, spec.s
-    mean = stats.mean
+    mean, second = stats.mean, stats.second_moment
+    mu_d_q, mu_d2_q2 = main_term("mean_main", spec), main_term("v2", spec)
     chi = {r: stats.chi(r) for r in range(d - s + 1, d + 1)} if s >= 1 else {}
-    smn = {
-        (m, n): stats.s_mn(m, n)
-        for m in range(1, d + 1)
-        for n in range(1, d + 1)
-        if 2 <= m + n <= 2 * d
+    smn = {(m, n): stats.s_mn(m, n) for m in range(1, d + 1) for n in range(1, d + 1)}
+    v2_exact = reconstruct_second_moment(spec, mean, smn, mode="exact")
+    v2_paper = reconstruct_second_moment(spec, mean, smn, mode="paper")
+    mean_reconstructed = None
+    checks = [("v2_exact_mode_matches", v2_exact == second)]
+    if 1 <= s <= d - 2:
+        mean_reconstructed = reconstruct_mean(spec, chi)
+        checks.append(("mean_reconstruction_exact", mean_reconstructed == mean))
+    columns = {
+        "spec": spec.key,
+        "q": spec.q,
+        "d": d,
+        "s": s,
+        "a": spec.a,
+        "n_b": spec.n_b,
+        "mean": mean,
+        "mu_d_q": mu_d_q,
+        "residual_mean": mean - mu_d_q,
+        "second_moment": second,
+        "mu_d2_q2": mu_d2_q2,
+        "residual_second": second - mu_d2_q2,
+        "chi": chi,
+        "smn": {f"{m},{n}": v for (m, n), v in smn.items()},
+        "mean_reconstructed": mean_reconstructed,
+        "v2_exact_mode": v2_exact,
+        "v2_paper_mode": v2_paper,
+        "paper_mode_residual": v2_paper - v2_exact,
+        "mean_reconstruction_exact": None,  # unless defined at this s
+        **dict(checks),
     }
-    return MomentReport(
-        spec=spec,
-        mean=mean,
-        second_moment=stats.second_moment,
-        mu_d_q=main_term("mean_main", spec),
-        mu_d2_q2=main_term("v2", spec),
-        chi=chi,
-        smn=smn,
-        mean_reconstructed=reconstruct_mean(spec, chi) if 1 <= s <= d - 2 else None,
-        v2_exact_mode=reconstruct_second_moment(spec, mean, smn, mode="exact"),
-        v2_paper_mode=reconstruct_second_moment(spec, mean, smn, mode="paper"),
-    )
+    return columns, tuple(checks)

@@ -149,41 +149,12 @@ def bound_check_row(check) -> list:
         check.r,
         check.m,
         check.n,
-        None if check.lhs is None else Fraction(check.lhs),
+        check.lhs,
         check.rhs,
         check.applicable,
         check.feasible,
         check.passed,
     ]
-
-
-def moment_columns(report) -> dict:
-    """Every named moment column of one report, each computed once.  The
-    second-moment JSON, its CSV row and the sweep row select from it; in a
-    CSV the a-vector is a comma list and chi a list of r:value pairs."""
-    spec = report.spec
-    return {
-        "spec": spec.key,
-        "q": spec.q,
-        "d": spec.d,
-        "s": spec.s,
-        "a": spec.a,
-        "n_b": spec.n_b,
-        "mean": report.mean,
-        "mu_d_q": report.mu_d_q,
-        "residual_mean": report.mean - report.mu_d_q,
-        "second_moment": report.second_moment,
-        "mu_d2_q2": report.mu_d2_q2,
-        "residual_second": report.second_moment - report.mu_d2_q2,
-        "chi": report.chi,
-        "smn": {f"{m},{n}": v for (m, n), v in report.smn.items()},
-        "mean_reconstructed": report.mean_reconstructed,
-        "v2_exact_mode": report.v2_exact_mode,
-        "v2_paper_mode": report.v2_paper_mode,
-        "paper_mode_residual": report.v2_paper_mode - report.v2_exact_mode,
-        "mean_reconstruction_exact": None,  # unless defined at this s
-        **dict(report.checks),
-    }
 
 
 # the flat rows' own columns; the second-moment JSON holds all the others

@@ -76,6 +76,19 @@ def test_verify_identities_exit_zero(tmp_path):
     assert all(entry["ok"] for entry in data["results"])
 
 
+def test_verify_identities_at_s0(tmp_path):
+    # s = 0 defines no mean reconstruction and no chi_r to count twice
+    out = tmp_path / "vi.json"
+    code = run(["verify-identities", "--field", "5^1", "--d", "4", "--s", "0",
+                "--out", str(out)])
+    assert code == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert set(entry) == {
+        "spec", "mean", "second_moment", "paper_mode_residual",
+        "v2_exact_mode_matches", "gamma_1_closed_exact", "ok",
+    }
+
+
 def test_second_moment_and_csv(tmp_path):
     out = tmp_path / "v2.json"
     csv_path = tmp_path / "v2.csv"
@@ -578,6 +591,13 @@ def test_config_file(tmp_path, capsys):
         assert "config error: " in capsys.readouterr().err
 
 
+def test_config_flag_without_a_path(capsys):
+    assert run(["mean", "--field", "5^1", "--d", "4", "--s", "0", "--config"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --config is missing its file path\n"
+    )
+
+
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
@@ -959,13 +979,14 @@ STARTUP_WATCHED = ("multiprocessing", "numpy", "numpy.ma", "vslab.appendix",
                    "vslab.bounds", "vslab.counting", "vslab.upoly")
 
 
-def _loaded_after(cwd, *argvs):
+def _loaded_after(cwd, *argvs, exit_code=0):
     """The STARTUP_WATCHED modules that a fresh interpreter holds after
-    importing vslab.cli and running main() on each argv in turn."""
+    importing vslab.cli and running main() on each argv in turn, each of
+    which must return exit_code."""
     code = (
         "import sys, vslab.cli\n"
         f"for argv in {argvs!r}:\n"
-        "    assert vslab.cli.main(list(argv)) == 0, argv\n"
+        f"    assert vslab.cli.main(list(argv)) == {exit_code!r}, argv\n"
         f"print(*(m for m in {STARTUP_WATCHED!r} if m in sys.modules))\n"
     )
     env = dict(os.environ)
@@ -997,3 +1018,10 @@ def test_a_command_imports_only_what_it_uses(tmp_path):
     grid = ["verify-bounds", "--fields", "7^1", "--d", "5", "--workers", "2",
             "--out", "bounds.csv"]
     assert _loaded_after(tmp_path, grid) == {"multiprocessing", "vslab.bounds", "numpy"}
+
+
+def test_a_refused_plan_loads_nothing(tmp_path):
+    # a malformed field is refused before numpy or the bound suite loads
+    for argv in (["mean", "--field", "7^x", "--d", "4", "--s", "0"],
+                 ["verify-bounds", "--fields", "7^x", "--d", "5"]):
+        assert _loaded_after(tmp_path, argv, exit_code=2) == set(), argv

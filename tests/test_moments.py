@@ -16,7 +16,6 @@ from vslab.moments import (
     reconstruct_mean,
     reconstruct_second_moment,
 )
-from vslab.reports import moment_columns
 from vslab.sweep import collect_stats
 from vslab import upoly as up
 
@@ -96,7 +95,7 @@ def test_reconstruct_mean_exact():
         FamilySpec(F5, 4, 1, (3,)),
     ):
         st = collect_stats(spec)
-        chi = build_moment_report(spec, st).chi
+        chi = build_moment_report(spec, st)[0]["chi"]
         assert reconstruct_mean(spec, chi) == st.mean
 
 
@@ -115,7 +114,8 @@ def test_reconstruct_second_moment_exact_mode():
         FamilySpec(F7, 4, 1, (5,)),
     ):
         st = collect_stats(spec)
-        smn = build_moment_report(spec, st).smn
+        cells = range(1, spec.d + 1)
+        smn = {(m, n): st.s_mn(m, n) for m in cells for n in cells}
         v2 = reconstruct_second_moment(spec, st.mean, smn, mode="exact")
         assert v2 == st.second_moment
 
@@ -123,9 +123,9 @@ def test_reconstruct_second_moment_exact_mode():
 def test_paper_mode_residual_is_reported_not_asserted():
     spec = FamilySpec(F5, 4, 1, (2,))
     st = collect_stats(spec)
-    report = build_moment_report(spec, st)
-    assert report.v2_exact_mode == report.second_moment
-    resid = moment_columns(report)["paper_mode_residual"]
+    cols, _ = build_moment_report(spec, st)
+    assert cols["v2_exact_mode"] == cols["second_moment"]
+    resid = cols["paper_mode_residual"]
     assert resid is not None  # whatever its value, it must be computable
 
 
@@ -140,11 +140,27 @@ def test_reconstruct_second_moment_range_check():
 def test_moment_report_residuals_recomputed():
     spec = FamilySpec(F7, 4, 1, (1,))
     st = collect_stats(spec)
-    rep = build_moment_report(spec, st)
-    cols = moment_columns(rep)
-    assert cols["residual_mean"] == rep.mean - mu(4) * 7
-    assert cols["residual_second"] == rep.second_moment - mu(4) ** 2 * 49
-    assert rep.mean_reconstructed == rep.mean
+    cols, _ = build_moment_report(spec, st)
+    assert cols["residual_mean"] == cols["mean"] - mu(4) * 7
+    assert cols["residual_second"] == cols["second_moment"] - mu(4) ** 2 * 49
+    assert cols["mean_reconstructed"] == cols["mean"]
+
+
+def test_moment_report_checks():
+    # s = 0: the mean reconstruction is not defined, and no check names it
+    st = collect_stats(FamilySpec(F5, 4, 0))
+    cols, checks = build_moment_report(FamilySpec(F5, 4, 0), st)
+    assert checks == (("v2_exact_mode_matches", True),)
+    assert cols["mean_reconstruction_exact"] is None
+    assert cols["v2_exact_mode_matches"] is True
+    # s = 1: both reconstructions are checked, and the columns hold the verdicts
+    spec = FamilySpec(F7, 4, 1, (1,))
+    cols, checks = build_moment_report(spec, collect_stats(spec))
+    assert checks == (
+        ("v2_exact_mode_matches", True),
+        ("mean_reconstruction_exact", True),
+    )
+    assert all(cols[name] is ok for name, ok in checks)
 
 
 def test_main_term_per_bound_kind():
