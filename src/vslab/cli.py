@@ -11,13 +11,15 @@ FAIL line.  A verdict of None means the check could not run: it never fails.
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
 sweep is replayable and identical configs give byte-identical outputs.
-VSLAB_WORKERS sets the default worker count; this module alone reads it.
+The worker count is --workers (or its --config key), 1 when not given.
 
 Importing the module loads only what parsing and writing need: argparse,
 json, reports and errors.  numpy and the engine (family, gf's tables,
 moments, sweep) are imported by the functions that use them, so a command
 that never sweeps, such as appendix or report-merge, never loads numpy,
-and neither does --help or a command refused before its plan.
+and neither does --help or a command refused before its plan: every
+command parses its --field or --fields before it loads numpy, the
+oracles (counting) or the bound suite.
 """
 
 from __future__ import annotations
@@ -78,24 +80,6 @@ def positive_int(text: str) -> int:
 def nonnegative_int(text: str) -> int:
     """argparse type for budgets, which may be 0 but not negative."""
     return _at_least(0, text)
-
-
-def default_workers() -> int:
-    """VSLAB_WORKERS, else 1; refused, as --workers is, unless an integer >= 1.
-
-    The one reader of VSLAB_WORKERS: the parser calls it for every command's
-    --workers default, and the library's sweeps default to one worker.
-    """
-    env = os.environ.get("VSLAB_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InvalidParameter(f"VSLAB_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
 
 
 def seed_int(text: str) -> int:
@@ -285,13 +269,13 @@ def cmd_second_moment(args):
     return _conclude(args, ledger, reports, failures="instances")
 
 
-def _count_table(args, header, count, oracle, checks_of):
-    """One CSV row per bound check: cell, swept count (count(stats, *cell)),
-    main term, rhs and verdict.  Unless --method is "profile", the oracle
-    must agree exactly."""
+def _count_table(args, plan, header, count, oracle, checks_of):
+    """One CSV row per bound check of each planned instance: cell, swept
+    count (count(stats, *cell)), main term, rhs and verdict.  Unless
+    --method is "profile", the oracle must agree exactly."""
     rows = []
     ledger = []
-    for spec, stats in _instances(args):
+    for spec, stats in _instances(args, plan):
         checks = []
         for bound in checks_of(spec, stats):
             cell = (bound.r,) if bound.m is None else (bound.m, bound.n)
@@ -305,24 +289,26 @@ def _count_table(args, header, count, oracle, checks_of):
 
 
 def cmd_chi(args):
+    r_values = parse_int_list(args.r) if args.r else None
+    plan = _plan(args)  # a refused plan loads neither bounds nor the oracles
     from . import bounds as bd
     from . import counting as ct
     from .sweep import FamilyStats
 
-    r_values = parse_int_list(args.r) if args.r else None
     return _count_table(
-        args, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
+        args, plan, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
         lambda spec, stats: bd.chi_checks(spec, stats, r_values),
     )
 
 
 def cmd_smn(args):
+    plan = _plan(args)
     from . import bounds as bd
     from . import counting as ct
     from .sweep import FamilyStats
 
     return _count_table(
-        args, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
+        args, plan, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
     )
 
 
@@ -332,10 +318,6 @@ def _gamma_1_closed_exact(spec, stats):
 
 
 def cmd_gamma(args):
-    import dataclasses
-
-    from . import counting as ct
-
     d, s = args.d, args.s
     r_list = parse_int_list(args.r) if args.r else range(1, d + 1)
     for r in r_list:
@@ -351,9 +333,14 @@ def cmd_gamma(args):
         if not (1 <= m <= d and 1 <= n <= d):
             raise InvalidParameter(f"need 1 <= m, n <= d, got m={m}, n={n}")
     open_r = [r for r in r_list if r >= d - s + 1]
+    plan = _plan(args)
+    import dataclasses
+
+    from . import counting as ct
+
     results = []
     ledger = []
-    for spec, stats in _instances(args):
+    for spec, stats in _instances(args, plan):
         # the oracle's open Gamma_r counts ride on the (m, n) scan; past
         # --subset-budget they are not counted, and their checks read None
         fits = spec.n_b * spec.q <= args.subset_budget
@@ -386,12 +373,13 @@ def cmd_gamma(args):
 
 
 def cmd_verify_identities(args):
+    plan = _plan(args)
     from . import counting as ct
 
     d, s = args.d, args.s
     results = []
     ledger = []
-    for spec, stats, checks, cols in _moment_instances(args):
+    for spec, stats, checks, cols in _moment_instances(args, plan):
         if s >= 1:
             dual = [
                 stats.chi(r) == ct.chi_r(spec, r, budget=args.subset_budget)
@@ -494,20 +482,17 @@ def cmd_appendix(args):
 
 
 def cmd_audit_linear(args):
-    from . import counting as ct
-    from .family import FamilySpec
     from .gf import parse_descriptor
 
     field = parse_descriptor(args.field)
+    from . import counting as ct
+    from .family import FamilySpec
+
     d, s = args.d, args.s
     q = field.q
     rng = _philox(args.seed, q, d, s)
     specs = [FamilySpec(field, d, s, a) for a in _a_vectors(args, field, d, s, False)]
-    total = d - s
-    if total < 2:  # past the family's own checks, only d = 1 gets here
-        raise InvalidParameter(
-            f"audit-linear needs two nonempty subsets with m + n <= d - s = {total}"
-        )
+    total = d - s  # FamilySpec keeps s <= d-2: room for two nonempty subsets
     results = []
     ledger = []
     for spec in specs:
@@ -627,7 +612,7 @@ def _add_command(subs, name, func, help_text, field_mode="single", a_default="")
                      help="max b-vectors per requested instance")
     sub.add_argument("--subset-budget", type=nonnegative_int, default=10**6,
                      dest="subset_budget")
-    sub.add_argument("--workers", type=positive_int, default=default_workers())
+    sub.add_argument("--workers", type=positive_int, default=1)
     sub.add_argument("--out", default=None)
     return sub
 
@@ -679,7 +664,6 @@ def build_parser():
     p = subs.add_parser("appendix", help="discriminant formula checks")
     p.add_argument("--cases", default=None, help='e.g. "7,4;5,5"')
     p.add_argument("--subres", default=None, help='e.g. "5,3;7,4"')
-    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_appendix)
 
@@ -736,7 +720,6 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        # the parser reads VSLAB_WORKERS for the --workers default
         args = build_parser().parse_args(argv)
         # an output file that cannot be created is refused before any sweep;
         # reports.write_text still maps every other failure to write

@@ -1,6 +1,7 @@
 """The monic polynomial family with s fixed high coefficients.
 
-A FamilySpec pins (field, d, s, a) and describes the family
+A FamilySpec pins (field, d, s, a), with d >= 2 and 0 <= s <= d-2, and
+describes the family
 
     f_b = T^d + a_{d-1} T^{d-1} + ... + a_{d-s} T^{d-s}
               + b_{d-s-1} T^{d-s-1} + ... + b_1 T,
@@ -45,13 +46,10 @@ class FamilySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
-        if self.d < 1:
-            raise InvalidParameter(f"degree must be >= 1, got {self.d}")
-        # d = 1 is the degenerate linear family used only in sanity tests
-        if self.d >= 2 and not 0 <= self.s <= self.d - 2:
+        if self.d < 2:
+            raise InvalidParameter(f"need d >= 2, got d={self.d}")
+        if not 0 <= self.s <= self.d - 2:
             raise InvalidParameter(f"need 0 <= s <= d-2, got s={self.s}, d={self.d}")
-        if self.d == 1 and self.s != 0:
-            raise InvalidParameter("the d=1 family has no fixable coefficients")
         if len(self.a) != self.s:
             raise InvalidParameter(f"expected {self.s} fixed coefficients, got {self.a}")
         if not all(0 <= c < self.field.q for c in self.a):
@@ -70,7 +68,7 @@ class FamilySpec:
     @property
     def free_len(self) -> int:
         """Number of free coefficients b_1 .. b_{d-s-1}."""
-        return self.d - self.s - 1 if self.d >= 2 else 0
+        return self.d - self.s - 1
 
     @property
     def n_b(self) -> int:
@@ -126,11 +124,9 @@ def index_to_b(spec: FamilySpec, idx: int):
     return tuple(reversed(digits))
 
 
-def enumerate_b(spec: FamilySpec, start: int = 0, stop: int | None = None):
-    """Free vectors in canonical lexicographic order, optionally chunked."""
-    if stop is None:
-        stop = spec.n_b
-    for idx in range(start, stop):
+def enumerate_b(spec: FamilySpec):
+    """Free vectors in canonical lexicographic order."""
+    for idx in range(spec.n_b):
         yield index_to_b(spec, idx)
 
 
@@ -240,8 +236,6 @@ def stabiliser_blocks(spec: FamilySpec):
     blocks r of one coset of H = {lambda^(s+1) : lambda in G} in F_q^* form
     another; the smallest r of each coset stands for its |H| blocks.
     """
-    if spec.free_len == 0:
-        return [(0, spec.n_b, 1)]
     field, s = spec.field, spec.s
     mul = field.mul_table()
     scale = _inverse_powers(field, s + 1)
@@ -263,14 +257,14 @@ def cover(spec: FamilySpec):
     """(swept spec, lo, hi, weight) index blocks whose weighted stats sum to
     spec's, so sum(weight * (hi - lo)) = spec.n_b.
 
-    At s >= 1, and at s = 0 with d <= 2 where s = 1 names no family, these
+    At s >= 1, and at s = 0 with d = 2 where s = 1 names no family, these
     are spec's own stabiliser blocks.  At s = 0 with d >= 3 the family is
     the disjoint union over a_{d-1} of the s = 1 families: each s = 1
     representative is swept in its stabiliser blocks, weighted by the size
     of its affine orbit (for p not dividing d all q lie in the orbit of
     (0,); for p | d in those of (0,) and (1,), of sizes 1 and q-1).
     """
-    if spec.s or spec.d <= 2:
+    if spec.s or spec.d == 2:
         return [(spec, *block) for block in stabiliser_blocks(spec)]
     field, d = spec.field, spec.d
     reps = orbit_representatives(field, d, 1, [(c,) for c in range(field.q)])

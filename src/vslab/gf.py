@@ -6,9 +6,10 @@ additive identity and index 1 the multiplicative identity, so prime
 fields coincide with integers-mod-p.  A GF instance carries the tables;
 elements travel as bare ints, like the polynomial layers above expect.
 
-Multiplication and inversion run off exp/log tables with respect to a
-fixed generator whenever q <= TABLE_LIMIT; above that every operation
-reduces on the fly.  Tables are immutable after construction, so a GF
+Each field kind has one arithmetic route: a prime field reduces plain
+ints mod p, and an extension field, refused past q = TABLE_LIMIT,
+multiplies, inverts and raises to powers off exp/log tables with respect
+to a fixed generator.  Tables are immutable after construction, so a GF
 instance is safe to share across worker processes.
 
 The q x q numpy tables of the enumeration engine (add_table, mul_table)
@@ -102,6 +103,10 @@ class GF:
         self.p = p
         self.k = k
         self.q = p**k
+        if k > 1 and self.q > TABLE_LIMIT:
+            raise InvalidParameter(
+                f"extension field q={self.q} exceeds table limit {TABLE_LIMIT}"
+            )
         if modulus is None:
             modulus = self._search_modulus(p, k)
         else:
@@ -117,9 +122,7 @@ class GF:
         # serialized form "p^k/modulus-coefficients", low-to-high; it is the
         # field's identity, so hashing and equality read it on every call
         self.descriptor = f"{p}^{k}/" + ",".join(str(c) for c in self.modulus)
-        self._exp = None
-        self._log = None
-        if self.q <= TABLE_LIMIT:
+        if k > 1:
             self._build_log_tables()
         self._np_add = None
         self._np_mul = None
@@ -230,21 +233,14 @@ class GF:
             return (x * y) % self.p
         if x == 0 or y == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        vec = _poly_mod_mul(
-            list(self.coeffs(x)), list(self.coeffs(y)), self.modulus, self.p
-        )
-        return self.element(vec)
+        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise InvalidParameter("inverse of 0")
         if self.k == 1:
             return pow(x, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)]
-        return self.pow(x, self.q - 2)
+        return self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)]
 
     def div(self, x: int, y: int) -> int:
         if y == 0:
@@ -258,15 +254,7 @@ class GF:
             return pow(x, n, self.p)
         if x == 0:
             return 0 if n else 1
-        if self._exp is not None:
-            return self._exp[(self._log[x] * n) % (self.q - 1)]
-        acc = 1
-        while n:
-            if n & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            n >>= 1
-        return acc
+        return self._exp[(self._log[x] * n) % (self.q - 1)]
 
     # -- row operations ---------------------------------------------------
 

@@ -66,7 +66,7 @@ def main_term(kind: str, spec: FamilySpec, r=None, m=None, n=None) -> Fraction:
     raise InvalidParameter(f"unknown bound kind {kind!r}")
 
 
-def one_minus_inv_e_enclosure(terms: int = 60):
+def one_minus_inv_e_enclosure():
     """Rational interval containing 1 - e^-1, via the alternating series.
 
     Consecutive partial sums of e^-1 = sum (-1)^k / k! bracket the limit,
@@ -74,7 +74,7 @@ def one_minus_inv_e_enclosure(terms: int = 60):
     """
     partial = Fraction(0)
     values = []
-    for k in range(terms):
+    for k in range(60):
         partial += Fraction((-1) ** k, factorial(k))
         values.append(partial)
     hi_e, lo_e = values[-2], values[-1]

@@ -30,16 +30,16 @@ kernel checks the bound and returns the matrix as int64.  _assemble is
 the one exact step: once per family it sums the weighted Gram matrices
 and class counts in Python ints and reads every field off the sums.
 
-b_1 is the innermost digit of the enumeration and f_b = g + b_1 T, where
-g depends only on the outer prefix idx // q, whose base-q digits are
-b_2, b_3, ...  So g is evaluated once per prefix, on the grid of the
-chunk's prefixes and every t, and the value table holds the chunk's own
-rows only: in each index range, a partial first or last prefix block
+b_1, free in every family (s <= d-2), is the innermost digit of the
+enumeration and f_b = g + b_1 T, where g depends only on the outer
+prefix idx // q, whose base-q digits are b_2, b_3, ...  So g is
+evaluated once per prefix, on the grid of the chunk's prefixes and every
+t, and the value table holds the chunk's own rows only: in each index
+range, a partial first or last prefix block
 gathers g's values against a slice of the table b_1 * t, and the whole
 blocks between them take one broadcast gather, all into one array.  Two
 chunks, or two ranges of one chunk, may each hold part of a prefix
-block; each then evaluates g for it.  The d = 1 family has no free b_1
-and runs the same route with a zero b_1 column.
+block; each then evaluates g for it.
 
 The j-th Hasse derivative of g is a fixed part, that of T^d and the a
 terms, cached as one q-vector per j (_hasse_tables), plus one term
@@ -76,11 +76,11 @@ next, and no family waits at a barrier of its own.  A chunk that several
 families cover runs once.  The stream owns its fork pool (_imap): forked
 at its first chunk, closed when the stream ends, fails or is dropped,
 and each worker dies with the process that forked it (_die_with_parent).
-A stream runs on one worker unless given more; only the CLI reads
-VSLAB_WORKERS.  One worker, or one chunk, never forks, nor imports
-multiprocessing.  The CLI runs each command's whole plan as one such
-stream, each family through family.cover, so a run forks at most one
-pool and every worker builds a field's tables once per run;
+A stream runs on one worker unless given more.  One worker, or one
+chunk, never forks, nor imports multiprocessing.  The CLI runs each
+command's whole plan as one such stream, each family through
+family.cover, so a run forks at most one pool and every worker builds a
+field's tables once per run;
 collect_stats is the one-family, one-block case that the independent
 checks use.  A stream also fixes glibc's mmap and trim thresholds
 (_steady_heap, once per process), so the kernel's 1-2 MB temporaries
@@ -271,32 +271,30 @@ def hasse_points(gf, d, s, a, js, prefixes, ts):
 
 
 def _chunk_kernel(task):
-    (descriptor, d, s, a, ranges, L) = task
+    (descriptor, d, s, a, ranges) = task
     gf = parse_descriptor(descriptor)  # interned: its tables are built once
     q, p = gf.q, gf.p
     add_t, mul_t = gf.add_table(), gf.mul_table()
     add_f, mul_f = add_t.ravel(), mul_t.ravel()
 
-    # idx = prefix * qb + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
-    # where g drops the b_1 term.  With no free b_1 (d = 1) qb = 1 makes
-    # b_1 a zero column and g = f_b.  Each of the chunk's index ranges gets
+    # idx = prefix * q + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
+    # where g drops the b_1 term.  Each of the chunk's index ranges gets
     # grid rows for its own prefixes (two ranges may both hold part of
     # one); row r owns the b_1 in [lo_b1[r], hi_b1[r]), and the values of
     # its b sit at rows base[r] + b_1 of the chunk's tables.
-    qb = q if L else 1
     pidx, lo_b1, hi_b1, base = [], [], [], []
     n_chunk = 0
     for lo, hi in ranges:
-        prefix = np.arange(lo // qb, (hi - 1) // qb + 1, dtype=np.int64)
+        prefix = np.arange(lo // q, (hi - 1) // q + 1, dtype=np.int64)
         pidx.append(prefix)
-        lo_b1.append(np.maximum(lo - prefix * qb, 0))
-        hi_b1.append(np.minimum(hi - prefix * qb, qb))
-        base.append(prefix * qb - lo + n_chunk)
+        lo_b1.append(np.maximum(lo - prefix * q, 0))
+        hi_b1.append(np.minimum(hi - prefix * q, q))
+        base.append(prefix * q - lo + n_chunk)
         n_chunk += hi - lo
     pidx, lo_b1, hi_b1, base = map(np.concatenate, (pidx, lo_b1, hi_b1, base))
 
     # g and its first two Hasse derivatives at every t on the prefix grid
-    grid = hasse_grid(gf, d, s, a, np.arange(min(d, 2) + 1), pidx)
+    grid = hasse_grid(gf, d, s, a, np.arange(3), pidx)
     g0 = grid[0]
 
     # values of f_b = g + b_1 t on the chunk's own rows: in each range, a
@@ -307,14 +305,14 @@ def _chunk_kernel(task):
     for lo, hi in ranges:
         idx = lo
         while idx < hi:
-            b1 = idx % qb
-            whole = (hi - idx) // qb if b1 == 0 else 0
+            b1 = idx % q
+            whole = (hi - idx) // q if b1 == 0 else 0
             if whole:
-                step = whole * qb
-                index = g0[row:row + whole, None] * q + mul_t[:qb]
-                dest = val[out:out + step].reshape(whole, qb, q)
+                step = whole * q
+                index = g0[row:row + whole, None] * q + mul_t
+                dest = val[out:out + step].reshape(whole, q, q)
             else:
-                step = min(qb - b1, hi - idx)
+                step = min(q - b1, hi - idx)
                 index = g0[row] * q + mul_t[b1:b1 + step]
                 dest = val[out:out + step]
             # the indices are in range; mode="raise" would copy through a buffer
@@ -345,7 +343,6 @@ def _chunk_kernel(task):
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
     # exactly one b_1 = -g'(t) = (p-1) g'(t); keep it where its row owns
     # that b_1, so a prefix that two ranges share counts each b once.
-    # With d = 1, g' = 1 and qb = 1: nothing is critical.
     b1_crit = np.take(mul_t[p - 1], grid[1])
     crit = np.flatnonzero((b1_crit >= lo_b1[:, None]) & (b1_crit < hi_b1[:, None]))
     shapes = {}
@@ -545,7 +542,7 @@ def collect_many(specs, workers: int = 1, chunk_size: int | None = None, cover=N
         for swept, lo, hi, w in blocks:
             groups.setdefault((swept, w), []).append((lo, hi))
         plans[spec] = [
-            ((sw.field.descriptor, sw.d, sw.s, sw.a, chunk, sw.free_len), w)
+            ((sw.field.descriptor, sw.d, sw.s, sw.a, chunk), w)
             for (sw, w), ranges in groups.items()
             for chunk in _pack(sorted(ranges), size)
         ]

@@ -70,11 +70,6 @@ def test_even_cases_agree_with_poisson_route():
         assert report.derived_matched in ("exact", "up_to_scalar")
 
 
-def test_case_mismatch():
-    with pytest.raises(InvalidParameter, match="selects generic, not p_divides_d"):
-        appendix_case_check(7, 4, expect_case="p_divides_d")
-
-
 @pytest.mark.parametrize("p,d", [(5, 3), (7, 4), (3, 3), (5, 5)])
 def test_subres1_terms(p, d):
     report = subres1_terms_check(p, d)

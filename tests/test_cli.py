@@ -601,15 +601,15 @@ def test_config_flag_without_a_path(capsys):
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
-    # missing required flags, and a --seed outside Philox's keys [0, 2^128),
-    # which every subcommand refuses through one argparse type
+    # missing required flags, a --seed outside Philox's keys [0, 2^128),
+    # which every sweeping subcommand refuses through one argparse type, and
+    # any --seed to appendix, which draws nothing at random
     for argv in (
         ["mean", "--field", "5^1"],
         ["verify-bounds", "--fields", "7^1", "--d", "5", "--seed", "-3"],
         ["mean", "--field", "7^1", "--d", "5", "--s", "1", "--a", "random:2",
          "--seed", str(2**128)],
-        ["appendix", "--cases", "7,4", "--seed", "-1"],
-        ["appendix", "--cases", "7,4", "--seed", str(2**128)],
+        ["appendix", "--cases", "7,4", "--seed", "0"],
     ):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -634,8 +634,6 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ["mean", "--field", "7^1", "--d", "5", "--s", "0", "--a", "3"],
         ["second-moment", "--field", "7^1", "--d", "5", "--s", "0", "--a", "0"],
         ["audit-linear", "--field", "7^1", "--d", "5", "--s", "0", "--a", "1,2"],
-        # d - s = 1 leaves no room for two nonempty subsets
-        ["audit-linear", "--field", "7^1", "--d", "1", "--s", "0"],
         ["mean", "--field", "7^1", "--d", "4", "--s", "3", "--a", "1,2,3"],
         ["gamma", *family, "--r", "9"],
         ["gamma", *family, "--m", "7", "--n", "1"],
@@ -654,6 +652,15 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ["chi", *family, "--r", "1-0"],
     ):
         assert run(argv) == 2, argv
+    # d = 1 names no family, in a single-field command or a grid
+    for argv in (
+        ["mean", "--field", "7^1", "--d", "1", "--s", "0"],
+        ["sweep", "--fields", "7^1", "--d", "1-3", "--s", "0"],
+        ["audit-linear", "--field", "7^1", "--d", "1", "--s", "0"],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        assert "need d >= 2, got d=1" in capsys.readouterr().err, argv
     # a file that cannot be opened is named; an output directory that does
     # not exist is refused before the first sweep, even of a whole grid
     swept, sweep_stream = [], sweep.collect_many
@@ -865,12 +872,13 @@ def test_s0_budget_judges_the_requested_family(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["sweep,11,7,0,,,,,,true,false,,0"]
 
 
-@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
-def test_bad_vslab_workers_is_a_usage_error(workers, tmp_path, monkeypatch):
-    monkeypatch.setenv("VSLAB_WORKERS", workers)
+def test_the_environment_sets_no_worker_count(tmp_path, monkeypatch):
+    # --workers and --config set the worker count; the environment does not
+    monkeypatch.setenv("VSLAB_WORKERS", "abc")
     assert run(["mean", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
-                "--out", str(tmp_path / "mean.json")]) == 2
-    assert run(["appendix", "--out", str(tmp_path / "appendix.json")]) == 2
+                "--out", str(tmp_path / "mean.json")]) == 0
+    assert run(["appendix", "--cases", "7,4", "--subres", "5,3",
+                "--out", str(tmp_path / "appendix.json")]) == 0
 
 
 def test_s0_takes_all_and_random_a(tmp_path):
@@ -907,15 +915,15 @@ def test_budget_is_judged_before_the_a_vectors_exist(monkeypatch, capsys):
     assert len(built) == 1
 
 
-# (field, d, s) of the block route: d = 1 and 2, p | d, extension fields,
+# (field, d, s) of the block route: d = 2, p | d, extension fields,
 # every s from 0 to d-2, and at most 3^7 requested b-vectors
 ROUTE_POINTS = [
     (parse_descriptor(text), d, s)
     for text in ("3^1", "5^1", "7^1", "11^1", "3^2", "5^2")
-    for d in range(1, 8)
+    for d in range(2, 8)
     if parse_descriptor(text).q > d or d % parse_descriptor(text).p == 0
-    for s in range(max(d - 1, 1))
-    if parse_descriptor(text).q ** max(d - s - 1, 0) <= 3**7
+    for s in range(d - 1)
+    if parse_descriptor(text).q ** (d - s - 1) <= 3**7
 ]
 
 
@@ -926,7 +934,7 @@ def route_requests(draw):
 
 
 def test_route_points_cover_the_edge_cases():
-    assert {d for _, d, _ in ROUTE_POINTS} == set(range(1, 8))
+    assert {d for _, d, _ in ROUTE_POINTS} == set(range(2, 8))
     p_divides_d = {field.q for field, d, _ in ROUTE_POINTS if d % field.p == 0}
     assert p_divides_d == {3, 5, 7, 9, 25}
     assert {s for _, _, s in ROUTE_POINTS} == set(range(6))
@@ -937,7 +945,6 @@ def test_route_points_cover_the_edge_cases():
 @pytest.mark.filterwarnings("ignore:q = ")  # q <= d where p | d
 @settings(max_examples=60, deadline=None)
 @given(request=route_requests())
-@example(request=(parse_descriptor("7^1"), 1, 0, ()))
 @example(request=(parse_descriptor("5^2"), 2, 0, ()))
 @example(request=(parse_descriptor("3^2"), 6, 2, (0, 0)))  # p | d, a = 0
 @example(request=(parse_descriptor("7^1"), 7, 5, (0, 0, 0, 0, 0)))  # p | d, q = d
@@ -990,7 +997,6 @@ def _loaded_after(cwd, *argvs, exit_code=0):
         f"print(*(m for m in {STARTUP_WATCHED!r} if m in sys.modules))\n"
     )
     env = dict(os.environ)
-    env.pop("VSLAB_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(vslab.__file__).parent.parent), env.get("PYTHONPATH")])
     )
@@ -1021,7 +1027,11 @@ def test_a_command_imports_only_what_it_uses(tmp_path):
 
 
 def test_a_refused_plan_loads_nothing(tmp_path):
-    # a malformed field is refused before numpy or the bound suite loads
+    # a malformed field is refused before numpy, the bound suite or the
+    # oracles load
+    family = ["--field", "7^x", "--d", "4", "--s", "1", "--a", "1"]
     for argv in (["mean", "--field", "7^x", "--d", "4", "--s", "0"],
-                 ["verify-bounds", "--fields", "7^x", "--d", "5"]):
+                 ["verify-bounds", "--fields", "7^x", "--d", "5"],
+                 ["chi", *family], ["smn", *family], ["gamma", *family],
+                 ["verify-identities", *family], ["audit-linear", *family]):
         assert _loaded_after(tmp_path, argv, exit_code=2) == set(), argv

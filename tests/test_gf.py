@@ -15,6 +15,9 @@ def test_make_field_basics():
     f9 = make_field(3, 2, [1, 0, 1])  # T^2 + 1, irreducible: -1 non-square mod 3
     assert f9.q == 9
     assert f9.descriptor == "3^2/1,0,1"
+    # an extension field needs its log tables, so none past TABLE_LIMIT
+    with pytest.raises(InvalidParameter, match="q=6561 exceeds table limit 4096"):
+        make_field(3, 8)
 
 
 def test_even_characteristic_rejected():
@@ -157,9 +160,8 @@ def test_is_prime():
     ]
 
 
-# the last two lie past TABLE_LIMIT: a prime field, and an extension that
-# multiplies without log tables
-ROW_FIELDS = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (4099, 1), (3, 8)]
+# the last lies past TABLE_LIMIT, a prime field: its arithmetic needs no tables
+ROW_FIELDS = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (4099, 1)]
 
 
 @st.composite

@@ -6,8 +6,7 @@ exits 1.
 Each case runs in-process through `vslab.cli.main` in an empty working
 directory, so the README commands run as written.  The expected bytes
 live under tests/golden/<case>/: one file per output file, plus
-`stdout` when the command writes to stdout.  VSLAB_WORKERS is removed
-from the environment, so every case runs on one worker.
+`stdout` when the command writes to stdout.
 
 After a deliberate change to the outputs, regenerate the files with
 
@@ -116,8 +115,7 @@ def expected_files(case):
 @pytest.mark.parametrize(
     "case,argv,code,inputs", CASES, ids=[c[0] for c in CASES]
 )
-def test_golden(case, argv, code, inputs, tmp_path, monkeypatch):
-    monkeypatch.delenv("VSLAB_WORKERS", raising=False)
+def test_golden(case, argv, code, inputs, tmp_path):
     got_code, stdout, stderr, files = run_case(argv, inputs, tmp_path)
     assert got_code == code
     fail_lines = [line for line in stderr.splitlines() if line.startswith("FAIL:")]
@@ -132,7 +130,6 @@ def test_golden(case, argv, code, inputs, tmp_path, monkeypatch):
 def regenerate():
     import tempfile
 
-    os.environ.pop("VSLAB_WORKERS", None)
     # cases that read other cases' golden files run last
     for case, argv, code, inputs in sorted(CASES, key=lambda c: bool(c[3])):
         with tempfile.TemporaryDirectory() as tmp:

@@ -74,11 +74,6 @@ def test_mean_equals_cohen_for_s0():
         assert collect_stats(spec).mean == mean
 
 
-def test_degenerate_linear_family():
-    spec = FamilySpec(F5, 1, 0)
-    assert collect_stats(spec).mean == 5
-
-
 def test_bounds_on_moments():
     for spec in (FamilySpec(F5, 4, 1, (2,)), FamilySpec(F7, 4, 2, (0, 3))):
         st = collect_stats(spec)

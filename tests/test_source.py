@@ -55,6 +55,17 @@ def _names(path):
     return names
 
 
+def test_no_environment_settings():
+    # every setting is a flag or a --config key: no module reads os.environ
+    # or calls os.getenv, so an environment variable changes no run
+    found = _nodes(
+        lambda node: isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        and node.attr in ("environ", "getenv", "environb", "getenvb")
+    )
+    assert found == []
+
+
 def test_one_module_starts_sweeps():
     # every engine count is read off the FamilyStats that the CLI's instance
     # loop collects; the oracles in counting must not see the engine at all

@@ -92,7 +92,6 @@ SPECS = [
     FamilySpec(F7, 4, 1, (4,)),
     FamilySpec(F7, 5, 3, (1, 2, 3)),
     FamilySpec(F9, 4, 1, (5,)),
-    FamilySpec(F5, 1, 0),
 ]
 
 
@@ -234,8 +233,6 @@ def test_stabiliser_blocks():
     assert stabiliser_blocks(FamilySpec(F5, 4, 1, (2,))) == [
         (r * 5, r * 5 + 5, 1) for r in range(5)
     ]
-    # d = 1 has no free coefficient: one block, the one member
-    assert stabiliser_blocks(FamilySpec(F5, 1, 0)) == [(0, 1, 1)]
 
 
 def test_blocks_must_cover_the_family():
@@ -250,10 +247,8 @@ def test_ranges_that_share_a_prefix():
     # both ranges counts each b-vector, and each critical point, once
     spec = FamilySpec(F7, 4, 1, (3,))
     task = (spec.field.descriptor, spec.d, spec.s, spec.a)
-    both = sweep._chunk_kernel(task + (((0, 3), (5, 10)), spec.free_len))
-    apart = [
-        sweep._chunk_kernel(task + ((r,), spec.free_len)) for r in ((0, 3), (5, 10))
-    ]
+    both = sweep._chunk_kernel(task + (((0, 3), (5, 10)),))
+    apart = [sweep._chunk_kernel(task + ((r,),)) for r in ((0, 3), (5, 10))]
     assert both[1]  # a class with a multiple root is among them
     assert sweep._assemble(spec, [(1, both)]) == sweep._assemble(
         spec, [(1, part) for part in apart]
@@ -312,7 +307,6 @@ def test_gamma_one_closed_is_q_power():
 STRADDLE_SPECS = [
     FamilySpec(F7, 4, 1, (3,)),
     FamilySpec(F7, 5, 2, (1, 2)),
-    FamilySpec(F7, 1, 0),
 ]
 
 
@@ -450,7 +444,7 @@ def test_chunk_inside_one_prefix_block_memory():
     # a few arrays of 1024 * q entries
     gf = make_field(4093)
     spec = FamilySpec(gf, 4, 2, (5, 11))
-    task = (gf.descriptor, spec.d, spec.s, spec.a, ((1000, 2024),), spec.free_len)
+    task = (gf.descriptor, spec.d, spec.s, spec.a, ((1000, 2024),))
     sweep._chunk_kernel(task)  # builds the field's tables and the caches
     tracemalloc.start()
     try:
@@ -484,9 +478,9 @@ def profile_stats(spec):
 @st_.composite
 def small_specs(draw):
     gf = draw(st_.sampled_from([make_field(3), F5, F7, F9]))
-    d = draw(st_.integers(1, min(5, gf.q - 1)))
-    s = 0 if d == 1 else draw(st_.integers(0, d - 2))
-    if gf.q ** max(d - s - 1, 0) > 400:
+    d = draw(st_.integers(2, min(5, gf.q - 1)))
+    s = draw(st_.integers(0, d - 2))
+    if gf.q ** (d - s - 1) > 400:
         s = d - 2
     a = tuple(draw(st_.integers(0, gf.q - 1)) for _ in range(s))
     return FamilySpec(gf, d, s, a)
