@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BrokenInvariant, InvalidParameter
-from .gf import is_prime, make_field
+from .gf import make_field
 from . import mpoly as mp
 
 MAX_SYMBOLIC_DEGREE = 8
@@ -28,18 +28,13 @@ def _family_names(free):
     return tuple(f"B{j}" for j in sorted(free))
 
 
-def _require_odd_prime(p: int):
-    if p == 2 or not is_prime(p):
-        raise InvalidParameter(f"p must be an odd prime, got {p}")
-
-
 def build_generic_member(p: int, d: int, free):
     """(names, F) with F a T-polynomial over MultiPoly coefficients.
 
     Every appendix route builds its member here, so Z/p that is not a
     field is refused before any symbolic work.
     """
-    _require_odd_prime(p)
+    make_field(p)
     free = set(free)
     if 0 not in free:
         raise InvalidParameter("the constant coefficient B0 must be free")
@@ -114,7 +109,7 @@ class AppendixReport:
 
 
 def select_case(p: int, d: int) -> str:
-    _require_odd_prime(p)
+    make_field(p)
     if d % p and (d - 1) % p:
         return "generic"
     if d % p == 0:
@@ -124,18 +119,8 @@ def select_case(p: int, d: int) -> str:
 
 def delta2_target(p: int, d: int, names) -> mp.MultiPoly:
     """d^d B0^(d-1) + (-1)^(d-1) (d-1)^(d-1) B1^d."""
-    i0, i1 = names.index("B0"), names.index("B1")
-    e0 = [0] * len(names)
-    e0[i0] = d - 1
-    e1 = [0] * len(names)
-    e1[i1] = d
-    return mp.MultiPoly(
-        p,
-        names,
-        {
-            tuple(e0): pow(d, d, p),
-            tuple(e1): (-1) ** (d - 1) * pow(d - 1, d - 1, p),
-        },
+    return _b_mono(p, names, b0=d - 1, coeff=pow(d, d, p)) + _b_mono(
+        p, names, b1=d, coeff=(-1) ** (d - 1) * pow(d - 1, d - 1, p)
     )
 
 

@@ -228,17 +228,23 @@ def _check(kind, spec, value, r=None, m=None, n=None):
     return BoundCheck(kind, q, d, s, r, m, n, lhs, rhs, ok, True, passed, main)
 
 
-def chi_checks(spec, stats, r_values=None) -> list:
-    """The chi_r estimates |chi_r - q^(d-s)/r!| <= rhs, for r in r_values
-    (default: all of d-s+1..d, the range in which they are stated)."""
-    d, s = spec.d, spec.s
+def chi_r_values(d, s, r_values=None):
+    """r_values, default all of d-s+1..d, the range in which the chi_r
+    bounds are stated; an r outside it is refused."""
     if r_values is None:
-        r_values = range(d - s + 1, d + 1)
+        return range(d - s + 1, d + 1)
     outside = [r for r in r_values if not d - s + 1 <= r <= d]
     if outside:
         raise InvalidParameter(
             f"the chi_r bounds hold for {d - s + 1} <= r <= {d}, not r = {outside}"
         )
+    return r_values
+
+
+def chi_checks(spec, stats, r_values=None) -> list:
+    """The chi_r estimates |chi_r - q^(d-s)/r!| <= rhs, for r in
+    chi_r_values(d, s, r_values)."""
+    r_values = chi_r_values(spec.d, spec.s, r_values)
     return [_check("chi", spec, stats.chi(r), r=r) for r in r_values]
 
 

@@ -271,8 +271,8 @@ def cmd_second_moment(args):
 
 def _count_table(args, plan, header, count, oracle, checks_of):
     """One CSV row per bound check of each planned instance: cell, swept
-    count (count(stats, *cell)), main term, rhs and verdict.  Unless
-    --method is "profile", the oracle must agree exactly."""
+    count (count(stats, *cell)), main term, rhs and verdict.  With
+    --method both, the oracle must agree exactly."""
     rows = []
     ledger = []
     for spec, stats in _instances(args, plan):
@@ -280,7 +280,7 @@ def _count_table(args, plan, header, count, oracle, checks_of):
         for bound in checks_of(spec, stats):
             cell = (bound.r,) if bound.m is None else (bound.m, bound.n)
             value = count(stats, *cell)
-            if args.method != "profile":
+            if args.method == "both":
                 other = oracle(spec, *cell, budget=args.subset_budget)
                 checks.append((cell, other == value))
             rows.append([spec.key, *cell, value, bound.main, bound.rhs, bound.passed])
@@ -295,6 +295,7 @@ def cmd_chi(args):
     from . import counting as ct
     from .sweep import FamilyStats
 
+    r_values = bd.chi_r_values(args.d, args.s, r_values)  # refused before the sweep
     return _count_table(
         args, plan, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
         lambda spec, stats: bd.chi_checks(spec, stats, r_values),
@@ -634,16 +635,12 @@ def build_parser():
 
     p = _add_command(subs, "chi", cmd_chi, "interpolating-subset counts")
     p.add_argument("--r", default=None, help="r values; default full high range")
-    p.add_argument("--method", choices=["profile", "subsets", "both"],
-                   default="profile",
-                   help="subsets and both write the same bytes: the swept "
-                   "counts, each checked against the subsets oracle")
+    p.add_argument("--method", choices=["profile", "both"], default="profile",
+                   help="both checks each swept count against the subsets oracle")
 
     p = _add_command(subs, "smn", cmd_smn, "two-subset interpolation counts")
-    p.add_argument("--method", choices=["profile", "brute", "both"],
-                   default="profile",
-                   help="brute and both write the same bytes: the swept "
-                   "counts, each checked against the brute-force oracle")
+    p.add_argument("--method", choices=["profile", "both"], default="profile",
+                   help="both checks each swept count against the brute-force oracle")
 
     p = _add_command(subs, "gamma", cmd_gamma, "incidence-variety point counts")
     p.add_argument("--r", default=None)

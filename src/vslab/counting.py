@@ -262,8 +262,6 @@ def _row_reduce(gf, rows):
 
 
 def matrix_rank(gf, rows) -> int:
-    if not rows:
-        return 0
     return _row_reduce(gf, rows)[0]
 
 

@@ -9,8 +9,9 @@ elements travel as bare ints, like the polynomial layers above expect.
 Each field kind has one arithmetic route: a prime field reduces plain
 ints mod p, and an extension field, refused past q = TABLE_LIMIT,
 multiplies, inverts and raises to powers off exp/log tables with respect
-to a fixed generator.  Tables are immutable after construction, so a GF
-instance is safe to share across worker processes.
+to a fixed generator: the first element, in index order, of order q - 1.
+Tables are immutable after construction, so a GF instance is safe to
+share across worker processes.
 
 The q x q numpy tables of the enumeration engine (add_table, mul_table)
 are built on first use, and numpy is imported there: the scalar
@@ -44,52 +45,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n, p, k):
+    """The k base-p digits of n, low-to-high."""
+    out = []
+    for _ in range(k):
+        n, c = divmod(n, p)
+        out.append(c)
+    return out
+
+
+def _reduce(f, modulus, p):
+    """f mod the monic modulus over F_p, both low-to-high, as a residue
+    vector of len(modulus) - 1 entries; f's entries lie in [0, p)."""
+    k = len(modulus) - 1
+    r = list(f)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k):
+                r[i - k + j] = (r[i - k + j] - c * modulus[j]) % p
+    return r[:k] + [0] * (k - len(r))
+
+
 def _poly_mod_mul(a, b, modulus, p):
     """Multiply two residue vectors mod the monic modulus, over F_p."""
-    k = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    return prod[:k] + [0] * (k - len(prod))
-
-
-def _poly_divides(div, f, p):
-    """True if monic div divides f over F_p (both low-to-high lists)."""
-    r = list(f)
-    dn = len(div) - 1
-    while len(r) - 1 >= dn:
-        c = r[-1]
-        if c:
-            off = len(r) - 1 - dn
-            for j in range(dn + 1):
-                r[off + j] = (r[off + j] - c * div[j]) % p
-        r.pop()
-    return all(c == 0 for c in r)
+    return _reduce(prod, modulus, p)
 
 
 def _is_irreducible(coeffs, p):
     """Trial division by every monic polynomial of degree <= k//2."""
     k = len(coeffs) - 1
-    if k == 1:
-        return True
-    for deg in range(1, k // 2 + 1):
-        for idx in range(p**deg):
-            div, n = [], idx
-            for _ in range(deg):
-                n, c = divmod(n, p)
-                div.append(c)
-            div.append(1)
-            if _poly_divides(div, coeffs, p):
-                return False
-    return True
+    return all(
+        any(_reduce(coeffs, _digits(idx, p, deg) + [1], p))
+        for deg in range(1, k // 2 + 1)
+        for idx in range(p**deg)
+    )
 
 
 class GF:
@@ -131,11 +126,7 @@ class GF:
     def _search_modulus(p, k):
         # Deterministic: lowest canonical index of the non-leading part wins.
         for idx in range(p**k):
-            coeffs, n = [], idx
-            for _ in range(k):
-                n, c = divmod(n, p)
-                coeffs.append(c)
-            coeffs.append(1)
+            coeffs = _digits(idx, p, k) + [1]
             if _is_irreducible(coeffs, p):
                 return coeffs
         raise InvalidParameter(f"no irreducible monic of degree {k} over F_{p}")
@@ -144,11 +135,7 @@ class GF:
 
     def coeffs(self, x: int):
         """Base-p digit vector of the element with index x."""
-        out = []
-        for _ in range(self.k):
-            x, c = divmod(x, self.p)
-            out.append(c)
-        return tuple(out)
+        return tuple(_digits(x, self.p, self.k))
 
     def element(self, coeffs) -> int:
         idx = 0
@@ -167,38 +154,25 @@ class GF:
     # -- tables ----------------------------------------------------------
 
     def _build_log_tables(self):
+        # the generator is the first candidate whose walk of powers from 1
+        # has q - 1 steps; that walk is the exp table
         p, k, q = self.p, self.k, self.q
-        order_factors = _prime_factors(q - 1)
-        gen = None
+        one = _digits(1, p, k)
         for cand in range(1, q):
-            vec = list(self.coeffs(cand))
-            if all(
-                self._vec_pow(vec, (q - 1) // f) != 1 for f in order_factors
-            ):
-                gen = vec
+            gen = _digits(cand, p, k)
+            exp, acc = [1], gen
+            while acc != one:
+                exp.append(self.element(acc))
+                acc = _poly_mod_mul(acc, gen, self.modulus, p)
+            if len(exp) == q - 1:
                 break
-        if gen is None:
+        else:
             raise BrokenInvariant("F_q* is cyclic, yet no generator was found")
-        exp = [0] * (q - 1)
         log = [0] * q
-        acc = [1] + [0] * (k - 1)
-        for i in range(q - 1):
-            idx = self.element(acc)
-            exp[i] = idx
-            log[idx] = i
-            acc = _poly_mod_mul(acc, gen, self.modulus, p)
+        for i, x in enumerate(exp):
+            log[x] = i
         self._exp = exp
         self._log = log
-
-    def _vec_pow(self, vec, n):
-        acc = [1] + [0] * (self.k - 1)
-        base = list(vec)
-        while n:
-            if n & 1:
-                acc = _poly_mod_mul(acc, base, self.modulus, self.p)
-            base = _poly_mod_mul(base, base, self.modulus, self.p)
-            n >>= 1
-        return self.element(acc)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -301,14 +275,14 @@ class GF:
 
             if self.q > TABLE_LIMIT:
                 raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
-            q, p = self.q, self.p
-            if self.k == 1:
+            q, p, k = self.q, self.p, self.k
+            if k == 1:
                 i = np.arange(q, dtype=np.int64)
                 self._np_add = ((i[:, None] + i[None, :]) % p).astype(np.int32)
             else:
-                digits = self._digit_matrix()
+                digits = np.array([_digits(x, p, k) for x in range(q)], dtype=np.int64)
                 out = np.empty((q, q), dtype=np.int32)
-                weights = p ** np.arange(self.k, dtype=np.int64)
+                weights = p ** np.arange(k, dtype=np.int64)
                 for row in range(q):
                     s = (digits[row][None, :] + digits) % p
                     out[row] = (s @ weights).astype(np.int32)
@@ -337,16 +311,6 @@ class GF:
                 self._np_mul = out
         return self._np_mul
 
-    def _digit_matrix(self):
-        import numpy as np
-
-        idx = np.arange(self.q, dtype=np.int64)
-        digits = np.empty((self.q, self.k), dtype=np.int64)
-        for j in range(self.k):
-            idx, rem = np.divmod(idx, self.p)
-            digits[:, j] = rem
-        return digits
-
     # -- identity ---------------------------------------------------------
 
     def __repr__(self):
@@ -357,18 +321,6 @@ class GF:
 
     def __hash__(self):
         return hash(self.descriptor)
-
-
-def _prime_factors(n: int):
-    out, f = set(), 2
-    while f * f <= n:
-        while n % f == 0:
-            out.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

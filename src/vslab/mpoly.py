@@ -165,11 +165,6 @@ class MultiPoly:
             total = gf.add(total, term)
         return total
 
-    def weight(self, wts):
-        if self.is_zero():
-            return 0
-        return max(sum(w * e for w, e in zip(wts, expo)) for expo in self.terms)
-
     def text(self):
         """Canonical rendering, graded-lex descending term order."""
         if self.is_zero():

@@ -154,12 +154,13 @@ def exact_tuple_counts(caps, n_simple: int, d: int):
     """W_r for r = 1..d: ordered r-tuples from a multiset of roots.
 
     caps lists the multiplicities of the non-simple roots; n_simple
-    roots have multiplicity 1.  W_r = sum over multiplicity choices of
-    the multinomial r!/prod(m_i!), the ordered-tuple count.
+    roots have multiplicity 1, a cap of 1 each.  W_r = sum over
+    multiplicity choices of the multinomial r!/prod(m_i!), the
+    ordered-tuple count.
     """
     w = [0] * (d + 1)
     w[0] = 1
-    for cap in caps:
+    for cap in list(caps) + [1] * n_simple:
         nw = [0] * (d + 1)
         for j in range(d + 1):
             acc = 0
@@ -168,14 +169,7 @@ def exact_tuple_counts(caps, n_simple: int, d: int):
                     acc += comb(j, m) * w[j - m]
             nw[j] = acc
         w = nw
-    out = [0] * (d + 1)
-    for j in range(d + 1):
-        acc = 0
-        for m in range(0, j + 1):
-            if w[j - m]:
-                acc += comb(j, m) * perm(n_simple, m) * w[j - m]
-        out[j] = acc
-    return out[1:]
+    return w[1:]
 
 
 @lru_cache(maxsize=None)

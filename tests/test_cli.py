@@ -602,14 +602,19 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["mean", "--field", "5^1", "--d", "4", "--s", "1",
                 "--a", "1,2"]) == 2  # wrong a length
     # missing required flags, a --seed outside Philox's keys [0, 2^128),
-    # which every sweeping subcommand refuses through one argparse type, and
-    # any --seed to appendix, which draws nothing at random
+    # which every sweeping subcommand refuses through one argparse type, any
+    # --seed to appendix, which draws nothing at random, and a --method
+    # other than profile or both
     for argv in (
         ["mean", "--field", "5^1"],
         ["verify-bounds", "--fields", "7^1", "--d", "5", "--seed", "-3"],
         ["mean", "--field", "7^1", "--d", "5", "--s", "1", "--a", "random:2",
          "--seed", str(2**128)],
         ["appendix", "--cases", "7,4", "--seed", "0"],
+        ["chi", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
+         "--method", "subsets"],
+        ["smn", "--field", "7^1", "--d", "4", "--s", "1", "--a", "1",
+         "--method", "brute"],
     ):
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -789,6 +794,17 @@ def test_members_of_one_orbit_add_no_chunks(tmp_path, monkeypatch):
             "--out", str(tmp_path / "mean.json")]
     alone = _kernel_runs(monkeypatch, base + ["--a", "3"])
     assert _kernel_runs(monkeypatch, base + ["--a", "all"]) == alone == 2
+
+
+def test_a_bad_chi_r_is_refused_before_the_sweep(capsys, monkeypatch):
+    # r = 9 lies outside d-s+1..d = 6..7, where the chi_r bounds are stated
+    calls = _count_calls(monkeypatch, sweep, "_chunk_kernel")
+    assert run(["chi", "--field", "31^1", "--d", "7", "--s", "2", "--a", "1,2",
+                "--r", "9", "--workers", "1"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "config error: the chi_r bounds hold for 6 <= r <= 7, not r = [9]\n"
+    )
 
 
 def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):

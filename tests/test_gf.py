@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vslab.errors import InvalidParameter
-from vslab.gf import GF, is_prime, make_field, parse_descriptor
+from vslab.gf import GF, TABLE_LIMIT, is_prime, make_field, parse_descriptor
 
 FIELDS = [(7, 1, None), (3, 2, [1, 0, 1]), (5, 1, None), (3, 3, None), (5, 2, None)]
 
@@ -42,6 +42,76 @@ def test_modulus_search_is_deterministic():
     # lowest canonical index first: T^2+1 has low-part index 1, and
     # T^2, T^2+... with index 0 is reducible, so index 1 wins.
     assert a.modulus == (1, 0, 1)
+
+
+# (modulus, exp[1]) of every extension field with q <= TABLE_LIMIT: the
+# modulus is the irreducible monic of lowest index, and exp[1] the generator,
+# the first element of order q - 1; a change to either rule relabels the
+# field's elements, and with them every --a vector and every output
+FIELD_TABLES = {
+    (3, 2): ((1, 0, 1), 4),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (5, 2): ((2, 0, 1), 6),
+    (5, 3): ((1, 1, 0, 1), 9),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10),
+    (7, 2): ((1, 0, 1), 9),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (7, 4): ((1, 1, 0, 0, 1), 12),
+    (11, 2): ((1, 0, 1), 15),
+    (11, 3): ((4, 1, 0, 1), 11),
+    (13, 2): ((2, 0, 1), 15),
+    (13, 3): ((2, 0, 0, 1), 15),
+    (17, 2): ((3, 0, 1), 19),
+    (19, 2): ((1, 0, 1), 22),
+    (23, 2): ((1, 0, 1), 25),
+    (29, 2): ((2, 0, 1), 30),
+    (31, 2): ((1, 0, 1), 35),
+    (37, 2): ((2, 0, 1), 41),
+    (41, 2): ((3, 0, 1), 43),
+    (43, 2): ((1, 0, 1), 45),
+    (47, 2): ((1, 0, 1), 49),
+    (53, 2): ((2, 0, 1), 54),
+    (59, 2): ((1, 0, 1), 62),
+    (61, 2): ((2, 0, 1), 63),
+}
+
+
+def test_field_tables_are_pinned():
+    every = {
+        (p, k)
+        for p in range(3, 64) if is_prime(p)
+        for k in range(2, 13) if p**k <= TABLE_LIMIT
+    }
+    assert set(FIELD_TABLES) == every
+    for (p, k), (modulus, gen) in FIELD_TABLES.items():
+        gf = make_field(p, k)
+        assert (gf.modulus, gf._exp[1]) == (modulus, gen)
+        assert sorted(gf._exp) == list(range(1, gf.q))
+        assert all(gf._log[x] == i for i, x in enumerate(gf._exp))
+
+
+def test_custom_moduli_match_sympy():
+    # every monic of degree k over F_p, q = p^k <= 343, against sympy's
+    # irreducibility test; degree 1 only for p <= 7, where all are accepted
+    from sympy import Poly, symbols
+
+    t = symbols("t")
+    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                 (5, 2), (5, 3), (7, 2), (7, 3)]:
+        for idx in range(p**k):
+            modulus = [idx // p**i % p for i in range(k)] + [1]
+            want = Poly(modulus[::-1], t, modulus=p).is_irreducible
+            try:
+                got = make_field(p, k, modulus).modulus == tuple(modulus)
+            except InvalidParameter as exc:
+                assert f"is reducible over F_{p}" in str(exc)
+                got = False
+            assert got == want, (p, k, modulus)
 
 
 def test_prime_field_ops():
