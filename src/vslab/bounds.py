@@ -248,16 +248,24 @@ def chi_checks(spec, stats, r_values=None) -> list:
     return [_check("chi", spec, stats.chi(r), r=r) for r in r_values]
 
 
-def smn_checks(spec, stats) -> list:
-    """The S_mn estimates |S_mn - q^(d-s+1)/(m! n!)| <= rhs for every cell
-    with d-s+1 <= m+n <= 2d; the kind is smn_s0 when s = 0."""
-    d, s = spec.d, spec.s
-    kind = "smn" if s >= 1 else "smn_s0"
+def smn_cells(d, s) -> list:
+    """The (m, n) cells with d-s+1 <= m+n <= 2d, where the S_mn bounds are
+    stated, in the order of smn_checks."""
     return [
-        _check(kind, spec, stats.s_mn(m, n), m=m, n=n)
+        (m, n)
         for m in range(1, d + 1)
         for n in range(1, d + 1)
         if d - s + 1 <= m + n <= 2 * d
+    ]
+
+
+def smn_checks(spec, stats) -> list:
+    """The S_mn estimates |S_mn - q^(d-s+1)/(m! n!)| <= rhs for every cell
+    of smn_cells; the kind is smn_s0 when s = 0."""
+    kind = "smn" if spec.s >= 1 else "smn_s0"
+    return [
+        _check(kind, spec, stats.s_mn(m, n), m=m, n=n)
+        for m, n in smn_cells(spec.d, spec.s)
     ]
 
 

@@ -269,10 +269,16 @@ def cmd_second_moment(args):
     return _conclude(args, ledger, reports, failures="instances")
 
 
-def _count_table(args, plan, header, count, oracle, checks_of):
+def _count_table(args, plan, header, count, oracle, judge, cells, checks_of):
     """One CSV row per bound check of each planned instance: cell, swept
     count (count(stats, *cell)), main term, rhs and verdict.  With
-    --method both, the oracle must agree exactly."""
+    --method both, the oracle must agree exactly; judge(spec, *cell, budget)
+    refuses a cell over --subset-budget before the sweep.  checks_of gives
+    the checks of the cells, in order."""
+    if args.method == "both":
+        spec = plan[0][0]  # the oracles' budgets depend on q, d and s only
+        for cell in cells:
+            judge(spec, *cell, budget=args.subset_budget)
     rows = []
     ledger = []
     for spec, stats in _instances(args, plan):
@@ -298,6 +304,7 @@ def cmd_chi(args):
     r_values = bd.chi_r_values(args.d, args.s, r_values)  # refused before the sweep
     return _count_table(
         args, plan, rp.CHI_CSV_HEADER, FamilyStats.chi, ct.chi_r,
+        ct.check_chi_r_budget, [(r,) for r in r_values],
         lambda spec, stats: bd.chi_checks(spec, stats, r_values),
     )
 
@@ -309,7 +316,8 @@ def cmd_smn(args):
     from .sweep import FamilyStats
 
     return _count_table(
-        args, plan, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn, bd.smn_checks
+        args, plan, rp.SMN_CSV_HEADER, FamilyStats.s_mn, ct.s_mn,
+        ct.check_s_mn_budget, bd.smn_cells(args.d, args.s), bd.smn_checks,
     )
 
 

@@ -73,16 +73,21 @@ def interpolating_b0(spec: FamilySpec, subset):
 def chi_r(spec: FamilySpec, r: int, budget: int = SUBSET_BUDGET) -> int:
     """Number of r-subsets of F_q annihilated by some family member, by a
     walk over the r-subsets (`_subset_walk`)."""
-    d, s, q = spec.d, spec.s, spec.q
+    d, s = spec.d, spec.s
     if r > d:
         return 0
     if r < d - s + 1:
         raise InvalidParameter(
             f"chi_r needs the uniqueness regime r >= d-s+1 = {d - s + 1}"
         )
-    if comb(q, r) > budget:
-        raise BudgetExceeded(f"C({q},{r}) exceeds the subset budget {budget}")
+    check_chi_r_budget(spec, r, budget)
     return _subset_walk(spec, r)
+
+
+def check_chi_r_budget(spec: FamilySpec, r: int, budget: int):
+    """Refuse a chi_r walk over more than budget r-subsets."""
+    if comb(spec.q, r) > budget:
+        raise BudgetExceeded(f"C({spec.q},{r}) exceeds the subset budget {budget}")
 
 
 def _subset_walk(spec: FamilySpec, r: int) -> int:
@@ -122,12 +127,7 @@ def s_mn(spec: FamilySpec, m: int, n: int, budget: int = SUBSET_BUDGET) -> int:
     d, q, gf = spec.d, spec.q, spec.field
     if m > d or n > d or m < 1 or n < 1:
         return 0
-    pairs = comb(q, m) * comb(q, n)
-    if pairs * spec.n_b * (m + n) > budget:
-        raise BudgetExceeded(
-            f"brute S_mn enumeration over {pairs} subset pairs x "
-            f"{spec.n_b} members exceeds the budget {budget}"
-        )
+    check_s_mn_budget(spec, m, n, budget)
     m_sets = list(itertools.combinations(range(q), m))
     n_sets = m_sets if n == m else list(itertools.combinations(range(q), n))
     total = 0
@@ -141,6 +141,16 @@ def s_mn(spec: FamilySpec, m: int, n: int, budget: int = SUBSET_BUDGET) -> int:
                 if c1 != c2:
                     total += 1
     return total
+
+
+def check_s_mn_budget(spec: FamilySpec, m: int, n: int, budget: int):
+    """Refuse an S_mn enumeration of more than budget steps."""
+    pairs = comb(spec.q, m) * comb(spec.q, n)
+    if pairs * spec.n_b * (m + n) > budget:
+        raise BudgetExceeded(
+            f"brute S_mn enumeration over {pairs} subset pairs x "
+            f"{spec.n_b} members exceeds the budget {budget}"
+        )
 
 
 def _constant_values(vals, subsets):

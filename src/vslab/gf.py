@@ -276,9 +276,10 @@ class GF:
             if self.q > TABLE_LIMIT:
                 raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q, p, k = self.q, self.p, self.k
-            if k == 1:
-                i = np.arange(q, dtype=np.int64)
-                self._np_add = ((i[:, None] + i[None, :]) % p).astype(np.int32)
+            if k == 1:  # in place, in int32: no q*q int64 temporaries
+                i = np.arange(q, dtype=np.int32)
+                table = i[:, None] + i
+                self._np_add = np.remainder(table, p, out=table)
             else:
                 digits = np.array([_digits(x, p, k) for x in range(q)], dtype=np.int64)
                 out = np.empty((q, q), dtype=np.int32)
@@ -298,9 +299,10 @@ class GF:
             if self.q > TABLE_LIMIT:
                 raise InvalidParameter(f"q={self.q} exceeds table limit {TABLE_LIMIT}")
             q = self.q
-            if self.k == 1:
-                i = np.arange(q, dtype=np.int64)
-                self._np_mul = ((i[:, None] * i[None, :]) % self.p).astype(np.int32)
+            if self.k == 1:  # int32 is exact: (q-1)^2 < 2^31 for q <= TABLE_LIMIT
+                i = np.arange(q, dtype=np.int32)
+                table = i[:, None] * i
+                self._np_mul = np.remainder(table, self.p, out=table)
             else:
                 exp = np.array(self._exp, dtype=np.int64)
                 log = np.array(self._log, dtype=np.int64)

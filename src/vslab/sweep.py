@@ -13,10 +13,17 @@ The per-chunk kernel is vectorized with numpy over the field tables;
 chunks reduce by integer addition, so results are independent of the
 chunk partition and of the worker count.  A chunk is a tuple of
 ascending index ranges; a default chunk holds about CHUNK_CELLS = 2^18
-(b, t) cells, between 1024 and MAX_CHUNK b-vectors, so its value and
-count arrays stay near the size of a core's L2 cache.  A family is
-swept through its cover (collect_many's cover): weighted index blocks of
-swept families.  The blocks of one swept family and one weight are packed
+(b, t) cells, between 1024 and MAX_CHUNK b-vectors.  The kernel keeps at
+most two cell-sized arrays live at once, 16 bytes per cell.  One intp
+buffer holds first the gather indices, beside the int32 values; then the
+(b, c) cells, beside the int64 fiber counts they give; then the (b, N)
+codes.  The class counting's bincount of the critical cells, 8 bytes per
+cell, runs after both are freed.  The per-b histograms (d + 1 counts per
+b-vector) and the prefix grid add the rest: under tracemalloc a default
+chunk peaks at 18.8 bytes per cell on 5^2 d5 s1 and 24.7 on 11^1 d8 s2,
+and a 1024-vector chunk at q = 4093 at 16.0.  A family is swept through
+its cover (collect_many's cover): weighted index blocks of swept
+families.  The blocks of one swept family and one weight are packed
 into full chunks, and the parent multiplies each chunk's counts by its
 weight (_assemble), so weights never reach the kernel or its float64
 bound.
@@ -293,7 +300,10 @@ def _chunk_kernel(task):
 
     # values of f_b = g + b_1 t on the chunk's own rows: in each range, a
     # partial first or last prefix block takes a slice of the b_1 t table,
-    # and the whole blocks between them one broadcast gather
+    # and the whole blocks between them one broadcast gather.  The one
+    # cell-sized buffer holds the gather indices, as intp so that np.take
+    # copies none of them; then the (b, c) cells; then the (b, N) codes.
+    buf = np.empty((n_chunk, q), dtype=np.intp)
     val = np.empty((n_chunk, q), dtype=add_t.dtype)
     out = row = 0
     for lo, hi in ranges:
@@ -303,35 +313,38 @@ def _chunk_kernel(task):
             whole = (hi - idx) // q if b1 == 0 else 0
             if whole:
                 step = whole * q
-                index = g0[row:row + whole, None] * q + mul_t
-                dest = val[out:out + step].reshape(whole, q, q)
+                np.add(g0[row:row + whole, None] * q, mul_t,
+                       out=buf[out:out + step].reshape(whole, q, q))
             else:
                 step = min(q - b1, hi - idx)
-                index = g0[row] * q + mul_t[b1:b1 + step]
-                dest = val[out:out + step]
+                np.add(g0[row] * q, mul_t[b1:b1 + step], out=buf[out:out + step])
             # the indices are in range; mode="raise" would copy through a buffer
-            np.take(add_f, index, out=dest, mode="clip")
+            np.take(add_f, buf[out:out + step], out=val[out:out + step], mode="clip")
             row += whole or 1  # a partial block is one prefix row
             idx, out = idx + step, out + step
 
     # per-b histogram of values, then per-b histogram of root counts N
-    rows = np.arange(n_chunk, dtype=np.int64)[:, None]
-    nmat = np.bincount((rows * q + val).ravel(), minlength=n_chunk * q)
+    rows = np.arange(n_chunk, dtype=np.intp)[:, None]
+    np.add(rows * q, val, out=buf)
     del val
+    nmat = np.bincount(buf.ravel(), minlength=n_chunk * q)
     if nmat.max() > d:
         raise BrokenInvariant("a fiber exceeded d roots")
-    flat_h = (rows * (d + 1) + nmat.reshape(n_chunk, q)).ravel()
-    h_per_b = np.bincount(flat_h, minlength=n_chunk * (d + 1)).reshape(n_chunk, d + 1)
-    del flat_h
+    np.add(rows * (d + 1), nmat.reshape(n_chunk, q), out=buf)
+    h_per_b = np.bincount(buf.ravel(), minlength=n_chunk * (d + 1))
+    h_per_b = h_per_b.reshape(n_chunk, d + 1)
+    del buf
 
-    # the Gram matrix G = H^T H of H = h_per_b, exact in float64 (see the
-    # module docstring); _assemble reads the per-b sums off it
+    # the Gram matrix G = H^T H of the per-b histograms H, exact in float64
+    # (see the module docstring); _assemble reads the per-b sums off it
     if n_chunk * q * q > FLOAT64_EXACT:
         raise BrokenInvariant(
             f"a chunk of {n_chunk} at q = {q} leaves float64's exact integers"
         )
     h_float = h_per_b.astype(np.float64)
+    del h_per_b
     gram = (h_float.T @ h_float).astype(np.int64)
+    del h_float
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
@@ -346,6 +359,8 @@ def _chunk_kernel(task):
         # f_b(t) = g(t) + b_1 t; the class (b, f_b(t)) is one flat cell
         fval = np.take(add_f, np.take(g0, crit) * q + np.take(mul_f, b1 * q + t))
         cells = (base[r] + b1) * q + fval
+        nvals = np.take(nmat, cells)
+        del nmat  # the class counting allocates its own cell-sized array
         # the multiplicity of t in f_b - f_b(t) is the smallest j with a
         # nonzero j-th Hasse derivative; j = 1 vanished by construction.
         # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices:
@@ -358,7 +373,7 @@ def _chunk_kernel(task):
                 gf, d, s, a, np.arange(3, d + 1), pidx[r[pending]], t[pending]
             )
             mults[pending] = 3 + np.argmax(higher != 0, axis=0)
-        shapes = _class_shapes(cells, np.take(nmat, cells), mults, d)
+        shapes = _class_shapes(cells, nvals, mults, d)
 
     return gram, shapes
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from vslab.bounds import (
+    LOG_SPACE_THRESHOLD,
     applicability,
     bound_suite,
     bound_value,
@@ -76,6 +77,26 @@ def test_bound_value_log_space_path():
     assert bound_value("v2", 11, 25) > 0  # d^56 overflows doubles if naive
     assert bound_value("v2_s0", 11, 30) > 0
     assert hi > 0
+
+
+def test_log_space_branch_matches_the_direct_formula():
+    # past LOG_SPACE_THRESHOLD the tails are assembled in log space; up to
+    # d = 40 the direct formulas still fit in a double, and the two must
+    # agree within the documented relative slack
+    q = 11
+    for d in range(LOG_SPACE_THRESHOLD + 1, 41):
+        root = math.sqrt(d)
+        direct = {
+            "mean_main": d * d * 2.0 ** (d - 1) * math.sqrt(q)
+            + 49.0 * d ** (d + 5) * math.exp(2 * root - d),
+            "v2": d * d * 2.0 ** (2 * d + 1) * q * math.sqrt(q)
+            + 14.0**3 * d ** (2 * d + 6) * math.exp(4 * root - 2 * d) * q,
+            "v2_s0": (d * d * 2.0 ** (2 * d - 2)
+                      + 14.0**3 * d ** (2 * d + 8) * math.exp(4 * root - 2 * d)) * q,
+        }
+        for kind, expect in direct.items():
+            got = bound_value(kind, q, d)
+            assert math.isclose(got, expect, rel_tol=1e-9), (kind, d)
 
 
 def test_missing_parameter_errors():

@@ -807,6 +807,22 @@ def test_a_bad_chi_r_is_refused_before_the_sweep(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command, message", [
+    ("chi", "C(31,6) exceeds the subset budget 10"),
+    ("smn", "brute S_mn enumeration over 5267241 subset pairs x 923521 members "
+            "exceeds the budget 10"),
+], ids=["chi", "smn"])
+def test_an_unmeetable_subset_budget_is_refused_before_the_sweep(
+    command, message, capsys, monkeypatch
+):
+    # the oracles' budgets depend on q, d, s and the cells, not on the sweep
+    calls = _count_calls(monkeypatch, sweep, "_chunk_kernel")
+    assert run([command, "--field", "31^1", "--d", "7", "--s", "2", "--a", "1,2",
+                "--method", "both", "--subset-budget", "10", "--workers", "1"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"infeasible budget: {message}\n"
+
+
 def test_orbits_do_not_thin_out_the_oracle(tmp_path, monkeypatch):
     oracle = _count_calls(monkeypatch, counting, "chi_r")
     assert run(["chi", "--field", "7^1", "--d", "5", "--s", "2", "--a", "all",

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,6 +213,27 @@ def test_numpy_tables_match_scalar_ops():
             for y in gf.elements():
                 assert add[x, y] == gf.add(x, y)
                 assert mul[x, y] == gf.mul(x, y)
+
+
+def test_prime_tables_are_int32_and_exact():
+    # int32 arithmetic is exact for q <= TABLE_LIMIT, since (q-1)^2 < 2^31;
+    # the tables are built in place, so a build holds no more than them
+    assert (TABLE_LIMIT - 1) ** 2 < 2**31
+    for q in (3, 5, 7, 11, 4093):
+        gf = GF(q, 1)  # not the interned field: its tables are built here
+        tracemalloc.start()
+        try:
+            add, mul = gf.add_table(), gf.mul_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert add.dtype == mul.dtype == np.int32
+        assert peak <= 2 * q * q * 4 + 2**16
+        i = np.arange(q, dtype=np.int64)
+        for lo in range(0, q, 256):  # the int64 formula, a block of rows at a time
+            rows = i[lo:lo + 256, None]
+            assert np.array_equal(add[lo:lo + 256], (rows + i) % q)
+            assert np.array_equal(mul[lo:lo + 256], (rows * i) % q)
 
 
 def test_descriptor_round_trip():

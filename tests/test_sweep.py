@@ -438,21 +438,40 @@ def test_hasse_evaluators_match_scalar_oracle(gf, d, s, a):
     assert points.reshape(d + 1, len(prefixes), q).tolist() == want
 
 
-def test_chunk_inside_one_prefix_block_memory():
-    # a chunk of 1024 b-vectors inside the one prefix block of q = 4093
-    # vectors builds its value table on its own rows: its peak stays near
-    # a few arrays of 1024 * q entries
-    gf = make_field(4093)
-    spec = FamilySpec(gf, 4, 2, (5, 11))
-    task = (gf.descriptor, spec.d, spec.s, spec.a, ((1000, 2024),))
-    sweep._chunk_kernel(task)  # builds the field's tables and the caches
+def _kernel_peak(task):
+    """The tracemalloc peak of one kernel call, its tables and caches built."""
+    sweep._chunk_kernel(task)
     tracemalloc.start()
     try:
         sweep._chunk_kernel(task)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 1024 * gf.q * 8
+
+
+def test_chunk_inside_one_prefix_block_memory():
+    # a chunk of 1024 b-vectors inside the one prefix block of q = 4093
+    # vectors builds its value table on its own rows; at most two arrays of
+    # 1024 * q entries, 8 bytes each, are live at once (the cell buffer and
+    # the fiber counts), so the peak stays under 17 bytes per cell
+    gf = make_field(4093)
+    spec = FamilySpec(gf, 4, 2, (5, 11))
+    task = (gf.descriptor, spec.d, spec.s, spec.a, ((1000, 2024),))
+    assert _kernel_peak(task) <= 17 * 1024 * gf.q
+
+
+@pytest.mark.parametrize("p, k, d, s, a, mib", [
+    (5, 2, 5, 1, (0,), 5.15),
+    (11, 1, 8, 2, (0, 4), 7.82),
+], ids=["5^2-d5-s1", "11^1-d8-s2"])
+def test_default_chunk_memory(p, k, d, s, a, mib):
+    # the first default chunk of 2^18 (b, t) cells peaks at least 25% below
+    # the 6.87 and 10.43 MiB it took while the int32 values, the fiber
+    # counts and an intp copy of each gather index all stayed live
+    spec = FamilySpec(make_field(p, k), d, s, a)
+    size = min(sweep.MAX_CHUNK, max(1024, sweep.CHUNK_CELLS // spec.q))
+    task = (spec.field.descriptor, d, s, a, ((0, size),))
+    assert _kernel_peak(task) <= mib * 2**20
 
 
 def profile_stats(spec):
