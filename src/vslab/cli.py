@@ -11,6 +11,10 @@ FAIL line.  A verdict of None means the check could not run: it never fails.
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
 sweep is replayable and identical configs give byte-identical outputs.
+The generator is _Philox, a pure-Python Philox4x64-10 that draws what
+numpy's does: --a random:N at (q, d, s) is
+Generator(Philox(key=seed, counter=(0, q, d, s))).integers(0, q, size=(N, s)),
+so numpy replays it, and no command loads numpy.random.
 The worker count is --workers (or its --config key), 1 when not given.
 
 Importing the module loads only what parsing and writing need: argparse,
@@ -39,13 +43,79 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _philox(seed: int, *counters: int):
-    import numpy as np
+_M64 = (1 << 64) - 1
+# Philox4x64-10 (Salmon et al., SC 2011): the round multipliers and the
+# Weyl increments added to the key after each round
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
-    counter = np.zeros(4, dtype=np.uint64)
-    for i, c in enumerate(counters[:3]):
-        counter[i + 1] = c % (1 << 64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+class _Philox:
+    """numpy's Generator(Philox(key=seed, counter=(0, q, d, s))) in plain
+    Python: the same 64- and 32-bit words, bounded integers and
+    permutations, so no command loads numpy.random.  q is taken mod 2^64.
+    """
+
+    def __init__(self, seed: int, q: int, d: int, s: int):
+        self.key = (seed & _M64, seed >> 64)
+        self.counter = [0, q & _M64, d & _M64, s & _M64]
+        self.words = []  # the unread words of the last block, last word first
+        self.half = None  # the upper half of a word next32 has split
+
+    def next64(self) -> int:
+        if not self.words:
+            ctr = self.counter
+            for i in range(4):  # the 256-bit counter, word 0 lowest
+                ctr[i] = (ctr[i] + 1) & _M64
+                if ctr[i]:
+                    break
+            x0, x1, x2, x3 = ctr
+            k0, k1 = self.key
+            for _ in range(10):
+                p0, p1 = _PHILOX_M0 * x0, _PHILOX_M1 * x2
+                x0, x1, x2, x3 = (
+                    (p1 >> 64) ^ x1 ^ k0, p1 & _M64, (p0 >> 64) ^ x3 ^ k1, p0 & _M64
+                )
+                k0, k1 = (k0 + _PHILOX_W0) & _M64, (k1 + _PHILOX_W1) & _M64
+            self.words = [x3, x2, x1, x0]
+        return self.words.pop()
+
+    def next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, lo: int, hi: int) -> int:
+        """numpy's integers(lo, hi): Lemire's bounded multiply-and-reject
+        on 32-bit words when hi - lo fits one, else on 64-bit words; an
+        array draw is these draws in row-major order."""
+        span = hi - lo
+        if span == 1:
+            return lo  # numpy draws nothing here
+        bits, draw = (32, self.next32) if span <= 1 << 32 else (64, self.next64)
+        low = (1 << bits) - 1
+        m = draw() * span
+        if m & low < span:
+            threshold = (1 << bits) % span
+            while m & low < threshold:
+                m = draw() * span
+        return lo + (m >> bits)
+
+    def permutation(self, n: int) -> list:
+        """numpy's permutation(n) for n <= 2^32: a Fisher-Yates shuffle of
+        range(n), from the top, each j drawn by masking 32-bit words until
+        j <= i."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.next32() & mask
+            while j > i:
+                j = self.next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
 
 
 def parse_int_list(text: str):
@@ -119,9 +189,8 @@ def select_a_vectors(field, d, s, policy, seed):
             raise InvalidParameter(f"--a random:N needs N >= 1, got {count}")
         if s == 0:
             return [()]
-        rng = _philox(seed, q, d, s)
-        draws = rng.integers(0, q, size=(count, s))
-        return [tuple(int(x) for x in row) for row in draws]
+        rng = _Philox(seed, q, d, s)
+        return [tuple(rng.integers(0, q) for _ in range(s)) for _ in range(count)]
     if len(vec) != s:
         raise InvalidParameter(f"--a needs {s} entries, got {len(vec)}")
     return [vec]
@@ -499,7 +568,7 @@ def cmd_audit_linear(args):
 
     d, s = args.d, args.s
     q = field.q
-    rng = _philox(args.seed, q, d, s)
+    rng = _Philox(args.seed, q, d, s)
     specs = [FamilySpec(field, d, s, a) for a in _a_vectors(args, field, d, s, False)]
     total = d - s  # FamilySpec keeps s <= d-2: room for two nonempty subsets
     results = []
@@ -507,11 +576,10 @@ def cmd_audit_linear(args):
     for spec in specs:
         checks = []
         for _ in range(args.count):
-            m = int(rng.integers(1, total))
-            n = int(rng.integers(1, total - m + 1))
+            m = rng.integers(1, total)
+            n = rng.integers(1, total - m + 1)
             perm = rng.permutation(q)
-            g1 = {int(x) for x in perm[:m]}
-            g2 = {int(x) for x in perm[m : m + n]}
+            g1, g2 = set(perm[:m]), set(perm[m : m + n])
             audit = ct.linear_system_audit(spec, g1, g2)
             full = q ** (d - s + 1 - m - n)
             ok = audit["rank"] == m + n and audit["count_all"] == full

@@ -325,13 +325,20 @@ class GF:
         return hash(self.descriptor)
 
 
+# one GF per descriptor: "7^1" and "7^1/0,1" name one field, so they share
+# one object and build its q x q tables once
+_INTERNED = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_field(p, k, modulus_key):
-    return GF(p, k, None if modulus_key is None else list(modulus_key))
+    gf = GF(p, k, None if modulus_key is None else list(modulus_key))
+    return _INTERNED.setdefault(gf.descriptor, gf)
 
 
 def make_field(p: int, k: int = 1, modulus=None) -> GF:
-    """Validated field constructor; instances are interned per descriptor."""
+    """Validated field constructor; instances are interned per descriptor,
+    however the modulus is written."""
     key = None if modulus is None else tuple(int(c) for c in modulus)
     return _cached_field(p, k, key)
 

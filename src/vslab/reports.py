@@ -83,8 +83,10 @@ _LEAVES = {
 
 
 def _write_json(obj, newline, memo):
-    """obj's JSON text, whose lines start with newline; memo holds the text
-    of each container written so far, by its id and newline."""
+    """obj's JSON text, whose lines start with newline.  memo maps the id
+    and newline of each container written so far to its text, or to None
+    when it was seen once: only a shared container is looked up again, so
+    only its text is kept."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -93,7 +95,8 @@ def _write_json(obj, newline, memo):
         return _leaf(obj)
     if not obj:
         return "{}" if is_dict else "[]"
-    text = memo.get((id(obj), newline))
+    key = id(obj), newline
+    text = memo.get(key)
     if text is None:
         inner = newline + "  "
         if is_dict:
@@ -106,7 +109,7 @@ def _write_json(obj, newline, memo):
         else:
             parts = [_write_json(v, inner, memo) for v in obj]
             text = "[" + inner + f",{inner}".join(parts) + newline + "]"
-        memo[id(obj), newline] = text
+        memo[key] = text if key in memo else None
     return text
 
 

@@ -49,6 +49,72 @@ def test_select_a_vectors_policies():
     assert select_a_vectors(f5, 4, 2, "random:3", 43) != r1
 
 
+def test_a_command_builds_each_table_once(monkeypatch):
+    # the CLI's field (from "4093^1") and the kernel's (from its descriptor
+    # "4093^1/0,1") are one object, so the q x q addition table is built on
+    # it at most once, not once on each
+    calls = []
+    add_table = GF.add_table
+
+    def counted(self):
+        calls.append((self, self._np_add is None))
+        return add_table(self)
+
+    monkeypatch.setattr(GF, "add_table", counted)
+    assert run(["mean", "--field", "4093^1", "--d", "4", "--s", "2", "--a", "5,11",
+                "--workers", "1"]) == 0
+    assert len({id(gf) for gf, _ in calls}) == 1
+    assert sum(first for _, first in calls) <= 1
+
+
+def _numpy_philox(seed, counter):
+    """The reference stream: numpy's Philox generator, which only tests load."""
+    counter = np.array(counter, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**128 - 1])
+def test_philox_stream_matches_numpy(seed):
+    # --a random:N is numpy's integers(0, q, size=(N, s)), over prime and
+    # extension fields and a prime above 2^32, whose draws take 64-bit words
+    for text in ("3", "5", "7", "3^2", "5^2", "3^3", "4093", "4294967311"):
+        field = parse_descriptor(text)
+        for d, s in ((4, 1), (7, 3)):
+            want = _numpy_philox(seed, (0, field.q, d, s)).integers(0, field.q, (6, s))
+            got = select_a_vectors(field, d, s, "random:6", seed)
+            assert got == [tuple(row) for row in want.tolist()], (text, d, s)
+    # audit-linear's interleaving of scalar draws and permutations; at
+    # d - s = 2 both scalar draws have one outcome, and neither draws a word
+    for q in (3, 13, 31):
+        for d, s in ((4, 2), (7, 1)):
+            ours, ref = cli._Philox(seed, q, d, s), _numpy_philox(seed, (0, q, d, s))
+            total = d - s
+            for _ in range(20):
+                m = ours.integers(1, total)
+                assert m == ref.integers(1, total)
+                n = ours.integers(1, total - m + 1)
+                assert n == ref.integers(1, total - m + 1)
+                assert ours.permutation(q) == ref.permutation(q).tolist()
+            assert ours.next64() == ref.integers(0, 2**64, dtype=np.uint64)
+    # spans that reject about half the words, on 32- and on 64-bit words
+    ours, ref = cli._Philox(seed, 5, 4, 1), _numpy_philox(seed, (0, 5, 4, 1))
+    for span in (2**31 + 1, 2**63 + 1):
+        want = ref.integers(0, span, 40, dtype=np.uint64).tolist()
+        assert [ours.integers(0, span) for _ in range(40)] == want
+
+
+def test_philox_counter_carries():
+    # the 256-bit counter steps word 0 first: from 2^64 - 1 in words 0 to 2
+    # the first block carries into word 3
+    top = 2**64 - 1
+    ours = cli._Philox(11, top, top, 3)
+    ours.counter[0] = top
+    ref = _numpy_philox(11, (top, top, top, 3))
+    want = ref.integers(0, 2**64, 10, dtype=np.uint64).tolist()
+    assert [ours.next64() for _ in range(10)] == want
+    assert ours.counter == [2, 0, 0, 4]
+
+
 def test_mean_command(tmp_path):
     out = tmp_path / "mean.json"
     code = run(
@@ -1014,8 +1080,8 @@ def test_every_a_sums_to_the_s0_family(text, d, s):
 # family needs numpy, np.unique(x) without return_counts loads numpy.ma,
 # only a pool of several workers needs multiprocessing, and the sweep needs
 # none of the oracle modules
-STARTUP_WATCHED = ("multiprocessing", "numpy", "numpy.ma", "vslab.appendix",
-                   "vslab.bounds", "vslab.counting", "vslab.upoly")
+STARTUP_WATCHED = ("multiprocessing", "numpy", "numpy.ma", "numpy.random",
+                   "vslab.appendix", "vslab.bounds", "vslab.counting", "vslab.upoly")
 
 
 def _loaded_after(cwd, *argvs, exit_code=0):
@@ -1056,6 +1122,13 @@ def test_a_command_imports_only_what_it_uses(tmp_path):
     grid = ["verify-bounds", "--fields", "7^1", "--d", "5", "--workers", "2",
             "--out", "bounds.csv"]
     assert _loaded_after(tmp_path, grid) == {"multiprocessing", "vslab.bounds", "numpy"}
+    # the random draws of --a random:N and of audit-linear need no numpy.random
+    sweep_random = ["sweep", "--fields", "7^1", "--d", "5", "--s", "1", "--a", "random:3",
+                    "--workers", "1", "--out", "sweep.csv"]
+    assert _loaded_after(tmp_path, sweep_random) == {"vslab.bounds", "numpy"}
+    audit = ["audit-linear", "--field", "7^1", "--d", "5", "--s", "1", "--a", "1",
+             "--count", "5", "--out", "audit.json"]
+    assert _loaded_after(tmp_path, audit) == {"numpy", "vslab.counting", "vslab.upoly"}
 
 
 def test_a_refused_plan_loads_nothing(tmp_path):

@@ -247,6 +247,16 @@ def test_descriptor_round_trip():
         parse_descriptor("25^1")
 
 
+def test_one_field_object_per_descriptor():
+    # a field is interned by its canonical descriptor, however the modulus
+    # is written, so its q x q tables are built once
+    assert parse_descriptor("7^1") is parse_descriptor("7^1/0,1")
+    assert parse_descriptor("7") is parse_descriptor("7^1/7,1") is make_field(7)
+    f25 = parse_descriptor("5^2")
+    assert parse_descriptor(f25.descriptor) is f25
+    assert make_field(5, 2, [c + 5 for c in f25.modulus[:-1]] + [1]) is f25
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,

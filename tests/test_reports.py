@@ -82,6 +82,19 @@ def test_a_shared_container_is_written_at_each_indent(part):
     assert rp.dump_json(payload) == reference(payload)
 
 
+def test_only_a_repeated_container_keeps_its_text():
+    # the memo keeps a container's text from its second sight at one indent
+    # on (the second sight writes its members again, and so sees them twice);
+    # a container seen once keeps only its key
+    shared, single = {"x": [1, 2]}, [3, 4]
+    payload = {"a": shared, "b": shared, "c": shared, "d": single}
+    memo = {}
+    text = rp._write_json(payload, "\n", memo)
+    assert text + "\n" == reference(payload)
+    kept = {key for key, value in memo.items() if value is not None}
+    assert kept == {(id(shared), "\n  "), (id(shared["x"]), "\n    ")}
+
+
 def test_a_value_json_refuses_is_refused():
     for payload in ({"x": {1}}, [object()], {"y": np.int64(3)}):
         with pytest.raises(TypeError):

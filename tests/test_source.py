@@ -66,6 +66,27 @@ def test_no_environment_settings():
     assert found == []
 
 
+def _names_numpy_random(node):
+    """Whether node is np.random or numpy.random, or imports numpy.random."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return node.module.startswith("numpy.random") or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names)
+        )
+    return False
+
+
+def test_no_numpy_random():
+    # the random draws are cli's own Philox stream, which gives what numpy's
+    # generator gives without the cost of loading numpy.random; the tests
+    # keep numpy's generator as the reference
+    assert _nodes(_names_numpy_random) == []
+
+
 def test_one_module_starts_sweeps():
     # every engine count is read off the FamilyStats that the CLI's instance
     # loop collects; the oracles in counting must not see the engine at all
