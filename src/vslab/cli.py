@@ -57,27 +57,34 @@ class _Philox:
     """
 
     def __init__(self, seed: int, q: int, d: int, s: int):
-        self.key = (seed & _M64, seed >> 64)
+        k0, k1 = seed & _M64, seed >> 64
+        self.keys = [  # the key of each of the ten rounds
+            ((k0 + i * _PHILOX_W0) & _M64, (k1 + i * _PHILOX_W1) & _M64)
+            for i in range(10)
+        ]
         self.counter = [0, q & _M64, d & _M64, s & _M64]
         self.words = []  # the unread words of the last block, last word first
         self.half = None  # the upper half of a word next32 has split
 
+    def block(self) -> tuple:
+        """The next four 64-bit words: the counter stepped, then encrypted."""
+        ctr = self.counter
+        for i in range(4):  # the 256-bit counter, word 0 lowest
+            ctr[i] = (ctr[i] + 1) & _M64
+            if ctr[i]:
+                break
+        x0, x1, x2, x3 = ctr
+        m0, m1, low = _PHILOX_M0, _PHILOX_M1, _M64  # locals, read in every round
+        for k0, k1 in self.keys:
+            p0, p1 = m0 * x0, m1 * x2
+            x0, x1, x2, x3 = (
+                (p1 >> 64) ^ x1 ^ k0, p1 & low, (p0 >> 64) ^ x3 ^ k1, p0 & low
+            )
+        return x0, x1, x2, x3
+
     def next64(self) -> int:
         if not self.words:
-            ctr = self.counter
-            for i in range(4):  # the 256-bit counter, word 0 lowest
-                ctr[i] = (ctr[i] + 1) & _M64
-                if ctr[i]:
-                    break
-            x0, x1, x2, x3 = ctr
-            k0, k1 = self.key
-            for _ in range(10):
-                p0, p1 = _PHILOX_M0 * x0, _PHILOX_M1 * x2
-                x0, x1, x2, x3 = (
-                    (p1 >> 64) ^ x1 ^ k0, p1 & _M64, (p0 >> 64) ^ x3 ^ k1, p0 & _M64
-                )
-                k0, k1 = (k0 + _PHILOX_W0) & _M64, (k1 + _PHILOX_W1) & _M64
-            self.words = [x3, x2, x1, x0]
+            self.words = list(reversed(self.block()))
         return self.words.pop()
 
     def next32(self) -> int:
@@ -107,14 +114,29 @@ class _Philox:
     def permutation(self, n: int) -> list:
         """numpy's permutation(n) for n <= 2^32: a Fisher-Yates shuffle of
         range(n), from the top, each j drawn by masking 32-bit words until
-        j <= i."""
-        out = list(range(n))
+        j <= i.  The words are next32's, read in blocks of eight halves."""
+        # the halves due, in draw order: the held upper half, then the lower
+        # and upper half of each buffered word
+        halves = [] if self.half is None else [self.half]
+        for word in reversed(self.words):
+            halves += (word & 0xFFFFFFFF, word >> 32)
+        pos, end, out = 0, len(halves), list(range(n))
         for i in range(n - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
-            j = self.next32() & mask
+            j = i + 1
             while j > i:
-                j = self.next32() & mask
+                if pos == end:
+                    x0, x1, x2, x3 = self.block()
+                    halves = [x0 & 0xFFFFFFFF, x0 >> 32, x1 & 0xFFFFFFFF, x1 >> 32,
+                              x2 & 0xFFFFFFFF, x2 >> 32, x3 & 0xFFFFFFFF, x3 >> 32]
+                    pos, end = 0, 8
+                j = halves[pos] & mask
+                pos += 1
             out[i], out[j] = out[j], out[i]
+        # hand the unread halves back: an odd one out is a held upper half
+        rest = halves[pos:]
+        self.half = rest.pop(0) if len(rest) % 2 else None
+        self.words = [hi << 32 | lo for lo, hi in zip(rest[-2::-2], rest[::-2])]
         return out
 
 
@@ -258,7 +280,7 @@ def _moment_instances(args, plan=None):
     only through q, d and s, so they are built once per distinct stats;
     each member gets a fresh list of the checks (verify-identities appends
     to it) and the columns with its own spec and a.  The columns share
-    their values, so dump_json writes a shared chi or smn table once.
+    their values, so the JSON walk writes a shared chi or smn table once.
     """
     from . import moments as mo
 
@@ -661,13 +683,11 @@ def _emit_json(args, results, **extra):
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
-    text = rp.dump_json(
-        {"command": args.command, "config": config, "results": results, **extra}
-    )
+    payload = {"command": args.command, "config": config, "results": results, **extra}
     if args.out:
-        rp.write_text(args.out, text)
+        rp.write_json(args.out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(rp.dump_json(payload))
 
 
 def _add_command(subs, name, func, help_text, field_mode="single", a_default=""):
@@ -795,7 +815,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         # an output file that cannot be created is refused before any sweep;
-        # reports.write_text still maps every other failure to write
+        # reports' writers still map every other failure to write
         for path in (args.out, getattr(args, "csv", None)):
             parent = path and (os.path.dirname(path) or ".")
             if parent and not os.path.isdir(parent):

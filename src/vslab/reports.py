@@ -68,7 +68,17 @@ def dump_json(obj) -> str:
     encode would cost twice.  A container that several entries share, such
     as the chi or smn table of one moment report, is written once per indent.
     """
-    return _write_json(obj, "\n", {}) + "\n"
+    return "".join(_json_pieces(obj, "\n", {})) + "\n"
+
+
+def write_json(path, obj):
+    """Write dump_json(obj) to path piece by piece, as the walk makes it,
+    so the whole text is never held.  A walk that raises leaves the text
+    written so far at path."""
+    def fill(fh):
+        fh.writelines(_json_pieces(obj, "\n", {}))
+        fh.write("\n")
+    _write(path, fill)
 
 
 # the JSON text of a leaf, by exact type; a subclass takes _leaf's path
@@ -82,35 +92,50 @@ _LEAVES = {
 }
 
 
-def _write_json(obj, newline, memo):
-    """obj's JSON text, whose lines start with newline.  memo maps the id
-    and newline of each container written so far to its text, or to None
-    when it was seen once: only a shared container is looked up again, so
-    only its text is kept."""
+def _json_pieces(obj, newline, memo, look=True):
+    """obj's JSON text, whose lines start with newline, in pieces: the
+    members of a container are joined into one piece up to each member
+    that is a container itself.  memo maps the id and newline of each
+    container written so far to its text, or to None when it was seen
+    once: only a shared container is looked up again, so only its text is
+    kept, from its second sight on (look=False writes it afresh)."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
-        return leaf(obj)
+        yield leaf(obj)
+        return
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
-        return _leaf(obj)
+        yield _leaf(obj)
+        return
     if not obj:
-        return "{}" if is_dict else "[]"
+        yield "{}" if is_dict else "[]"
+        return
     key = id(obj), newline
-    text = memo.get(key)
-    if text is None:
-        inner = newline + "  "
-        if is_dict:
-            items = sorted({str(k): v for k, v in obj.items()}.items())
-            parts = [
-                f"{encode_basestring_ascii(k)}: {_write_json(v, inner, memo)}"
-                for k, v in items
-            ]
-            text = "{" + inner + f",{inner}".join(parts) + newline + "}"
+    if look and key in memo:
+        if memo[key] is None:
+            memo[key] = "".join(_json_pieces(obj, newline, memo, False))
+        yield memo[key]
+        return
+    memo[key] = None
+    if is_dict:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        members = [(encode_basestring_ascii(k) + ": ", v) for k, v in items]
+    else:
+        members = [("", v) for v in obj]
+    inner = newline + "  "
+    run, sep = ["{" if is_dict else "["], inner  # run: the piece being joined
+    for head, value in members:
+        run.append(sep + head)
+        sep = "," + inner
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None:
+            run.append(leaf(value))
         else:
-            parts = [_write_json(v, inner, memo) for v in obj]
-            text = "[" + inner + f",{inner}".join(parts) + newline + "]"
-        memo[key] = text if key in memo else None
-    return text
+            yield "".join(run)
+            run = []
+            yield from _json_pieces(value, inner, memo)
+    run.append(newline + ("}" if is_dict else "]"))
+    yield "".join(run)
 
 
 def _leaf(obj):
@@ -123,24 +148,30 @@ def _leaf(obj):
 
 def csv_text(header, rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_opt(x) for x in row])
+    _write_rows(buf, header, rows)
     return buf.getvalue()
 
 
-def write_text(path, text):
-    """Write text to path; a path that cannot be written is a usage error."""
+def _write_rows(fh, header, rows):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_opt(x) for x in row])
+
+
+def _write(path, fill):
+    """Open path for writing and call fill on the file; a path that cannot
+    be written is a usage error."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fill(fh)
     except OSError as exc:
         raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(path, header, rows):
-    write_text(path, csv_text(header, rows))
+    """Write the CSV of csv_text(header, rows) to path, row by row."""
+    _write(path, lambda fh: _write_rows(fh, header, rows))
 
 
 def bound_check_row(check) -> list:

@@ -13,15 +13,22 @@ The per-chunk kernel is vectorized with numpy over the field tables;
 chunks reduce by integer addition, so results are independent of the
 chunk partition and of the worker count.  A chunk is a tuple of
 ascending index ranges; a default chunk holds about CHUNK_CELLS = 2^18
-(b, t) cells, between 1024 and MAX_CHUNK b-vectors.  The kernel keeps at
-most two cell-sized arrays live at once, 16 bytes per cell.  One intp
+(b, t) cells, between 1024 and MAX_CHUNK b-vectors.  The prefix grid,
+the critical points, their multiplicities and the class counting run
+once per chunk, on arrays of about one entry per b-vector.  The cell
+phases (the value table, both fiber histograms and the Gram product)
+run one tile at a time: a run of whole grid rows of at most TILE_CELLS
+= 2^14 cells, or one grid row where a row holds more.  A tile keeps at
+most two cell-sized arrays live at once, 16 bytes per cell: one intp
 buffer holds first the gather indices, beside the int32 values; then the
 (b, c) cells, beside the int64 fiber counts they give; then the (b, N)
-codes.  The class counting's bincount of the critical cells, 8 bytes per
-cell, runs after both are freed.  The per-b histograms (d + 1 counts per
-b-vector) and the prefix grid add the rest: under tracemalloc a default
-chunk peaks at 18.8 bytes per cell on 5^2 d5 s1 and 24.7 on 11^1 d8 s2,
-and a 1024-vector chunk at q = 4093 at 16.0.  A family is swept through
+codes.  Each tile reads the root counts of its own critical pairs off
+its fiber counts and flags its classes with one critical point, so no
+array spans the chunk's cells.  Under tracemalloc a default chunk peaks
+at 0.99 MiB (4.0 bytes per cell) on 5^2 d5 s1 and at 2.28 MiB on 11^1
+d8 s2, where the prefix grid's evaluation sets the peak, and a
+1024-vector chunk at q = 4093, one grid row a tile, at 16.0 bytes per
+cell.  A family is swept through
 its cover (collect_many's cover): weighted index blocks of swept
 families.  The blocks of one swept family and one weight are packed
 into full chunks, and the parent multiplies each chunk's counts by its
@@ -40,13 +47,12 @@ and class counts in Python ints and reads every field off the sums.
 b_1, free in every family (s <= d-2), is the innermost digit of the
 enumeration and f_b = g + b_1 T, where g depends only on the outer
 prefix idx // q, whose base-q digits are b_2, b_3, ...  So g is
-evaluated once per prefix, on the grid of the chunk's prefixes and every
-t, and the value table holds the chunk's own rows only: in each index
-range, a partial first or last prefix block
-gathers g's values against a slice of the table b_1 * t, and the whole
-blocks between them take one broadcast gather, all into one array.  Two
-chunks, or two ranges of one chunk, may each hold part of a prefix
-block; each then evaluates g for it.
+evaluated once per distinct prefix of the chunk, on the grid of those
+prefixes and every t, and the value table holds the chunk's own rows
+only: each b-row gathers its prefix's grid row against the row b_1 * t
+of the multiplication table, so a partial prefix block costs nothing
+apart.  Two ranges of one chunk that hold parts of one prefix block
+share its grid row; two chunks that do each evaluate g for it.
 
 The j-th Hasse derivative of g is a fixed part, that of T^d and the a
 terms, cached as one q-vector per j (_hasse_tables), plus one term
@@ -90,9 +96,9 @@ family.cover, so a run forks at most one pool and every worker builds a
 field's tables once per run;
 collect_stats is the one-family, one-block case that the independent
 checks use.  A stream also fixes glibc's mmap and trim thresholds
-(_steady_heap, once per process), so the kernel's 1-2 MB temporaries
-stay in the heap between chunks instead of being unmapped and faulted
-in again by the next one.
+(_steady_heap, once per process), so the kernel's temporaries of a few
+hundred KB stay in the heap between chunks instead of being unmapped
+and faulted in again by the next one.
 """
 
 from __future__ import annotations
@@ -114,6 +120,7 @@ from .gf import TABLE_LIMIT, parse_descriptor
 
 MAX_CHUNK = 65536
 CHUNK_CELLS = 2**18  # (b, t) cells per default chunk
+TILE_CELLS = 2**14  # (b, t) cells per tile of the kernel's cell phases
 DEFAULT_BUDGET = 10**6
 INT64_MAX = 2**63 - 1
 FLOAT64_EXACT = 2**53  # every integer up to this is a float64
@@ -275,126 +282,119 @@ def _chunk_kernel(task):
     (descriptor, d, s, a, ranges) = task
     gf = parse_descriptor(descriptor)  # interned: its tables are built once
     q, p = gf.q, gf.p
-    add_t, mul_t = gf.add_table(), gf.mul_table()
-    add_f, mul_f = add_t.ravel(), mul_t.ravel()
-
+    mul_t = gf.mul_table()
+    add_f, mul_f = gf.add_table().ravel(), mul_t.ravel()
     # idx = prefix * q + b_1: b_1 is the innermost digit, and f_b = g + b_1 T
-    # where g drops the b_1 term.  Each of the chunk's index ranges gets
-    # grid rows for its own prefixes (two ranges may both hold part of
-    # one); row r owns the b_1 in [lo_b1[r], hi_b1[r]), and the values of
-    # its b sit at rows base[r] + b_1 of the chunk's tables.
-    pidx, lo_b1, hi_b1, base = [], [], [], []
-    n_chunk = 0
-    for lo, hi in ranges:
-        prefix = np.arange(lo // q, (hi - 1) // q + 1, dtype=np.int64)
-        pidx.append(prefix)
-        lo_b1.append(np.maximum(lo - prefix * q, 0))
-        hi_b1.append(np.minimum(hi - prefix * q, q))
-        base.append(prefix * q - lo + n_chunk)
-        n_chunk += hi - lo
-    pidx, lo_b1, hi_b1, base = map(np.concatenate, (pidx, lo_b1, hi_b1, base))
-
-    # g and its first two Hasse derivatives at every t on the prefix grid
-    grid = hasse_grid(gf, d, s, a, np.arange(3), pidx)
-    g0 = grid[0]
-
-    # values of f_b = g + b_1 t on the chunk's own rows: in each range, a
-    # partial first or last prefix block takes a slice of the b_1 t table,
-    # and the whole blocks between them one broadcast gather.  The one
-    # cell-sized buffer holds the gather indices, as intp so that np.take
-    # copies none of them; then the (b, c) cells; then the (b, N) codes.
-    buf = np.empty((n_chunk, q), dtype=np.intp)
-    val = np.empty((n_chunk, q), dtype=add_t.dtype)
-    out = row = 0
-    for lo, hi in ranges:
-        idx = lo
-        while idx < hi:
-            b1 = idx % q
-            whole = (hi - idx) // q if b1 == 0 else 0
-            if whole:
-                step = whole * q
-                np.add(g0[row:row + whole, None] * q, mul_t,
-                       out=buf[out:out + step].reshape(whole, q, q))
-            else:
-                step = min(q - b1, hi - idx)
-                np.add(g0[row] * q, mul_t[b1:b1 + step], out=buf[out:out + step])
-            # the indices are in range; mode="raise" would copy through a buffer
-            np.take(add_f, buf[out:out + step], out=val[out:out + step], mode="clip")
-            row += whole or 1  # a partial block is one prefix row
-            idx, out = idx + step, out + step
-
-    # per-b histogram of values, then per-b histogram of root counts N
-    rows = np.arange(n_chunk, dtype=np.intp)[:, None]
-    np.add(rows * q, val, out=buf)
-    del val
-    nmat = np.bincount(buf.ravel(), minlength=n_chunk * q)
-    if nmat.max() > d:
-        raise BrokenInvariant("a fiber exceeded d roots")
-    np.add(rows * (d + 1), nmat.reshape(n_chunk, q), out=buf)
-    h_per_b = np.bincount(buf.ravel(), minlength=n_chunk * (d + 1))
-    h_per_b = h_per_b.reshape(n_chunk, d + 1)
-    del buf
-
-    # the Gram matrix G = H^T H of the per-b histograms H, exact in float64
-    # (see the module docstring); _assemble reads the per-b sums off it
+    # where g drops the b_1 term.  The grid has one row per distinct prefix
+    # of the chunk; the chunk's b-row i lies in grid row krow[i], and
+    # rowof[k, b_1] is the b-row of grid row k and b_1, or -1
+    krow, b1row = np.divmod(np.concatenate([np.arange(lo, hi) for lo, hi in ranges]), q)
+    n_chunk = len(krow)
+    # the Gram matrix G = H^T H of the per-b histograms H, summed over the
+    # tiles in float64, is exact (see the module docstring)
     if n_chunk * q * q > FLOAT64_EXACT:
         raise BrokenInvariant(
             f"a chunk of {n_chunk} at q = {q} leaves float64's exact integers"
         )
-    h_float = h_per_b.astype(np.float64)
-    del h_per_b
-    gram = (h_float.T @ h_float).astype(np.int64)
-    del h_float
+    new = np.diff(krow, prepend=-1) != 0
+    pidx, krow = krow[new], np.cumsum(new) - 1
+    rowof = np.full((len(pidx), q), -1)
+    rowof[krow, b1row] = np.arange(n_chunk)
+
+    # g and its first two Hasse derivatives at every t on the prefix grid
+    grid = hasse_grid(gf, d, s, a, np.arange(3), pidx)
 
     # critical points: f_b'(t) = g'(t) + b_1 = 0, the only places where
     # f_b - f_b(t) has a multiple root.  Each (prefix, t) is critical for
-    # exactly one b_1 = -g'(t) = (p-1) g'(t); keep it where its row owns
-    # that b_1, so a prefix that two ranges share counts each b once.
+    # exactly one b_1 = -g'(t) = (p-1) g'(t), and counts where the chunk
+    # holds that b-vector
     b1_crit = np.take(mul_t[p - 1], grid[1])
-    crit = np.flatnonzero((b1_crit >= lo_b1[:, None]) & (b1_crit < hi_b1[:, None]))
-    shapes = {}
-    if len(crit):
-        r, t = np.divmod(crit, q)
-        b1 = np.take(b1_crit, crit)
-        # f_b(t) = g(t) + b_1 t; the class (b, f_b(t)) is one flat cell
-        fval = np.take(add_f, np.take(g0, crit) * q + np.take(mul_f, b1 * q + t))
-        cells = (base[r] + b1) * q + fval
-        nvals = np.take(nmat, cells)
-        del nmat  # the class counting allocates its own cell-sized array
-        # the multiplicity of t in f_b - f_b(t) is the smallest j with a
-        # nonzero j-th Hasse derivative; j = 1 vanished by construction.
-        # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices:
-        # j = 2 comes from the grid, and every j >= 3 from one evaluation
-        # at the pairs still pending; the d-th derivative of monic g is 1.
-        mults = np.full(len(crit), 2)
-        pending = np.flatnonzero(np.take(grid[2], crit) == 0)
-        if len(pending):
-            higher = hasse_points(
-                gf, d, s, a, np.arange(3, d + 1), pidx[r[pending]], t[pending]
-            )
-            mults[pending] = 3 + np.argmax(higher != 0, axis=0)
-        shapes = _class_shapes(cells, nvals, mults, d)
+    brow = np.take(rowof, np.arange(0, rowof.size, q)[:, None] + b1_crit)
+    del rowof
+    crit = np.flatnonzero(brow >= 0)
+    r, t = np.divmod(crit, q)
+    # f_b(t) = g(t) + b_1 t; the class (b, f_b(t)) is one flat cell
+    fval = np.take(grid[0], crit) * q + np.take(mul_f, np.take(b1_crit, crit) * q + t)
+    cells = np.take(brow, crit) * q + np.take(add_f, fval)
+    del b1_crit, brow, fval
+    # the multiplicity of t in f_b - f_b(t) is the smallest j with a
+    # nonzero j-th Hasse derivative; j = 1 vanished by construction.
+    # For j >= 2 neither b_0 nor b_1 enters, so g's prefix suffices:
+    # j = 2 comes from the grid, and every j >= 3 from one evaluation
+    # at the pairs still pending; the d-th derivative of monic g is 1.
+    mults = np.full(len(crit), 2)
+    pending = np.flatnonzero(np.take(grid[2], crit) == 0)
+    if len(pending):
+        higher = hasse_points(
+            gf, d, s, a, np.arange(3, d + 1), pidx[r[pending]], t[pending]
+        )
+        mults[pending] = 3 + np.argmax(higher != 0, axis=0)
+    del r, t, pending
 
-    return gram, shapes
+    # the cell phases run one tile of whole grid rows at a time.  A tile
+    # holds one slice of the chunk's b-rows, so each class (b, c) lies in
+    # one tile, and crit, ordered by grid row, gives each tile one slice
+    # of the critical pairs
+    step = max(1, TILE_CELLS // (q * q))  # grid rows per tile
+    edges = np.append(np.arange(0, len(pidx), step), len(pidx))
+    row_edges = np.searchsorted(krow, edges).tolist()
+    pair_edges = np.searchsorted(crit, edges * q).tolist()
+    g0q = grid[0] * np.intp(q)
+    del grid, crit
+    rows = np.arange(min(n_chunk, step * q))[:, None]  # a tile's b-rows at most
+    rows_q, rows_d = rows * q, rows * (d + 1)
+    gram = np.zeros((d + 1, d + 1))
+    nvals = np.empty(len(cells), dtype=np.int64)
+    lone = np.empty(len(cells), dtype=bool)
+    for i0, i1, c0, c1 in zip(row_edges, row_edges[1:], pair_edges, pair_edges[1:]):
+        # values of f_b = g + b_1 t on the tile's b-rows.  The one
+        # cell-sized buffer holds the gather indices, as intp so that
+        # np.take copies none of them; then the (b, c) cells; then the
+        # (b, N) codes.  The indices are in range; mode="raise" would copy
+        # through a buffer
+        n = i1 - i0
+        buf = np.take(g0q, krow[i0:i1], axis=0)
+        buf += np.take(mul_t, b1row[i0:i1], axis=0)
+        val = np.take(add_f, buf, mode="clip")
+
+        # per-b histogram of values, then per-b histogram of root counts N
+        np.add(rows_q[:n], val, out=buf)
+        del val
+        nmat = np.bincount(buf.ravel(), minlength=buf.size)
+        if nmat.max() > d:
+            raise BrokenInvariant("a fiber exceeded d roots")
+        np.add(rows_d[:n], nmat.reshape(buf.shape), out=buf)
+        h = np.bincount(buf.ravel(), minlength=n * (d + 1))
+        del buf  # the lone bincount below may take as many entries as nmat
+        h = h.reshape(n, d + 1).astype(float)
+        gram += h.T @ h  # each partial sum is an integer of the exact range
+
+        # each critical pair reads its class's root count; a class with one
+        # critical point, almost every one, is lone
+        local = cells[c0:c1] - i0 * q
+        nvals[c0:c1] = np.take(nmat, local)
+        lone[c0:c1] = np.bincount(local)[local] == 1
+        del nmat
+
+    return gram.astype(np.int64), _class_shapes(cells, nvals, mults, lone, d)
 
 
-def _class_shapes(keys, nvals, mults, d):
+def _class_shapes(keys, nvals, mults, lone, d):
     """Count the classes with multiple roots by their shape (caps, n).
 
     A class is one (b, c) holding critical points, keyed by its flat cell
     index in the chunk's (b, c) table; caps lists the multiplicities of
     its critical points, sorted, and n counts its distinct roots.  Classes
-    with one critical point, almost all of them, are found by a bincount
-    of their keys and counted by one more bincount of n (d+1) + m; only
-    the rest are sorted into runs.
+    with one critical point, almost all of them, are flagged lone by the
+    kernel and counted by one bincount of n (d+1) + m; only the rest are
+    sorted into runs.
     """
-    lone = np.bincount(keys)[keys] == 1
     per_code = np.bincount(nvals[lone] * (d + 1) + mults[lone])
     codes = np.flatnonzero(per_code)
     runs = [(1, codes, per_code[codes])]  # (k, distinct codes, their counts)
 
-    keys, nvals, mults = keys[~lone], nvals[~lone], mults[~lone]
-    order = np.argsort(keys)
+    rest = np.flatnonzero(~lone)
+    order = rest[np.argsort(keys[rest])]
     keys, nvals, mults = keys[order], nvals[order], mults[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     sizes = np.diff(np.append(starts, len(keys)))
@@ -429,8 +429,8 @@ def _steady_heap():
     """Keep freed kernel temporaries in glibc's heap instead of the OS.
 
     By default glibc maps blocks above a dynamic threshold (from 128 KiB)
-    afresh and trims the heap top above 128 KiB, so each chunk's 1-2 MB
-    arrays are handed back and faulted in again by the next chunk.  A fixed
+    afresh and trims the heap top above 128 KiB, so a chunk's and a tile's
+    arrays are handed back and faulted in again by the next one.  A fixed
     32 MiB mmap threshold and 64 MiB trim threshold keep them; forked
     workers inherit the setting.  Skipped where libc has no mallopt.
     """
@@ -532,16 +532,16 @@ def collect_many(specs, workers: int = 1, chunk_size: int | None = None, cover=N
     the stream's own: the caller consumes a spec's stats while the workers
     compute the next ones, and no spec waits for the last chunk of another.
     The pool has `workers` processes; one worker sweeps in this process.
-    Covers and stats are built once per distinct spec.  No budget is
-    applied here: the caller judges it (check_sweepable) beforehand.
+    Covers and stats are built once per distinct spec, and a chunk's
+    result is dropped once the last spec that needs it is built.  No
+    budget is applied here: the caller judges it (check_sweepable)
+    beforehand.
     """
     specs = list(specs)
     plans = {}  # distinct spec -> its (task, weight) pairs
     for spec in dict.fromkeys(specs):
         check_sweepable(spec, budget=None)
-        size = chunk_size
-        if size is None:
-            size = min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
+        size = chunk_size or min(MAX_CHUNK, max(1024, CHUNK_CELLS // spec.q))
         blocks = [(spec, 0, spec.n_b, 1)] if cover is None else cover(spec)
         if sum(w * (hi - lo) for _, lo, hi, w in blocks) != spec.n_b:
             raise BrokenInvariant(
@@ -555,18 +555,22 @@ def collect_many(specs, workers: int = 1, chunk_size: int | None = None, cover=N
             for (sw, w), ranges in groups.items()
             for chunk in _pack(sorted(ranges), size)
         ]
-    tasks = list(dict.fromkeys(task for plan in plans.values() for task, _ in plan))
-    stream = zip(tasks, _imap(_chunk_kernel, tasks, workers))
+    users = Counter(task for plan in plans.values() for task, _ in plan)
+    tasks = iter(users)
+    stream = _imap(_chunk_kernel, list(users), workers)
     results, built = {}, {}
     for spec in specs:
         if spec not in built:
             for task, _ in plans[spec]:
                 while task not in results:  # it may have run for an earlier spec
-                    done, result = next(stream)
-                    results[done] = result
+                    results[next(tasks)] = next(stream)
             built[spec] = _assemble(
                 spec, [(w, results[task]) for task, w in plans[spec]]
             )
+            for task, _ in plans[spec]:  # drop a result once no spec needs it
+                users[task] -= 1
+                if not users[task]:
+                    del results[task]
         yield built[spec]
 
 

@@ -96,6 +96,14 @@ def test_philox_stream_matches_numpy(seed):
                 assert n == ref.integers(1, total - m + 1)
                 assert ours.permutation(q) == ref.permutation(q).tolist()
             assert ours.next64() == ref.integers(0, 2**64, dtype=np.uint64)
+    # a permutation long enough to run through thousands of blocks, begun
+    # with a held upper half and a buffered word, and the draws after it
+    q = 100003
+    ours, ref = cli._Philox(seed, q, 4, 1), _numpy_philox(seed, (0, q, 4, 1))
+    assert ours.integers(1, 3) == ref.integers(1, 3)
+    assert ours.permutation(q) == ref.permutation(q).tolist()
+    assert [ours.integers(1, 3) for _ in range(9)] == ref.integers(1, 3, 9).tolist()
+    assert ours.next64() == ref.integers(0, 2**64, dtype=np.uint64)
     # spans that reject about half the words, on 32- and on 64-bit words
     ours, ref = cli._Philox(seed, 5, 4, 1), _numpy_philox(seed, (0, 5, 4, 1))
     for span in (2**31 + 1, 2**63 + 1):

@@ -1,6 +1,8 @@
-"""dump_json writes, in one walk, the bytes of the two-walk form it replaced."""
+"""dump_json and write_json write, in one walk, the bytes of the two-walk
+form they replaced."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, strategies as st_
 
 from vslab import reports as rp
 from vslab.cli import main
+from vslab.errors import InvalidParameter
 
 
 def jsonable(obj):
@@ -82,6 +85,17 @@ def test_a_shared_container_is_written_at_each_indent(part):
     assert rp.dump_json(payload) == reference(payload)
 
 
+@given(PAYLOADS)
+@example({"a": [], "b": [[1, {"c": 2.5}], [3]], "d": "x"})
+def test_write_json_streams_the_bytes_of_dump_json(tmp_path_factory, part):
+    # the file gets the walk's pieces as they come; nested and shared
+    # containers break the text into many pieces
+    payload = {"one": part, "two": [part, {"x": part}], "three": [[part], part]}
+    path = tmp_path_factory.getbasetemp() / "streamed.json"
+    rp.write_json(path, payload)
+    assert path.read_text() == rp.dump_json(payload) == reference(payload)
+
+
 def test_only_a_repeated_container_keeps_its_text():
     # the memo keeps a container's text from its second sight at one indent
     # on (the second sight writes its members again, and so sees them twice);
@@ -89,18 +103,23 @@ def test_only_a_repeated_container_keeps_its_text():
     shared, single = {"x": [1, 2]}, [3, 4]
     payload = {"a": shared, "b": shared, "c": shared, "d": single}
     memo = {}
-    text = rp._write_json(payload, "\n", memo)
+    text = "".join(rp._json_pieces(payload, "\n", memo))
     assert text + "\n" == reference(payload)
     kept = {key for key, value in memo.items() if value is not None}
     assert kept == {(id(shared), "\n  "), (id(shared["x"]), "\n    ")}
 
 
-def test_a_value_json_refuses_is_refused():
+def test_a_value_json_refuses_is_refused(tmp_path):
     for payload in ({"x": {1}}, [object()], {"y": np.int64(3)}):
         with pytest.raises(TypeError):
             reference(payload)
         with pytest.raises(TypeError):
             rp.dump_json(payload)
+    # the file holds the text written before the refused value
+    path = tmp_path / "partial.json"
+    with pytest.raises(TypeError):
+        rp.write_json(path, {"a": [1], "b": {2}})
+    assert path.read_text() == '{\n  "a": [\n    1\n  ],\n  "b": '
 
 
 MOMENTS_ALL_A = [
@@ -116,15 +135,48 @@ MOMENTS_ALL_A = [
 @pytest.mark.parametrize("command, field, d, s", MOMENTS_ALL_A)
 def test_moment_payloads_keep_their_bytes(command, field, d, s, tmp_path, monkeypatch):
     payloads = []
-    real = rp.dump_json
+    real = rp.write_json
 
-    def recorded(obj):
+    def recorded(path, obj):
         payloads.append(obj)
-        return real(obj)
+        return real(path, obj)
 
-    monkeypatch.setattr(rp, "dump_json", recorded)
+    monkeypatch.setattr(rp, "write_json", recorded)
     out = tmp_path / "out.json"
     assert main([command, "--field", field, "--d", str(d), "--s", str(s),
                  "--a", "all", "--workers", "1", "--out", str(out)]) == 0
     (payload,) = payloads
     assert out.read_text() == reference(payload)
+
+
+def test_writing_a_payload_holds_no_whole_text(tmp_path, monkeypatch):
+    # the 729 reports of second-moment on 3^3 d5 s2 are 802,202 bytes of
+    # JSON; writing them holds only the memo of the shared tables
+    # (0.20 MiB), where the text joined first took 1.54 MiB
+    payloads = []
+    monkeypatch.setattr(rp, "write_json", lambda path, obj: payloads.append(obj))
+    assert main(["second-moment", "--field", "3^3", "--d", "5", "--s", "2",
+                 "--a", "all", "--workers", "1", "--out", str(tmp_path / "x")]) == 0
+    monkeypatch.undo()
+    (payload,) = payloads
+    out = tmp_path / "out.json"
+    rp.write_json(out, payload)
+    tracemalloc.start()
+    try:
+        rp.write_json(out, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == 802_202
+    assert peak <= 0.25 * 2**20
+
+
+def test_an_unwritable_path_is_a_usage_error(tmp_path):
+    # a directory passes the CLI's check of the parent directory; opening
+    # it fails in the writer, which refuses it as a usage error (exit 2)
+    with pytest.raises(InvalidParameter, match="cannot write"):
+        rp.write_json(tmp_path, {"a": [1]})
+    with pytest.raises(InvalidParameter, match="cannot write"):
+        rp.write_csv(tmp_path, ["a"], [[1]])
+    assert main(["mean", "--field", "5^1", "--d", "4", "--s", "1", "--a", "1",
+                 "--workers", "1", "--out", str(tmp_path)]) == 2

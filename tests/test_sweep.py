@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb, perm
@@ -255,6 +256,59 @@ def test_ranges_that_share_a_prefix():
     )
 
 
+# (spec, chunk ranges): partial first and last prefix rows; two ranges that
+# share a prefix row; extension fields; and a p | d family whose chunk has
+# pending critical points and classes with several multiple roots
+TILED_CHUNKS = [
+    (FamilySpec(F7, 6, 1, (3,)), ((3, 2000),)),
+    (FamilySpec(F7, 4, 1, (3,)), ((0, 3), (5, 10))),
+    (FamilySpec(F7, 6, 2, (1, 5)), ((10, 96), (97, 300))),
+    (FamilySpec(make_field(5, 2), 5, 1, (3,)), ((7, 3000),)),
+    (FamilySpec(F9, 6, 2, (1, 4)), ((5, 700),)),
+]
+
+
+@pytest.mark.parametrize("spec, ranges", TILED_CHUNKS, ids=lambda x: str(x))
+def test_tiles_give_the_one_tile_result(spec, ranges, monkeypatch):
+    task = (spec.field.descriptor, spec.d, spec.s, spec.a, ranges)
+    monkeypatch.setattr(sweep, "TILE_CELLS", 2**40)
+    gram, shapes = whole = sweep._chunk_kernel(task)
+    for cells in (1, 3 * spec.q**2, 7 * spec.q**2):  # 1, 3 and 7 grid rows a tile
+        monkeypatch.setattr(sweep, "TILE_CELLS", cells)
+        tiled = sweep._chunk_kernel(task)
+        assert tiled[0].tolist() == gram.tolist() and tiled[1] == shapes
+        stats = sweep._assemble(spec, [(1, tiled)])
+        assert stats == sweep._assemble(spec, [(1, whole)])
+    if spec.field is F9:
+        assert any(len(caps) >= 2 for caps, _ in shapes)
+        assert any(max(caps) >= 3 for caps, _ in shapes)  # a pending pair
+
+
+def test_a_chunk_result_lives_until_its_last_spec(monkeypatch):
+    # the s = 0 family is swept through the chunks of its s = 1
+    # representative a = (0,), so those outlive that family's own stats and
+    # die with the s = 0 stats; the stream's last spec then needs none
+    alive = {}
+    kernel = sweep._chunk_kernel
+
+    def spy(task):
+        result = kernel(task)
+        alive[task] = weakref.ref(result[0])
+        return result
+
+    monkeypatch.setattr(sweep, "_chunk_kernel", spy)
+    one, other = FamilySpec(F7, 4, 1, (0,)), FamilySpec(F7, 4, 1, (2,))
+    specs = [one, FamilySpec(F7, 4, 0), other]
+    stream = collect_many(specs, 1, chunk_size=10, cover=cover)
+    next(stream)
+    shared = list(alive)
+    assert len(shared) > 1 and all(alive[task]() is not None for task in shared)
+    next(stream)
+    assert list(alive) == shared and all(alive[task]() is None for task in shared)
+    next(stream)
+    assert all(ref() is None for ref in alive.values())
+
+
 def test_pack_cuts_and_merges_ranges():
     packed = list(sweep._pack([(0, 3), (3, 5), (7, 9), (12, 20)], 4))
     assert packed == [((0, 4),), ((4, 5), (7, 9), (12, 13)), ((13, 17),), ((17, 20),)]
@@ -381,8 +435,9 @@ def test_multi_root_codes_past_int64():
     # shape, whose memo correction is that of 14 double roots
     k, d = 14, 30
     zeros = np.zeros(k, dtype=np.int64)
+    lone = np.zeros(k, dtype=bool)
     shapes = sweep._class_shapes(
-        zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), d
+        zeros, np.full(k, k, dtype=np.int64), np.full(k, 2, dtype=np.int64), lone, d
     )
     assert shapes == {((2,) * k, k): 1}
     exact = exact_tuple_counts([2] * k, 0, d)
@@ -461,13 +516,14 @@ def test_chunk_inside_one_prefix_block_memory():
 
 
 @pytest.mark.parametrize("p, k, d, s, a, mib", [
-    (5, 2, 5, 1, (0,), 5.15),
-    (11, 1, 8, 2, (0, 4), 7.82),
+    (5, 2, 5, 1, (0,), 1.19),
+    (11, 1, 8, 2, (0, 4), 2.74),
 ], ids=["5^2-d5-s1", "11^1-d8-s2"])
 def test_default_chunk_memory(p, k, d, s, a, mib):
-    # the first default chunk of 2^18 (b, t) cells peaks at least 25% below
-    # the 6.87 and 10.43 MiB it took while the int32 values, the fiber
-    # counts and an intp copy of each gather index all stayed live
+    # the first default chunk of 2^18 (b, t) cells, whose cell phases run
+    # in tiles of about 2^14 cells, peaks within 20% of the 0.99 and 2.28
+    # MiB measured (on 11^1 the prefix grid's evaluation sets it); with
+    # every cell phase on the whole chunk it took 4.70 and 6.18 MiB
     spec = FamilySpec(make_field(p, k), d, s, a)
     size = min(sweep.MAX_CHUNK, max(1024, sweep.CHUNK_CELLS // spec.q))
     task = (spec.field.descriptor, d, s, a, ((0, size),))
