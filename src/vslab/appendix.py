@@ -49,16 +49,23 @@ def build_generic_member(p: int, d: int, free):
     return names, coeffs
 
 
-def generic_disc(p: int, d: int, free) -> mp.MultiPoly:
-    """Symbolic Res_T(F, dF/dT) for the chosen free coefficient set."""
-    if d < 2:
-        raise InvalidParameter("need d >= 2")
+def _member_pair(p: int, d: int, free, least: int = 2):
+    """(names, F, dF/dT) for least <= d <= MAX_SYMBOLIC_DEGREE: the set-up
+    of every symbolic determinant taken here."""
+    if d < least:
+        raise InvalidParameter(f"need d >= {least}")
     if d > MAX_SYMBOLIC_DEGREE:
         raise InvalidParameter(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
-    _, f = build_generic_member(p, d, free)
+    names, f = build_generic_member(p, d, free)
     fp = mp.tpoly_derivative(f)
     if not fp:
         raise InvalidParameter("dF/dT vanishes identically")
+    return names, f, fp
+
+
+def generic_disc(p: int, d: int, free) -> mp.MultiPoly:
+    """Symbolic Res_T(F, dF/dT) for the chosen free coefficient set."""
+    _, f, fp = _member_pair(p, d, free)
     return mp.symbolic_resultant(f, fp)
 
 
@@ -230,14 +237,7 @@ def subres1_terms_check(p: int, d: int):
     otherwise the term 2 (-1)^d (d-2)^(d-2) B2^(d-1) must.  Both are
     asserted up to a global sign.
     """
-    if d < 3:
-        raise InvalidParameter("need d >= 3")
-    if d > MAX_SYMBOLIC_DEGREE:
-        raise InvalidParameter(f"symbolic work is capped at d = {MAX_SYMBOLIC_DEGREE}")
-    names, f = build_generic_member(p, d, {0, 1, 2})
-    fp = mp.tpoly_derivative(f)
-    if not fp:
-        raise InvalidParameter("dF/dT vanishes identically")
+    names, f, fp = _member_pair(p, d, {0, 1, 2}, least=3)
     s1 = mp.symbolic_subres1(f, fp)
     if d * (d - 1) % p:
         case = "term_b1"
@@ -282,9 +282,8 @@ def specialization_scalar(p: int, d: int, free, samples: int = 200, seed: int = 
     from . import upoly as up
 
     gf = make_field(p)
-    _, f = build_generic_member(p, d, free)
-    fp = mp.tpoly_derivative(f)
-    disc = generic_disc(p, d, free)
+    _, f, fp = _member_pair(p, d, free)
+    disc = mp.symbolic_resultant(f, fp)
     deg_fp = len(fp) - 1
     rng = random.Random(seed)
     scalar = None

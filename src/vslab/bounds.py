@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from .errors import BrokenInvariant, InvalidParameter
-from .moments import main_term
+from .moments import main_term, smn_cells
 
 RELATIVE_SLACK = Fraction(1, 10**9)
 LOG_SPACE_THRESHOLD = 20
@@ -248,24 +248,13 @@ def chi_checks(spec, stats, r_values=None) -> list:
     return [_check("chi", spec, stats.chi(r), r=r) for r in r_values]
 
 
-def smn_cells(d, s) -> list:
-    """The (m, n) cells with d-s+1 <= m+n <= 2d, where the S_mn bounds are
-    stated, in the order of smn_checks."""
-    return [
-        (m, n)
-        for m in range(1, d + 1)
-        for n in range(1, d + 1)
-        if d - s + 1 <= m + n <= 2 * d
-    ]
-
-
 def smn_checks(spec, stats) -> list:
     """The S_mn estimates |S_mn - q^(d-s+1)/(m! n!)| <= rhs for every cell
-    of smn_cells; the kind is smn_s0 when s = 0."""
+    with d-s+1 <= m+n, where they are stated; the kind is smn_s0 when s = 0."""
     kind = "smn" if spec.s >= 1 else "smn_s0"
     return [
         _check(kind, spec, stats.s_mn(m, n), m=m, n=n)
-        for m, n in smn_cells(spec.d, spec.s)
+        for m, n in smn_cells(spec.d, spec.d - spec.s + 1)
     ]
 
 

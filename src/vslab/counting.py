@@ -45,6 +45,14 @@ def _base_poly(spec: FamilySpec):
     return family_poly(spec, (0,) * spec.free_len)
 
 
+def _root_product(gf, nodes):
+    """prod (T - alpha) over the nodes, repeats included, low-to-high."""
+    prod = (1,)
+    for alpha in nodes:
+        prod = poly_mul(gf, prod, (gf.neg(alpha), 1))
+    return prod
+
+
 def interpolating_b0(spec: FamilySpec, subset):
     """The unique (b, b0) whose member vanishes on the subset, if any.
 
@@ -58,10 +66,7 @@ def interpolating_b0(spec: FamilySpec, subset):
     d, s, gf = spec.d, spec.s, spec.field
     if r < d - s + 1:
         raise InvalidParameter(f"need |subset| >= {d - s + 1}, got {r}")
-    prod = (1,)
-    for alpha in subset:
-        prod = poly_mul(gf, prod, (gf.neg(alpha), 1))
-    _, rem = poly_divmod(gf, _base_poly(spec), prod)
+    _, rem = poly_divmod(gf, _base_poly(spec), _root_product(gf, subset))
     if rem and len(rem) - 1 > d - s - 1:
         return None
     dense = list(rem) + [0] * (d - s - len(rem))
@@ -294,6 +299,29 @@ def _solve_count(gf, rows, rhs, n_unknowns):
     return _pivot_counts(gf.q, pivots, n_unknowns)
 
 
+def brute_linear_counts(
+    spec: FamilySpec, gamma1, gamma2, budget: int = SUBSET_BUDGET
+) -> tuple:
+    """(count_all, count_strict) of linear_system_audit by brute force over
+    every member f_b: those constant on both subsets, and those among them
+    whose two constants differ.  Refused when the q^(d-s+1) candidate
+    solutions (b, b01, b02) exceed the budget."""
+    candidates = spec.q ** (spec.d - spec.s + 1)
+    if candidates > budget:
+        raise BudgetExceeded(
+            f"brute audit over {candidates} candidates exceeds the budget {budget}"
+        )
+    subsets = [sorted(gamma1), sorted(gamma2)]
+    count_all = count_strict = 0
+    for b in enumerate_b(spec):
+        vals = batch_eval(spec.field, family_poly(spec, b, 0))
+        consts = _constant_values(vals, subsets)
+        if len(consts) == 2:
+            count_all += 1
+            count_strict += consts[0] != consts[1]
+    return count_all, count_strict
+
+
 def _descending_powers(gf, alpha, top):
     """[alpha^top, ..., alpha^1], by a running product."""
     powers = []
@@ -396,9 +424,7 @@ def divides_check_division(spec: FamilySpec, b0_full, alpha) -> bool:
     gf = spec.field
     b, b0 = tuple(b0_full[: spec.d - spec.s - 1]), b0_full[-1]
     f = family_poly(spec, b, b0)
-    prod = (1,)
-    for a_i in alpha:
-        prod = poly_mul(gf, prod, (gf.neg(a_i), 1))
+    prod = _root_product(gf, alpha)
     if len(prod) - 1 > len(f) - 1:
         return False
     _, rem = poly_divmod(gf, f, prod)

@@ -34,7 +34,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameter
-from .gf import GF
+from .gf import GF, _digits
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,9 @@ def value_profile(spec: FamilySpec, b):
 
 
 def index_to_b(spec: FamilySpec, idx: int):
-    """Decode a lexicographic index into (b_{d-s-1}, ..., b_1)."""
-    digits = []
-    for _ in range(spec.free_len):
-        idx, c = divmod(idx, spec.q)
-        digits.append(c)
-    return tuple(reversed(digits))
+    """Decode a lexicographic index into (b_{d-s-1}, ..., b_1): its base-q
+    digits, high-to-low."""
+    return tuple(reversed(_digits(idx, spec.q, spec.free_len)))
 
 
 def enumerate_b(spec: FamilySpec):

@@ -108,6 +108,12 @@ def reconstruct_mean(spec: FamilySpec, chi) -> Fraction:
     return cohen_exact_mean(q, d - s) + Fraction(high, q ** (d - s - 1))
 
 
+def smn_cells(d: int, lo: int = 2) -> list:
+    """The (m, n) cells, 1 <= m, n <= d, with m+n >= lo, row by row; every
+    cell by default.  The S_mn sums and bounds range over such cells."""
+    return [(m, n) for m in range(1, d + 1) for n in range(1, d + 1) if m + n >= lo]
+
+
 def reconstruct_second_moment(
     spec: FamilySpec, mean: Fraction, smatrix, mode: str = "exact"
 ) -> Fraction:
@@ -115,13 +121,7 @@ def reconstruct_second_moment(
     d, s, q = spec.d, spec.s, spec.q
     if mode not in ("paper", "exact"):
         raise InvalidParameter(f"unknown mode {mode!r}")
-    lo = 2 if mode == "exact" else d - s + 1
-    cells = [
-        (m, n)
-        for m in range(1, d + 1)
-        for n in range(1, d + 1)
-        if lo <= m + n <= 2 * d
-    ]
+    cells = smn_cells(d, 2 if mode == "exact" else d - s + 1)
     missing = [cell for cell in cells if cell not in smatrix]
     if missing:
         raise InvalidParameter(f"S matrix is missing cells {missing[:6]}...")
@@ -151,7 +151,7 @@ def build_moment_report(spec: FamilySpec, stats: FamilyStats):
     mean, second = stats.mean, stats.second_moment
     mu_d_q, mu_d2_q2 = main_term("mean_main", spec), main_term("v2", spec)
     chi = {r: stats.chi(r) for r in range(d - s + 1, d + 1)} if s >= 1 else {}
-    smn = {(m, n): stats.s_mn(m, n) for m in range(1, d + 1) for n in range(1, d + 1)}
+    smn = {cell: stats.s_mn(*cell) for cell in smn_cells(d)}
     v2_exact = reconstruct_second_moment(spec, mean, smn, mode="exact")
     v2_paper = reconstruct_second_moment(spec, mean, smn, mode="paper")
     mean_reconstructed = None

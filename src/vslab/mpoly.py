@@ -9,8 +9,10 @@ insensitive to base-field extension.
 Polynomials in one extra variable T with MultiPoly coefficients are
 plain tuples (low-to-high).  Their resultants and first subresultants
 come from the Sylvester construction, with determinants evaluated by
-fraction-free Bareiss elimination (exact divisions asserted) or, for
-small matrices, by cofactor expansion.
+fraction-free Bareiss elimination (exact divisions asserted).
+sylvester_rows is the one builder of the Sylvester layouts: upoly's
+numeric resultant reads its rows too.  Cofactor expansion (det_minors)
+is kept as the independent route Bareiss is tested against.
 """
 
 from __future__ import annotations
@@ -207,9 +209,6 @@ def weight_decompose(f: MultiPoly, w: WeightSystem):
 
 # -- determinants of MultiPoly matrices ------------------------------------
 
-MINORS_LIMIT = 6
-
-
 def det_minors(matrix):
     """Cofactor expansion with memoization on column subsets."""
     n = len(matrix)
@@ -265,71 +264,62 @@ def det_bareiss(matrix):
     return det if sign == 1 else -det
 
 
-def det(matrix):
-    if len(matrix) <= MINORS_LIMIT:
-        return det_minors(matrix)
-    return det_bareiss(matrix)
-
-
 # -- symbolic Sylvester constructions ---------------------------------------
 
 def _tpoly_trim(f):
+    # the twin of upoly.trim, kept so that the appendix command, which
+    # works on MultiPoly coefficients alone, never loads upoly
     f = list(f)
     while f and f[-1].is_zero():
         f.pop()
     return f
 
 
-def _tcoeff(f, i, p, names):
-    if 0 <= i < len(f):
-        return f[i]
-    return MultiPoly(p, names)
+def sylvester_rows(f, g, zero=0, order=0):
+    """Rows of the Sylvester matrix of (f, g), or for order 1 of its
+    order-1 principal subresultant minor; f and g are coefficient
+    sequences, low-to-high, and a coefficient past either end is zero.
 
-
-def _sylvester_matrix(f, g, p, names):
+    Order 0 is the standard layout: rows T^(n-1)*f ... T^0*f, then
+    T^(m-1)*g ... T^0*g, columns indexed by degree m+n-1 down to 0.
+    Order 1 keeps rows T^(n-2)*f ... T^0*f and T^(m-2)*g ... T^0*g, and
+    the columns from degree m+n-2 down to 1, skipping the constant one.
+    """
     m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for sh in range(n - 1, -1, -1):
-        rows.append([_tcoeff(f, size - 1 - c - sh, p, names) for c in range(size)])
-    for sh in range(m - 1, -1, -1):
-        rows.append([_tcoeff(g, size - 1 - c - sh, p, names) for c in range(size)])
-    return rows
+    size = m + n - 2 * order
+    top = size - 1 + order  # the degree of the first column
 
+    def row(h, shift):  # T^shift * h, by degree from the first column down
+        return [h[i] if 0 <= i < len(h) else zero
+                for i in range(top - shift, top - shift - size, -1)]
 
-def _subres1_matrix(f, g, p, names):
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n - 2
-    rows = []
-    for sh in range(n - 2, -1, -1):
-        rows.append([_tcoeff(f, size - c - sh, p, names) for c in range(size)])
-    for sh in range(m - 2, -1, -1):
-        rows.append([_tcoeff(g, size - c - sh, p, names) for c in range(size)])
-    return rows
+    return [row(f, sh) for sh in range(n - order - 1, -1, -1)] + [
+        row(g, sh) for sh in range(m - order - 1, -1, -1)
+    ]
 
 
 def _validate_pair(f, g):
+    """(f, g, zero) with both trimmed, and zero their ring's zero."""
     f, g = _tpoly_trim(f), _tpoly_trim(g)
     if len(f) < 2 or len(g) < 2:
         raise InvalidParameter(
             "symbolic resultant needs degree >= 1 in T on both sides"
         )
-    sample = f[0]
-    return f, g, sample.p, sample.names
+    return f, g, MultiPoly(f[0].p, f[0].names)
 
 
 def symbolic_resultant(f, g) -> MultiPoly:
     """Resultant in T of two T-polynomials with MultiPoly coefficients."""
-    f, g, p, names = _validate_pair(f, g)
-    return det(_sylvester_matrix(f, g, p, names))
+    f, g, zero = _validate_pair(f, g)
+    return det_bareiss(sylvester_rows(f, g, zero))
 
 
 def symbolic_subres1(f, g) -> MultiPoly:
     """Order-1 principal subresultant in T, by the determinant minor."""
-    f, g, p, names = _validate_pair(f, g)
+    f, g, zero = _validate_pair(f, g)
     if len(f) - 1 + len(g) - 1 == 2:
-        return MultiPoly.constant(p, names, 1)
-    return det(_subres1_matrix(f, g, p, names))
+        return MultiPoly.constant(zero.p, zero.names, 1)
+    return det_bareiss(sylvester_rows(f, g, zero, order=1))
 
 
 def tpoly_derivative(f):

@@ -9,7 +9,9 @@ Beyond the ring basics this module provides exactly the machinery the
 counting layers need: exact root multiplicities, confluent Newton
 coefficients by iterated synthetic division (characteristic-free, no
 factorials), Sylvester resultants, the order-1 principal subresultant,
-and the discriminant.
+and the discriminant.  The Sylvester layouts are mpoly.sylvester_rows,
+shared with the symbolic resultant; the determinants here are numeric,
+by Gaussian elimination over the field, a second route to mpoly's.
 """
 
 from __future__ import annotations
@@ -200,28 +202,10 @@ def _det_gauss(gf: GF, m) -> int:
     return det
 
 
-def _coeff(f, i):
-    return f[i] if 0 <= i < len(f) else 0
-
-
-def sylvester_rows(f, g):
-    """Rows of the Sylvester matrix of (f, g).
-
-    Standard layout: rows T^(n-1)*f ... T^0*f, then T^(m-1)*g ... T^0*g,
-    columns indexed by degree m+n-1 down to 0.
-    """
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for sh in range(n - 1, -1, -1):
-        rows.append([_coeff(f, size - 1 - c - sh) for c in range(size)])
-    for sh in range(m - 1, -1, -1):
-        rows.append([_coeff(g, size - 1 - c - sh) for c in range(size)])
-    return rows
-
-
 def resultant(gf: GF, f, g) -> int:
     """Sylvester-determinant resultant; zero iff deg gcd(f, g) >= 1."""
+    from .mpoly import sylvester_rows  # the counting oracles never load mpoly
+
     f, g = trim(f), trim(g)
     if not f or not g:
         raise InvalidParameter("resultant needs nonzero polynomials")
@@ -233,34 +217,20 @@ def resultant(gf: GF, f, g) -> int:
     return _det_gauss(gf, sylvester_rows(f, g))
 
 
-def subres1_rows(f, g):
-    """Rows of the order-1 principal subresultant minor of (f, g).
-
-    Rows T^(n-2)*f ... T^0*f and T^(m-2)*g ... T^0*g; the columns run
-    from degree m+n-2 down to 1, skipping the constant column.
-    """
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n - 2
-    rows = []
-    for sh in range(n - 2, -1, -1):
-        rows.append([_coeff(f, size - c - sh) for c in range(size)])
-    for sh in range(m - 2, -1, -1):
-        rows.append([_coeff(g, size - c - sh) for c in range(size)])
-    return rows
-
-
 def subres1(gf: GF, f, g) -> int:
     """Order-1 principal subresultant coefficient of (f, g).
 
     Contract: resultant = subres1 = 0 exactly when deg gcd(f, g) >= 2.
     """
+    from .mpoly import sylvester_rows
+
     f, g = trim(f), trim(g)
     if not f or not g:
         raise InvalidParameter("subresultant needs nonzero polynomials")
     m, n = len(f) - 1, len(g) - 1
     if m == 0 or n == 0 or m + n == 2:
         return 1
-    return _det_gauss(gf, subres1_rows(f, g))
+    return _det_gauss(gf, sylvester_rows(f, g, order=1))
 
 
 def discriminant(gf: GF, f) -> int:

@@ -507,22 +507,38 @@ def test_verify_identities_fails_on_a_false_check(tmp_path, monkeypatch, capsys)
 
 
 def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys):
-    # C(5, 4) = 5 and n_b q = 25 are over a subset budget of 4: neither
-    # oracle runs, and its verdict is None, not a failure
+    # the chi_r walk visits C(5, 4) = 5 subsets and the Gamma scan takes
+    # n_b q = 125 root profiles: under a subset budget below its cost an
+    # oracle does not run, and its verdict is None, not a failure.  The
+    # command that asks for the same oracle directly is refused at exactly
+    # those budgets, so each pair of callers switches at the oracle's cost.
     out = tmp_path / "out.json"
-    base = ["--field", "5^1", "--d", "4", "--s", "1", "--a", "1",
-            "--subset-budget", "4", "--out", str(out)]
-    assert run(["verify-identities", *base]) == 0
-    (entry,) = json.loads(out.read_text())["results"]
-    assert entry["chi_dual_method"] is None and entry["ok"] is True
-    assert run(["gamma", *base]) == 0
-    (entry,) = json.loads(out.read_text())["results"]
-    assert entry["r"]["4"]["open_equals_r_factorial_chi"] is None
-    assert json.loads(out.read_text())["failures"] == []
-    assert capsys.readouterr().err == ""
-    # the (m, n) counts need the scan, which the budget refuses
-    assert run(["gamma", *base, "--m", "1", "--n", "1"]) == 2
-    assert "25 root profiles, over the subset budget 4" in capsys.readouterr().err
+    family = ["--field", "5^1", "--d", "4", "--s", "1", "--a", "1", "--out", str(out)]
+    for budget in (4, 5, 124, 125):
+        base = [*family, "--subset-budget", str(budget)]
+        assert run(["verify-identities", *base]) == 0
+        (entry,) = json.loads(out.read_text())["results"]
+        assert entry["chi_dual_method"] is (None if budget < 5 else True)
+        assert entry["ok"] is True
+        assert run(["gamma", *base]) == 0
+        (entry,) = json.loads(out.read_text())["results"]
+        verdict = entry["r"]["4"]["open_equals_r_factorial_chi"]
+        assert verdict is (None if budget < 125 else True)
+        assert json.loads(out.read_text())["failures"] == []
+        assert capsys.readouterr().err == ""
+        refused = run(["chi", *base, "--method", "both"]) == 2
+        assert refused == (budget < 5)
+        assert capsys.readouterr().err == (
+            f"infeasible budget: C(5,4) exceeds the subset budget {budget}\n"
+            if refused else ""
+        )
+        # the (m, n) counts need the scan, which a budget under its cost refuses
+        refused = run(["gamma", *base, "--m", "1", "--n", "1"]) == 2
+        assert refused == (budget < 125)
+        assert capsys.readouterr().err == (
+            "infeasible budget: closed Gamma_mn scan needs 125 root profiles, "
+            f"over the subset budget {budget}\n" if refused else ""
+        )
 
 
 def test_verify_bounds_fails_on_a_broken_bound(tmp_path, monkeypatch, capsys):

@@ -243,7 +243,7 @@ def test_audit_linear_all_a_matches_brute(tmp_path):
     for row in rows:
         spec = FamilySpec(F7, 5, 1, (int(row["spec"].rsplit("=", 1)[1]),))
         assert row["spec"] == spec.key
-        brute = cli._brute_linear_counts(spec, row["gamma1"], row["gamma2"])
+        brute = ct.brute_linear_counts(spec, row["gamma1"], row["gamma2"])
         assert (row["count_all"], row["count_strict"]) == brute, row
 
 

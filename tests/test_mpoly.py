@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from vslab.appendix import build_generic_member, select_case
+from vslab.cli import APPENDIX_CASES, SUBRES_CASES
 from vslab.errors import InvalidParameter
 from vslab.gf import make_field
 from vslab import mpoly as mp
@@ -79,14 +81,32 @@ def test_components_sum_to_input():
         assert acc == f
 
 
+def _appendix_matrices():
+    """The matrices vslab appendix takes determinants of by default: the
+    Sylvester matrix of (F, dF/dT) for each case, over the free set its
+    check uses, and the order-1 minor for each subresultant case."""
+    for order, cases in ((0, APPENDIX_CASES), (1, SUBRES_CASES)):
+        for p, d in cases:
+            generic = order == 0 and select_case(p, d) == "generic"
+            names, f = build_generic_member(p, d, {0, 1} if generic else {0, 1, 2})
+            zero = mp.MultiPoly(p, names)
+            yield mp.sylvester_rows(f, mp.tpoly_derivative(f), zero, order)
+
+
 def test_det_minors_vs_bareiss():
     rng = random.Random(29)
     p = 7
     names = ("B0", "B1")
-    for n in (2, 3, 4, 5):
-        for _ in range(8):
-            mat = [[_rand_mpoly(rng, p, names) for _ in range(n)] for _ in range(n)]
-            assert mp.det_minors(mat) == mp.det_bareiss(mat)
+    mats = [
+        [[_rand_mpoly(rng, p, names) for _ in range(n)] for _ in range(n)]
+        for n in (2, 3, 4, 5)
+        for _ in range(8)
+    ]
+    # and the appendix's own matrices, sizes 2 to 13
+    appendix = list(_appendix_matrices())
+    assert sorted(len(mat) for mat in appendix) == [2, 3, 4, 5, 6, 7, 7, 7, 11, 13]
+    for mat in mats + appendix:
+        assert mp.det_minors(mat) == mp.det_bareiss(mat)
 
 
 def test_symbolic_resultant_quadratic():

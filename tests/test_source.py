@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import vslab
@@ -238,3 +239,36 @@ def test_one_function_builds_the_blocks():
         if isinstance(node, ast.keyword) and node.arg == "cover"
     ]
     assert passed == ["cover"]
+
+
+def test_one_sylvester_layout():
+    # the resultants, numeric and symbolic, read their rows from one builder
+    # in mpoly; each route keeps its own determinant
+    builders = _nodes(
+        lambda node: isinstance(node, ast.FunctionDef)
+        and re.search(r"sylvester|subres1_(rows|matrix)", node.name)
+    )
+    assert len(builders) == 1 and builders[0].startswith("mpoly.py:"), builders
+    assert "sylvester_rows" in _names(SOURCE / "upoly.py")
+
+
+def test_the_cli_defines_no_oracle():
+    # the oracles and their costs live in counting: the CLI names none of
+    # the scalar pieces an oracle is built from, nor a subset count
+    pieces = {"enumerate_b", "family_poly", "batch_eval", "eval_at", "comb"}
+    assert pieces & _names(SOURCE / "cli.py") == set()
+
+
+def test_mpoly_has_no_det_dispatcher():
+    # the commands' determinants are Bareiss's alone; cofactor expansion is
+    # the independent route that the tests check Bareiss against, and no
+    # function of the package calls it
+    tree = ast.parse((SOURCE / "mpoly.py").read_text())
+    dets = [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("det")]
+    assert dets == ["det_minors", "det_bareiss"]
+    calls = _nodes(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "det_minors"
+    )
+    assert calls == []
