@@ -4,9 +4,11 @@ Exit codes: 0 = all requested checks passed, 1 = a verification failed,
 2 = usage/config error or an infeasible budget for a directly requested
 computation, 3 = internal error: a computed result broke a property the
 mathematics guarantees (BrokenInvariant), which is a bug, not bad input.
-Each check is a named verdict in its command's ledger; `_conclude` alone
-chooses between 0 and 1, and names each failing instance on one stderr
-FAIL line.  A verdict of None means the check could not run: it never fails.
+Every handler hands `_conclude`, the one loop over instances, an iterable
+of (instance, results, checks) entries, each check a named verdict;
+`_conclude` alone writes the results, chooses between 0 and 1, and names
+each failing instance on one stderr FAIL line.  A verdict of None means
+the check could not run: it never fails.
 
 Every randomized selection draws from a counter-based Philox generator
 keyed by --seed with the instance coordinates in the counter, so any
@@ -327,37 +329,23 @@ def _grid(args, checked):
 
 
 def cmd_mean(args):
-    from . import moments as mo
-
-    results = []
-    for spec, stats in _instances(args):
-        mu_q = mo.main_term("mean_main", spec)
-        results.append(
-            {
-                "spec": spec.key,
-                "a": list(spec.a),
-                "n_b": stats.n_b,
-                "mean": stats.mean,
-                "mu_d_q": mu_q,
-                "residual": stats.mean - mu_q,
-            }
-        )
-    return _conclude(args, [], results)
+    return _conclude(args, (
+        (spec.key, [{key: cols[col] for key, col in rp.MEAN_JSON_KEYS.items()}], [])
+        for spec, _, _, cols in _moment_instances(args)
+    ))
 
 
 def cmd_second_moment(args):
-    reports = []
-    rows = []
-    ledger = []
-    for spec, _, checks, cols in _moment_instances(args):
-        reports.append(
-            {k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS}
-        )
-        rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
-        ledger.append((spec.key, checks))
-    if args.csv:
-        rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
-    return _conclude(args, ledger, reports, failures="instances")
+    def entries():
+        rows = []  # the --csv rows, written once every instance is in
+        for spec, _, checks, cols in _moment_instances(args):
+            rows.append([cols[key] for key in rp.MOMENT_CSV_HEADER])
+            report = {k: v for k, v in cols.items() if k not in rp.ROW_ONLY_COLUMNS}
+            yield spec.key, [report], checks
+        if args.csv:
+            rp.write_csv(args.csv, rp.MOMENT_CSV_HEADER, rows)
+
+    return _conclude(args, entries(), failures="instances")
 
 
 def _count_table(args, plan, header, count, oracle, judge, cells, checks_of):
@@ -370,19 +358,22 @@ def _count_table(args, plan, header, count, oracle, judge, cells, checks_of):
         spec = plan[0][0]  # the oracles' budgets depend on q, d and s only
         for cell in cells:
             judge(spec, *cell, budget=args.subset_budget)
-    rows = []
-    ledger = []
-    for spec, stats in _instances(args, plan):
-        checks = []
-        for bound in checks_of(spec, stats):
-            cell = (bound.r,) if bound.m is None else (bound.m, bound.n)
-            value = count(stats, *cell)
-            if args.method == "both":
-                other = oracle(spec, *cell, budget=args.subset_budget)
-                checks.append((cell, other == value))
-            rows.append([spec.key, *cell, value, bound.main, bound.rhs, bound.passed])
-        ledger.append((spec.key, checks))
-    return _conclude(args, ledger, rows, header)
+
+    def entries():
+        for spec, stats in _instances(args, plan):
+            rows, checks = [], []
+            for bound in checks_of(spec, stats):
+                cell = (bound.r,) if bound.m is None else (bound.m, bound.n)
+                value = count(stats, *cell)
+                if args.method == "both":
+                    other = oracle(spec, *cell, budget=args.subset_budget)
+                    checks.append((cell, other == value))
+                rows.append(
+                    [spec.key, *cell, value, bound.main, bound.rhs, bound.passed]
+                )
+            yield spec.key, rows, checks
+
+    return _conclude(args, entries(), header)
 
 
 def cmd_chi(args):
@@ -439,9 +430,7 @@ def cmd_gamma(args):
 
     from . import counting as ct
 
-    results = []
-    ledger = []
-    for spec, stats in _instances(args, plan):
+    def entry(spec, stats):
         # the oracle's open Gamma_r counts ride on the (m, n) scan; past
         # --subset-budget they are not counted, and their checks read None,
         # while requested (m, n) counts are refused
@@ -452,10 +441,10 @@ def cmd_gamma(args):
             if mn_pairs:
                 raise
             scan = {}
-        entry = {"spec": spec.key, "r": {}, "mn": {}}
+        result = {"spec": spec.key, "r": {}, "mn": {}}
         checks = []
         for r in r_list:
-            item = entry["r"][str(r)] = {
+            item = result["r"][str(r)] = {
                 "affine_open": stats.gamma_open(r), "closed": stats.gamma_closed[r - 1]
             }
             if r in open_r:
@@ -469,13 +458,14 @@ def cmd_gamma(args):
         for m, n in mn_pairs:
             g = scan[m, n]
             ok = g.affine_open == factorial(m) * factorial(n) * stats.s_mn(m, n)
-            entry["mn"][f"{m},{n}"] = {
+            result["mn"][f"{m},{n}"] = {
                 **dataclasses.asdict(g), "open_equals_mn_factorial_smn": ok
             }
             checks.append((("gamma_mn", (m, n)), ok))
-        results.append(entry)
-        ledger.append((spec.key, checks))
-    return _conclude(args, ledger, results, failures="checks")
+        return spec.key, [result], checks
+
+    entries = itertools.starmap(entry, _instances(args, plan))
+    return _conclude(args, entries, failures="checks")
 
 
 def cmd_verify_identities(args):
@@ -483,24 +473,24 @@ def cmd_verify_identities(args):
     from . import counting as ct
 
     d, s = args.d, args.s
-    results = []
-    ledger = []
-    for spec, stats, checks, cols in _moment_instances(args, plan):
-        if s >= 1:
-            dual = []
-            for r in range(d - s + 1, d + 1):
-                try:  # past --subset-budget the oracle does not run
-                    oracle = ct.chi_r(spec, r, budget=args.subset_budget)
-                except BudgetExceeded:
-                    continue
-                dual.append(stats.chi(r) == oracle)
-            checks.append(("chi_dual_method", all(dual) if dual else None))
-        checks.append(("gamma_1_closed_exact", _gamma_1_closed_exact(spec, stats)))
-        entry = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
-        entry.update(checks, ok=not _failing(checks))
-        results.append(entry)
-        ledger.append((spec.key, checks))
-    return _conclude(args, ledger, results)
+
+    def entries():
+        for spec, stats, checks, cols in _moment_instances(args, plan):
+            if s >= 1:
+                dual = []
+                for r in range(d - s + 1, d + 1):
+                    try:  # past --subset-budget the oracle does not run
+                        oracle = ct.chi_r(spec, r, budget=args.subset_budget)
+                    except BudgetExceeded:
+                        continue
+                    dual.append(stats.chi(r) == oracle)
+                checks.append(("chi_dual_method", all(dual) if dual else None))
+            checks.append(("gamma_1_closed_exact", _gamma_1_closed_exact(spec, stats)))
+            result = {key: cols[key] for key in rp.IDENTITY_JSON_KEYS}
+            result.update(checks, ok=not _failing(checks))
+            yield spec.key, [result], checks
+
+    return _conclude(args, entries())
 
 
 def cmd_verify_bounds(args):
@@ -510,33 +500,33 @@ def cmd_verify_bounds(args):
     # the marker rows or the plan of every grid point, before the first sweep
     points = []
     for field, d, s, marker in grid:
-        markers, plan = [], []
         if marker is not None:
-            markers = [marker]
-        else:
-            try:
-                plan = _plan(args, field, d, s)
-            except BudgetExceeded:
-                # n_b does not depend on a, so every a-vector is over budget
-                a_count = sum(1 for _ in _a_vectors(args, field, d, s, grid=True))
-                markers = [bd.marker("sweep", field.q, d, s)] * a_count
-        points.append((markers, plan))
-    instances = _instances(args, [entry for _, plan in points for entry in plan])
-    rows = []
-    ledger = []
-    for markers, plan in points:
-        bounds = list(markers)
-        for spec, stats in itertools.islice(instances, len(plan)):
+            points.append(marker)
+            continue
+        try:
+            points += _plan(args, field, d, s)
+        except BudgetExceeded:
+            # n_b does not depend on a, so every a-vector is over budget
+            a_count = sum(1 for _ in _a_vectors(args, field, d, s, grid=True))
+            points += [bd.marker("sweep", field.q, d, s)] * a_count
+    instances = _instances(
+        args, [point for point in points if not isinstance(point, bd.BoundCheck)]
+    )
+
+    def entries():
+        for point in points:
+            if isinstance(point, bd.BoundCheck):  # a marker row checks nothing
+                yield None, [rp.bound_check_row(point) + [args.seed]], []
+                continue
+            spec, stats = next(instances)
             suite = bd.bound_suite(spec, stats)
-            ledger.append((spec.key, [(b.kind, b.passed) for b in suite]))
-            bounds += suite
-        rows.extend(rp.bound_check_row(b) + [args.seed] for b in bounds)
-    return _conclude(args, ledger, rows, rp.BOUND_CSV_HEADER + ["seed"])
+            rows = [rp.bound_check_row(b) + [args.seed] for b in suite]
+            yield spec.key, rows, [(b.kind, b.passed) for b in suite]
+
+    return _conclude(args, entries(), rp.BOUND_CSV_HEADER + ["seed"])
 
 
 def cmd_sweep(args):
-    rows = []
-    ledger = []
     # the whole grid is planned, and so checked, before the first sweep
     plan = [
         entry
@@ -545,12 +535,14 @@ def cmd_sweep(args):
     ]
     from . import bounds as bd
 
-    for spec, stats, checks, cols in _moment_instances(args, plan):
-        suite = bd.bound_suite(spec, stats)
-        ledger.append((spec.key, checks + [(b.kind, b.passed) for b in suite]))
-        cols.update(seed=args.seed, bounds=bd.suite_summary(suite))
-        rows.append([cols[key] for key in rp.SWEEP_CSV_HEADER])
-    return _conclude(args, ledger, rows, rp.SWEEP_CSV_HEADER)
+    def entries():
+        for spec, stats, checks, cols in _moment_instances(args, plan):
+            suite = bd.bound_suite(spec, stats)
+            cols.update(seed=args.seed, bounds=bd.suite_summary(suite))
+            row = [cols[key] for key in rp.SWEEP_CSV_HEADER]
+            yield spec.key, [row], checks + [(b.kind, b.passed) for b in suite]
+
+    return _conclude(args, entries(), rp.SWEEP_CSV_HEADER)
 
 
 APPENDIX_CASES = [(7, 4), (5, 5), (3, 6), (3, 4), (5, 6), (3, 7)]
@@ -572,21 +564,20 @@ def cmd_appendix(args):
 
     case_list = _pairs(args.cases, APPENDIX_CASES)
     subres_list = _pairs(args.subres, SUBRES_CASES)
-    results = {"cases": [], "subres1_terms": []}
-    ledger = []
-    for p, d in case_list:
-        rep = ap.appendix_case_check(p, d)
-        entry = rep.to_dict()
-        entry["b0_degree"] = ap.resultant_b0_degree(
-            p, d, {0, 1} if rep.case == "generic" else {0, 1, 2}
-        )
-        results["cases"].append(entry)
-        ledger.append((f"cases:{p},{d}", [("matched", rep.matched != "failed")]))
-    for p, d in subres_list:
-        rep = ap.subres1_terms_check(p, d)
-        results["subres1_terms"].append(rep.to_dict())
-        ledger.append((f"subres:{p},{d}", [("matched", rep.matched != "failed")]))
-    return _conclude(args, ledger, results)
+
+    def entries():
+        for p, d in case_list:
+            rep = ap.appendix_case_check(p, d)
+            free = {0, 1} if rep.case == "generic" else {0, 1, 2}
+            degree = ap.resultant_b0_degree(p, d, free)
+            result = ("cases", {**rep.to_dict(), "b0_degree": degree})
+            yield f"cases:{p},{d}", [result], [("matched", rep.matched != "failed")]
+        for p, d in subres_list:
+            rep = ap.subres1_terms_check(p, d)
+            result = ("subres1_terms", rep.to_dict())
+            yield f"subres:{p},{d}", [result], [("matched", rep.matched != "failed")]
+
+    return _conclude(args, entries(), groups=("cases", "subres1_terms"))
 
 
 def cmd_audit_linear(args):
@@ -601,32 +592,31 @@ def cmd_audit_linear(args):
     rng = _Philox(args.seed, q, d, s)
     specs = [FamilySpec(field, d, s, a) for a in _a_vectors(args, field, d, s, False)]
     total = d - s  # FamilySpec keeps s <= d-2: room for two nonempty subsets
-    results = []
-    ledger = []
-    for spec in specs:
-        checks = []
-        for _ in range(args.count):
-            m = rng.integers(1, total)
-            n = rng.integers(1, total - m + 1)
-            perm = rng.permutation(q)
-            g1, g2 = set(perm[:m]), set(perm[m : m + n])
-            audit = ct.linear_system_audit(spec, g1, g2)
-            full = q ** (d - s + 1 - m - n)
-            ok = audit["rank"] == m + n and audit["count_all"] == full
-            if ok:
-                try:  # past --subset-budget the brute oracle does not run
-                    brute = ct.brute_linear_counts(spec, g1, g2, args.subset_budget)
-                except BudgetExceeded:
-                    pass
-                else:
-                    ok = (audit["count_all"], audit["count_strict"]) == brute
-            checks.append(("linear_system", ok))
-            results.append(
-                {"spec": spec.key, "gamma1": sorted(g1), "gamma2": sorted(g2),
-                 **audit, "ok": ok}
-            )
-        ledger.append((spec.key, checks))
-    return _conclude(args, ledger, results, failures="count")
+
+    def one_round(spec):
+        m = rng.integers(1, total)
+        n = rng.integers(1, total - m + 1)
+        perm = rng.permutation(q)
+        g1, g2 = set(perm[:m]), set(perm[m : m + n])
+        audit = ct.linear_system_audit(spec, g1, g2)
+        full = q ** (d - s + 1 - m - n)
+        ok = audit["rank"] == m + n and audit["count_all"] == full
+        if ok:
+            try:  # past --subset-budget the brute oracle does not run
+                brute = ct.brute_linear_counts(spec, g1, g2, args.subset_budget)
+            except BudgetExceeded:
+                pass
+            else:
+                ok = (audit["count_all"], audit["count_strict"]) == brute
+        return {"spec": spec.key, "gamma1": sorted(g1), "gamma2": sorted(g2),
+                **audit, "ok": ok}
+
+    def entries():
+        for spec in specs:
+            rounds = [one_round(spec) for _ in range(args.count)]
+            yield spec.key, rounds, [("linear_system", r["ok"]) for r in rounds]
+
+    return _conclude(args, entries(), failures="count")
 
 
 def cmd_report_merge(args):
@@ -644,22 +634,42 @@ def _failing(checks):
     return [name for name, ok in checks if ok is False]
 
 
-def _conclude(args, ledger, results, header=None, failures=None):
-    """Write the results, as CSV rows under a header or else as JSON, and
-    return the exit code.  The ledger holds (instance, checks) entries, each
-    check a (name, verdict) pair.  `failures` names the shape of the JSON
-    failures field: the failing "instances", [instance, *name] for each
-    failing check ("checks"), or their "count".  One stderr FAIL line names
+def _conclude(args, entries, header=None, failures=None, groups=None):
+    """The one loop over a command's instances: collect their entries, write
+    the results to --out, else stdout, and return the exit code.  Each entry
+    is (instance, results, checks): the instance's list of results and its
+    checks, each a (name, verdict) pair.  The results are CSV rows under a
+    header, or else JSON objects, written as {command, config, results} and,
+    when `failures` names its shape, a failures field: the failing
+    "instances", [instance, *name] for each failing check ("checks"), or
+    their "count".  With `groups`, each result is a (group, object) pair and
+    the JSON results hold one list per group.  One stderr FAIL line names
     each failing instance once."""
-    failed = [(inst, names) for inst, checks in ledger if (names := _failing(checks))]
-    shapes = {
-        "instances": [inst for inst, _ in failed],
-        "checks": [[inst, *name] for inst, names in failed for name in names],
-        "count": sum(len(names) for _, names in failed),
-    }
+    results, failed = [], []
+    for inst, out, checks in entries:
+        results += out
+        if names := _failing(checks):
+            failed.append((inst, names))
     if header is None:
-        extra = {"failures": shapes[failures]} if failures else {}
-        _emit_json(args, results, **extra)
+        if groups:
+            results = {g: [obj for k, obj in results if k == g] for g in groups}
+        # output paths and the worker count are not semantic config: identical
+        # runs aimed at different files or run on more workers must still
+        # produce byte-identical payloads
+        skip = {"func", "config", "out", "csv", "workers"}
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in skip and v is not None}
+        payload = {"command": args.command, "config": config, "results": results}
+        if failures:
+            payload["failures"] = {
+                "instances": [inst for inst, _ in failed],
+                "checks": [[inst, *n] for inst, names in failed for n in names],
+                "count": sum(len(names) for _, names in failed),
+            }[failures]
+        if args.out:
+            rp.write_json(args.out, payload)
+        else:
+            sys.stdout.write(rp.dump_json(payload))
     elif args.out:
         rp.write_csv(args.out, header, results)
     else:
@@ -668,22 +678,6 @@ def _conclude(args, ledger, results, header=None, failures=None):
         return 0
     print("FAIL:", *(inst for inst, _ in failed), file=sys.stderr)
     return CHECK_FAILED
-
-
-def _emit_json(args, results, **extra):
-    """Write {command, config, results, **extra} to --out, else stdout."""
-    # output paths and the worker count are not semantic config: identical
-    # runs aimed at different files or run on more workers must still
-    # produce byte-identical payloads
-    skip = {"func", "config", "out", "csv", "workers"}
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
-    payload = {"command": args.command, "config": config, "results": results, **extra}
-    if args.out:
-        rp.write_json(args.out, payload)
-    else:
-        sys.stdout.write(rp.dump_json(payload))
 
 
 def _add_command(subs, name, func, help_text, field_mode="single", a_default=""):

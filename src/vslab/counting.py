@@ -304,12 +304,12 @@ def brute_linear_counts(
 ) -> tuple:
     """(count_all, count_strict) of linear_system_audit by brute force over
     every member f_b: those constant on both subsets, and those among them
-    whose two constants differ.  Refused when the q^(d-s+1) candidate
-    solutions (b, b01, b02) exceed the budget."""
-    candidates = spec.q ** (spec.d - spec.s + 1)
-    if candidates > budget:
+    whose two constants differ.  Refused when its n_b * q evaluations, each
+    member at every point, exceed the budget."""
+    if spec.n_b * spec.q > budget:
         raise BudgetExceeded(
-            f"brute audit over {candidates} candidates exceeds the budget {budget}"
+            f"brute audit needs {spec.n_b * spec.q} evaluations, "
+            f"over the subset budget {budget}"
         )
     subsets = [sorted(gamma1), sorted(gamma2)]
     count_all = count_strict = 0

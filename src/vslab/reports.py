@@ -218,6 +218,10 @@ IDENTITY_JSON_KEYS = [
     "paper_mode_residual",
 ]
 
+# mean's JSON keys, each with the moment column it reads
+MEAN_JSON_KEYS = {"spec": "spec", "a": "a", "n_b": "n_b", "mean": "mean",
+                  "mu_d_q": "mu_d_q", "residual": "residual_mean"}
+
 # seed and bounds (the bound-suite summary) are not moment columns
 SWEEP_CSV_HEADER = [
     "spec",

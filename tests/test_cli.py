@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st_
 
 import vslab
-from vslab import cli, counting, sweep
+from vslab import cli, counting, moments, sweep
 from vslab.cli import main, parse_int_list, select_a_vectors
 from vslab.errors import InvalidParameter
 from vslab.family import FamilySpec, cover, stabiliser_blocks
@@ -506,12 +506,23 @@ def test_verify_identities_fails_on_a_false_check(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err == f"FAIL: {entry['spec']}\n"
 
 
-def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys):
+def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys, monkeypatch):
     # the chi_r walk visits C(5, 4) = 5 subsets and the Gamma scan takes
     # n_b q = 125 root profiles: under a subset budget below its cost an
     # oracle does not run, and its verdict is None, not a failure.  The
     # command that asks for the same oracle directly is refused at exactly
     # those budgets, so each pair of callers switches at the oracle's cost.
+    # The audit's brute force evaluates the n_b = 25 members at q = 5
+    # points, 125 evaluations, and runs only from that budget on.
+    brute, real_brute = [], counting.brute_linear_counts
+
+    def counted_brute(*args):
+        counts = real_brute(*args)
+        brute.append(counts)
+        return counts
+
+    monkeypatch.setattr(counting, "brute_linear_counts", counted_brute)
+    audits = {}
     out = tmp_path / "out.json"
     family = ["--field", "5^1", "--d", "4", "--s", "1", "--a", "1", "--out", str(out)]
     for budget in (4, 5, 124, 125):
@@ -539,6 +550,13 @@ def test_a_check_that_cannot_run_does_not_fail(tmp_path, capsys):
             "infeasible budget: closed Gamma_mn scan needs 125 root profiles, "
             f"over the subset budget {budget}\n" if refused else ""
         )
+        if budget >= 124:
+            del brute[:]
+            assert run(["audit-linear", *base]) == 0
+            assert bool(brute) == (budget >= 125)
+            data = json.loads(out.read_text())
+            audits[budget] = data["results"], data["failures"]
+    assert audits[124] == audits[125]
 
 
 def test_verify_bounds_fails_on_a_broken_bound(tmp_path, monkeypatch, capsys):
@@ -747,6 +765,15 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ["chi", *family, "--r", "1-0"],
     ):
         assert run(argv) == 2, argv
+    # gamma's refusals of its --r, --m and --n, each with its own message
+    for argv, message in (
+        (["--r", "0"], "need 1 <= r <= d, got r=0"),
+        (["--m", "0", "--n", "1"], "need 1 <= m, n <= d, got m=0, n=1"),
+        (["--m", "1"], "--m and --n are given together or not at all"),
+    ):
+        capsys.readouterr()
+        assert run(["gamma", *family, *argv]) == 2, argv
+        assert capsys.readouterr().err == f"config error: {message}\n", argv
     # d = 1 names no family, in a single-field command or a grid
     for argv in (
         ["mean", "--field", "7^1", "--d", "1", "--s", "0"],
@@ -844,6 +871,16 @@ def test_one_sweep_per_affine_orbit(tmp_path, monkeypatch):
     assert [tuple(r["a"]) for r in results] == list(
         select_a_vectors(make_field(7), 5, 2, "all", 0)
     )
+    # mean reads the same moment record, built once per swept family
+    reports = _count_calls(monkeypatch, moments, "build_moment_report")
+    mean_out = tmp_path / "mean.json"
+    assert run(["mean", "--field", "7^1", "--d", "5", "--s", "2", "--a", "all",
+                "--out", str(mean_out)]) == 0
+    assert len(reports) == 3
+    means = json.loads(mean_out.read_text())["results"]
+    assert [(m["spec"], m["mean"], m["mu_d_q"], m["residual"]) for m in means] == [
+        (r["spec"], r["mean"], r["mu_d_q"], r["residual_mean"]) for r in results
+    ]
 
 
 def test_two_members_of_one_orbit_sweep_once(tmp_path, monkeypatch):

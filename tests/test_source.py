@@ -181,6 +181,23 @@ def test_one_module_forms_main_terms():
         if path.name != "moments.py" and "mu" in _names(path)
     )
     assert named == []
+    # the CLI reads main terms and residuals off the moment record
+    assert "main_term" not in _names(SOURCE / "cli.py")
+
+
+def test_one_instance_loop_in_the_cli():
+    # every handler hands its (instance, results, checks) entries to
+    # _conclude, which alone collects the failing checks: no other function
+    # of the CLI keeps a ledger of them
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    keepers = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name != "_conclude"
+        and any(isinstance(inner, ast.Name) and inner.id in ("ledger", "failed")
+                for inner in ast.walk(node))
+    )
+    assert keepers == []
 
 
 def test_one_pool_construction_site():
